@@ -2,6 +2,9 @@
 
 All constructions are pure: they take immutable graphs and return new
 immutable graphs, so any of them may run concurrently on shared inputs.
+`double` is computed once per graph object and shared, like the
+analyses in `core`; those memo writes are idempotent, so concurrent
+first calls are safe too.
 After vertex deletions, indices are compacted to 1..n preserving
 relative order, which keeps file exports stable.
 """
@@ -11,7 +14,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import ColoredGraph, GemError, census, residue_components, validate
+from .core import (
+    ColoredGraph,
+    GemError,
+    _per_graph,
+    census,
+    residue_components,
+    validate,
+)
 
 
 @dataclass(frozen=True)
@@ -27,6 +37,7 @@ class DoubleProvenance:
         return self.origin.index((copy, original)) + 1
 
 
+@_per_graph
 def double(g: ColoredGraph) -> tuple[ColoredGraph, DoubleProvenance]:
     """Join two copies of a gem along their boundary.
 

@@ -6,12 +6,22 @@ matchings on the vertex set, while color d may be a partial matching.
 Vertices unmatched in color d are boundary vertices.  All invariants in
 this package (residue censuses, boundary graphs, face vectors) are
 derived from this data by exact integer arithmetic.
+
+Graphs are immutable, so each per-graph analysis (`census`,
+`boundary_graph`, `face_vector`, `validate` and
+`constructions.double`) is computed at most once per graph object and
+the result is shared by every later caller.  Shared results are
+read-only: the census mappings are `MappingProxyType` views and every
+other result is a frozen dataclass or tuple.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
-from dataclasses import dataclass, field
+from collections.abc import Mapping
+from dataclasses import dataclass
+from types import MappingProxyType
 
 
 class GemError(ValueError):
@@ -43,6 +53,25 @@ class UnionFind:
         self._size[ra] += self._size[rb]
 
 
+def _per_graph(analysis):
+    """Run `analysis(g)` at most once per graph object.
+
+    The result is stored on the graph itself, so it lives exactly as
+    long as the graph.  Two threads may both compute it on first use;
+    the first stored result wins and is returned to both, so the write
+    is idempotent.  Exceptions are not stored.
+    """
+
+    @functools.wraps(analysis)
+    def memoized(g):
+        result = g._memo.get(analysis)
+        if result is None:
+            result = g._memo.setdefault(analysis, analysis(g))
+        return result
+
+    return memoized
+
+
 class ColoredGraph:
     """Immutable (d+1)-edge-colored multigraph, regular w.r.t. color d.
 
@@ -52,7 +81,7 @@ class ColoredGraph:
     their colors differ (which the matching representation guarantees).
     """
 
-    __slots__ = ("dimension", "vertex_count", "_mates")
+    __slots__ = ("dimension", "vertex_count", "_mates", "_memo")
 
     def __init__(self, dimension, vertex_count, pairs_by_color):
         if dimension < 1:
@@ -87,6 +116,7 @@ class ColoredGraph:
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "vertex_count", vertex_count)
         object.__setattr__(self, "_mates", tuple(mates))
+        object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
         raise AttributeError("ColoredGraph is immutable")
@@ -291,6 +321,7 @@ class BoundaryGraph:
         return ColoredGraph(bg.dimension, len(comp), pairs)
 
 
+@_per_graph
 def boundary_graph(g: ColoredGraph) -> BoundaryGraph:
     """Extract the boundary graph; empty result for closed gems."""
     boundary = g.boundary_vertices()
@@ -335,13 +366,15 @@ class ResidueCensus:
     `g_dot[B]` counts the regular ones.  For gems with boundary,
     `boundary_g[{i,j}]` counts {i,j}-cycles of the extracted boundary
     graph and `component_boundary_g[q]` the same per boundary component.
+    One census is shared by every caller on the same graph, so all its
+    mappings are read-only.
     """
 
     dimension: int
-    g: dict[frozenset, int]
-    g_dot: dict[frozenset, int]
-    boundary_g: dict[frozenset, int]
-    component_boundary_g: tuple[dict[frozenset, int], ...]
+    g: Mapping[frozenset, int]
+    g_dot: Mapping[frozenset, int]
+    boundary_g: Mapping[frozenset, int]
+    component_boundary_g: tuple[Mapping[frozenset, int], ...]
     tally: VertexTally
 
     def g_of(self, *colors: int) -> int:
@@ -354,6 +387,7 @@ class ResidueCensus:
         return self.boundary_g.get(frozenset((i, j)), 0)
 
 
+@_per_graph
 def census(g: ColoredGraph) -> ResidueCensus:
     """Full residue census, with boundary counts from the boundary graph.
 
@@ -382,12 +416,12 @@ def census(g: ColoredGraph) -> ResidueCensus:
             per_q = {}
             for i, j in itertools.combinations(range(g.dimension), 2):
                 per_q[frozenset((i, j))] = len(residue_components(sub, (i, j)))
-            per_component.append(per_q)
+            per_component.append(MappingProxyType(per_q))
     return ResidueCensus(
         dimension=g.dimension,
-        g=counts,
-        g_dot=regular_counts,
-        boundary_g=boundary_g,
+        g=MappingProxyType(counts),
+        g_dot=MappingProxyType(regular_counts),
+        boundary_g=MappingProxyType(boundary_g),
         component_boundary_g=tuple(per_component),
         tally=g.vertex_tally(),
     )
@@ -407,18 +441,19 @@ class FaceVector:
     euler_characteristic: int
 
 
+@_per_graph
 def face_vector(g: ColoredGraph) -> FaceVector:
-    d = g.dimension
-    all_colors = set(g.colors)
+    """Face counts from the census: f[k] sums g[complement of B] over the
+    (k+1)-color label sets B, where the empty complement counts every
+    vertex."""
+    counts = census(g).g
+    all_colors = frozenset(g.colors)
     f = []
-    for k in range(d + 1):
+    for k in range(g.dimension + 1):
         total = 0
-        for labels in itertools.combinations(sorted(all_colors), k + 1):
-            rest = all_colors - set(labels)
-            if rest:
-                total += len(residue_components(g, rest))
-            else:
-                total += g.vertex_count
+        for labels in itertools.combinations(g.colors, k + 1):
+            rest = all_colors.difference(labels)
+            total += counts[rest] if rest else g.vertex_count
         f.append(total)
     chi = sum((-1) ** k * fk for k, fk in enumerate(f))
     return FaceVector(f=tuple(f), euler_characteristic=chi)
@@ -451,6 +486,7 @@ class ValidationReport:
         return self.boundary_component_count
 
 
+@_per_graph
 def validate(g: ColoredGraph) -> ValidationReport:
     """Check connectivity, orientability proxy and crystallization counts.
 
@@ -458,28 +494,27 @@ def validate(g: ColoredGraph) -> ValidationReport:
     components when the complement of each color c < d has exactly h
     components, the complement of color d is connected, and the induced
     complex has d*h + 1 labeled vertices; a closed graph qualifies with
-    d + 1 labeled vertices (equivalently: it is contracted).
+    d + 1 labeled vertices (equivalently: it is contracted).  All
+    component counts are read from the census.
     """
     d = g.dimension
-    full = set(g.colors)
-    per_color = tuple(
-        len(_components(g, full - {c})) == 1 for c in g.colors
-    )
-    connected = g.is_connected()
-    bg = boundary_graph(g)
-    h = bg.component_count()
-    fv = face_vector(g)
-    if g.is_closed():
-        crystal = connected and fv.f[0] == d + 1
+    counts = census(g).g
+    full = frozenset(g.colors)
+    # hat[c]: components left after dropping color c
+    hat = [counts[full - {c}] for c in g.colors]
+    per_color = tuple(count == 1 for count in hat)
+    connected = counts[full] == 1
+    h = boundary_graph(g).component_count()
+    f0 = face_vector(g).f[0]
+    closed = g.is_closed()
+    if closed:
+        crystal = connected and f0 == d + 1
     else:
-        hat_counts_ok = all(
-            len(_components(g, full - {c})) == h for c in range(d)
-        )
         crystal = (
             connected
-            and len(_components(g, full - {d})) == 1
-            and hat_counts_ok
-            and fv.f[0] == d * h + 1
+            and hat[d] == 1
+            and all(hat[c] == h for c in range(d))
+            and f0 == d * h + 1
         )
     return ValidationReport(
         involutions_ok=True,
@@ -489,8 +524,8 @@ def validate(g: ColoredGraph) -> ValidationReport:
         bipartite=g.is_bipartite(),
         contracted=all(per_color),
         contracted_per_color=per_color,
-        closed=g.is_closed(),
+        closed=closed,
         boundary_component_count=h,
         is_crystallization=crystal,
-        f0=fv.f[0],
+        f0=f0,
     )

@@ -8,7 +8,7 @@ surfaced as a diagnostic rather than rounded away.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .core import ColoredGraph, GemError, ResidueCensus, census, face_vector, validate

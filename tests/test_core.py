@@ -4,14 +4,24 @@ import itertools
 
 import pytest
 
+import gemkit.core
 from gemkit import (
     ColoredGraph,
     GemError,
+    ManifoldMeta,
     boundary_graph,
+    catalog_get,
     census,
+    certify_minimal,
+    double,
+    export_gem,
     face_vector,
+    parse_gem,
+    regular_genus,
     residue_components,
     validate,
+    verify_bounds,
+    verify_identities,
 )
 from oracles import (
     bfs_component_count,
@@ -207,7 +217,85 @@ class TestValidate:
         assert not report.is_crystallization
         assert report.f0 == 9
 
+    def test_disjoint_union_is_disconnected(self):
+        # two order-2 gems side by side
+        g = ColoredGraph(4, 4, [[(1, 2), (3, 4)]] * 5)
+        assert bfs_component_count(g, g.colors) == 2
+        report = validate(g)
+        assert not report.connected
+        assert report.contracted_per_color == (False,) * 5
+        assert not report.is_crystallization
+
     def test_order_two_gems_are_crystallizations(self):
         for d in (3, 4):
             g = ColoredGraph(d, 2, [[(1, 2)]] * (d + 1))
             assert validate(g).is_crystallization
+
+
+def _fresh(name: str) -> ColoredGraph:
+    """A newly parsed copy of a catalog gem, with nothing memoized."""
+    return parse_gem(export_gem(catalog_get(name).graph))
+
+
+class TestPerGraphMemo:
+    def test_repeat_calls_share_one_result(self):
+        g = _fresh("fig2_s3xI")
+        assert census(g) is census(g)
+        assert boundary_graph(g) is boundary_graph(g)
+        assert face_vector(g) is face_vector(g)
+        assert validate(g) is validate(g)
+        assert double(g) is double(g)
+        assert census(double(g)[0]) is census(double(g)[0])
+
+    def test_copies_equal_whether_or_not_memo_is_filled(self):
+        a, b = _fresh("fig2_s3xI"), _fresh("fig2_s3xI")
+        assert a is not b
+        assert a == b and hash(a) == hash(b)
+        census(a)
+        double(a)
+        assert a == b and hash(a) == hash(b)
+        # results are kept per object, and both copies agree on them
+        assert census(a) is not census(b)
+        assert census(a) == census(b)
+        assert a == b and hash(a) == hash(b)
+
+    def test_census_mappings_are_read_only(self):
+        g = _fresh("fig2_s3xI")
+        counts = census(g)
+        key = frozenset((0, 1))
+        before = counts.g[key]
+        for mapping in (
+            counts.g,
+            counts.g_dot,
+            counts.boundary_g,
+            *counts.component_boundary_g,
+        ):
+            with pytest.raises(TypeError):
+                mapping[key] = 99
+        assert census(g).g[key] == before
+
+    def test_residue_work_runs_once_per_graph(self, monkeypatch):
+        calls = []
+        original = gemkit.core.residue_components
+
+        def counting(g, colors):
+            calls.append(g)
+            return original(g, colors)
+
+        monkeypatch.setattr(gemkit.core, "residue_components", counting)
+        g = _fresh("fig4_boundary16")
+        regular_genus(g)
+        h = validate(g).h
+        subsets = 2**5 - 1
+        pairs = 6
+        # census(g): every color subset of g, every pair of the boundary
+        # graph and of each of its h components; census(double(g)):
+        # every color subset of the closed double
+        assert len(calls) == (subsets + pairs * (1 + h)) + subsets
+        before = len(calls)
+        meta = catalog_get("fig4_boundary16").meta
+        verify_identities(g)
+        verify_bounds(g, meta)
+        certify_minimal(g, meta)
+        ManifoldMeta.for_graph(g, m=meta.m)
+        assert len(calls) == before

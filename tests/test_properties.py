@@ -10,11 +10,16 @@ from gemkit import (
     boundary_graph,
     census,
     export_gem,
+    face_vector,
     parse_gem,
     rho_epsilon,
     validate,
 )
-from oracles import bfs_component_count, bfs_regular_component_count
+from oracles import (
+    bfs_component_count,
+    bfs_regular_component_count,
+    oracle_face_vector,
+)
 
 
 def _matching(vertices: list[int], rng: random.Random) -> list[tuple[int, int]]:
@@ -42,12 +47,28 @@ def random_gems(draw, dimension: int = 4):
 @settings(max_examples=60, deadline=None)
 def test_census_matches_oracle(g):
     counts = census(g)
-    for size in (1, 2, 3):
+    for size in (1, 2, 3, 4, 5):
         for subset in itertools.combinations(g.colors, size):
             key = frozenset(subset)
             assert counts.g[key] == bfs_component_count(g, subset)
             assert counts.g_dot[key] == bfs_regular_component_count(g, subset)
             assert counts.g[key] >= counts.g_dot[key]
+
+
+@given(random_gems())
+@settings(max_examples=60, deadline=None)
+def test_face_vector_and_validate_match_oracle(g):
+    # both are derived from the census counts, so check them against
+    # BFS counts directly rather than against the census
+    f = oracle_face_vector(g)
+    assert face_vector(g).f == f
+    full = set(g.colors)
+    report = validate(g)
+    assert report.connected == (bfs_component_count(g, full) == 1)
+    assert report.contracted_per_color == tuple(
+        bfs_component_count(g, full - {c}) == 1 for c in g.colors
+    )
+    assert report.f0 == f[0]
 
 
 @given(random_gems())

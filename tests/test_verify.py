@@ -7,6 +7,8 @@ from gemkit import (
     GemError,
     ManifoldMeta,
     catalog_get,
+    export_gem,
+    parse_gem,
     verify_bounds,
     verify_identities,
 )
@@ -52,6 +54,18 @@ class TestIdentities:
         report = verify_identities(corrupted)
         assert not report.passed
         assert report.failures()
+
+    def test_negative_control_after_warm_memo(self, fig2):
+        # the original's memoized analyses must not leak into corrupted
+        # graphs built from it
+        original = parse_gem(export_gem(fig2))
+        assert verify_identities(original).passed
+        for color in range(5):
+            if len(original.edges(color)) < 2:
+                continue
+            corrupted = _swap_one_pair(original, color)
+            assert corrupted != original
+            assert not verify_identities(corrupted).passed, color
 
     def test_negative_control_every_color(self, fig2):
         # corruption in any single color must be caught
