@@ -7,6 +7,16 @@ Vertices unmatched in color d are boundary vertices.  All invariants in
 this package (residue censuses, boundary graphs, face vectors) are
 derived from this data by exact integer arithmetic.
 
+The residue census labels residues instead of listing them.  Each
+bicolored residue is walked once along its two involution arrays (a
+cycle, or a path between two boundary vertices when color d is one of
+the two); the residues of every larger color set come from the labels
+of a smaller one, joined along one more color by a union-find over
+labels rather than vertices.  A residue with color d fails to be
+regular exactly when its label holds a boundary vertex.
+`residue_components` remains the API that lists components with their
+vertices.
+
 Graphs are immutable, so each per-graph analysis (`census`,
 `boundary_graph`, `face_vector`, `validate` and
 `constructions.double`) is computed at most once per graph object and
@@ -330,25 +340,31 @@ def boundary_graph(g: ColoredGraph) -> BoundaryGraph:
     d = g.dimension
     index = {v: i + 1 for i, v in enumerate(boundary)}
     pairs_by_color: list[list[tuple[int, int]]] = [[] for _ in range(d)]
-    for v in boundary:
-        for j in range(d):
-            cur = g.mate(v, j)
+    last = g._mates[d]
+    for j in range(d):
+        mate = g._mates[j]
+        # far ends of paths already walked from their smaller end
+        reached = set()
+        for v in boundary:
+            if v in reached:
+                continue
+            cur = mate[v]
             steps = 0
-            while g.mate(cur, d) is not None:
-                cur = g.mate(g.mate(cur, d), j)
+            while last[cur]:
+                cur = mate[last[cur]]
                 steps += 1
                 if steps > g.vertex_count:
                     raise GemError(
                         f"alternating ({j},{d})-path from vertex {v} "
                         "does not reach a boundary vertex"
                     )
-            if v < cur:
-                pairs_by_color[j].append((index[v], index[cur]))
-            elif v == cur:
+            if v == cur:
                 raise GemError(
                     f"alternating ({j},{d})-path from vertex {v} returns "
                     "to its start"
                 )
+            reached.add(cur)
+            pairs_by_color[j].append((index[v], index[cur]))
     bg = ColoredGraph(d - 1, len(boundary), pairs_by_color)
     comps = tuple(
         tuple(comp) for comp in _components(bg, bg.colors)
@@ -387,42 +403,177 @@ class ResidueCensus:
         return self.boundary_g.get(frozenset((i, j)), 0)
 
 
+def _pair_labels(first, second, ends) -> tuple[list[int], list[int]]:
+    """Label the residues of one color pair by walking them.
+
+    `first` and `second` are involution arrays; `first` pairs every
+    vertex, `second` may leave the vertices `ends` unmatched.  Residues
+    through an end are paths, walked from one end to the other; all
+    other residues are cycles.  Returns the label array (labels 1..k,
+    index 0 keeps label 0) and the starting vertex of each label.
+    """
+    labels = [0] * len(first)
+    starts = []
+    for v in ends:
+        if labels[v]:
+            continue
+        starts.append(v)
+        k = len(starts)
+        w = v
+        while w:
+            labels[w] = k
+            x = first[w]
+            labels[x] = k
+            w = second[x]
+    for v in range(1, len(first)):
+        if labels[v]:
+            continue
+        starts.append(v)
+        k = len(starts)
+        w = v
+        while True:
+            labels[w] = k
+            x = first[w]
+            labels[x] = k
+            w = second[x]
+            if w == v:
+                break
+    return labels, starts
+
+
+def _join(labels, count, mate) -> tuple[list[int], int]:
+    """Merge residue labels along one more color.
+
+    `labels` labels the residues of a color set B with 1..count and
+    `mate` is the involution array of a color c, with unmatched vertices
+    mapped to themselves.  Union-find runs over the distinct
+    (label, label of c-mate) pairs, so it works on labels rather than
+    vertices.  Returns the map from B's labels to the labels 1..k of the
+    residues of B with c, and k.
+    """
+    parent = list(range(count + 1))
+    for a, b in set(zip(labels, map(labels.__getitem__, mate))):
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a < b:
+            parent[b] = a
+        elif b < a:
+            parent[a] = b
+    # links and path halving only ever point a label at a smaller one,
+    # so each label's parent is renumbered before the label itself
+    renumber = [0] * (count + 1)
+    k = 0
+    for x in range(1, count + 1):
+        up = parent[x]
+        if up == x:
+            k += 1
+            renumber[x] = k
+        else:
+            renumber[x] = renumber[up]
+    return renumber, k
+
+
+def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
+    """Component and regular-component counts of every residue.
+
+    Singletons are counted from the matchings.  Each pair is labeled by
+    a walk (`_pair_labels`); larger color sets extend a set B by a color
+    c above max(B) with `_join`, walking the subset lattice depth-first
+    so at most d label arrays are alive at once.  Colors 0..d-1 pair
+    every vertex, so a residue without color d is regular; with color d,
+    the components that are not regular are exactly the labels holding
+    a boundary vertex.
+    """
+    n, d = g.vertex_count, g.dimension
+    last = g._mates[d]
+    boundary = [v for v in range(1, n + 1) if not last[v]]
+    # color d with boundary vertices as fixed points, for `_join`
+    joins = g._mates[:d] + (tuple(m or v for v, m in enumerate(last)),)
+    counts: dict[frozenset, int] = {}
+    regular: dict[frozenset, int] = {}
+    for c in range(d):
+        counts[frozenset((c,))] = regular[frozenset((c,))] = n // 2
+    last_edges = (n - len(boundary)) // 2
+    counts[frozenset((d,))] = last_edges + len(boundary)
+    regular[frozenset((d,))] = last_edges
+
+    def extend(colors, labels, count):
+        for c in range(colors[-1] + 1, d + 1):
+            renumber, k = _join(labels, count, joins[c])
+            key = frozenset(colors) | {c}
+            counts[key] = k
+            if c == d:
+                held = {renumber[labels[v]] for v in boundary}
+                regular[key] = k - len(held)
+            else:
+                regular[key] = k
+                extend(
+                    colors + (c,), list(map(renumber.__getitem__, labels)), k
+                )
+
+    for i, j in itertools.combinations(range(d + 1), 2):
+        key = frozenset((i, j))
+        if j == d:
+            labels, starts = _pair_labels(g._mates[i], last, boundary)
+            held = {labels[v] for v in boundary}
+            counts[key] = len(starts)
+            regular[key] = len(starts) - len(held)
+        else:
+            labels, starts = _pair_labels(g._mates[i], g._mates[j], ())
+            counts[key] = regular[key] = len(starts)
+            extend((i, j), labels, len(starts))
+    return counts, regular
+
+
+def _boundary_counts(bg: BoundaryGraph) -> tuple[dict, list[dict]]:
+    """Bicolored cycle counts of the boundary graph, in total and per
+    boundary component.  Each cycle is walked once and assigned to the
+    component of its starting vertex."""
+    if bg.is_empty():
+        return {}, []
+    graph = bg.graph
+    component_of = [0] * (graph.vertex_count + 1)
+    for q, comp in enumerate(bg.components):
+        for v in comp:
+            component_of[v] = q
+    total: dict[frozenset, int] = {}
+    per_component: list[dict[frozenset, int]] = [{} for _ in bg.components]
+    for i, j in itertools.combinations(graph.colors, 2):
+        key = frozenset((i, j))
+        _, starts = _pair_labels(graph._mates[i], graph._mates[j], ())
+        total[key] = len(starts)
+        for per_q in per_component:
+            per_q[key] = 0
+        for v in starts:
+            per_component[component_of[v]][key] += 1
+    return total, per_component
+
+
 @_per_graph
 def census(g: ColoredGraph) -> ResidueCensus:
     """Full residue census, with boundary counts from the boundary graph.
 
-    Boundary counts are computed on the extracted boundary graph rather
-    than inferred from parent counts, so census identities relating the
-    two remain genuine cross-checks.
+    Pair residues are labeled by walking them along the two involution
+    arrays; the residues of each larger color set come from joining the
+    labels of a smaller set along one more color, so union-find runs on
+    labels, not vertices.  The regular count of a residue with color d
+    is its component count minus the labels that hold a boundary
+    vertex.  Boundary counts are walked on the extracted boundary graph
+    rather than inferred from parent counts, so census identities
+    relating the two remain genuine cross-checks.
     """
-    counts: dict[frozenset, int] = {}
-    regular_counts: dict[frozenset, int] = {}
-    all_colors = list(g.colors)
-    for size in range(1, len(all_colors) + 1):
-        for subset in itertools.combinations(all_colors, size):
-            comps = residue_components(g, subset)
-            key = frozenset(subset)
-            counts[key] = len(comps)
-            regular_counts[key] = sum(1 for c in comps if c.regular)
-    boundary_g: dict[frozenset, int] = {}
-    per_component: list[dict[frozenset, int]] = []
-    bg = boundary_graph(g)
-    if not bg.is_empty():
-        for i, j in itertools.combinations(range(g.dimension), 2):
-            comps = residue_components(bg.graph, (i, j))
-            boundary_g[frozenset((i, j))] = len(comps)
-        for q in range(bg.component_count()):
-            sub = bg.component_subgraph(q)
-            per_q = {}
-            for i, j in itertools.combinations(range(g.dimension), 2):
-                per_q[frozenset((i, j))] = len(residue_components(sub, (i, j)))
-            per_component.append(MappingProxyType(per_q))
+    counts, regular_counts = _residue_counts(g)
+    boundary_g, per_component = _boundary_counts(boundary_graph(g))
     return ResidueCensus(
         dimension=g.dimension,
         g=MappingProxyType(counts),
         g_dot=MappingProxyType(regular_counts),
         boundary_g=MappingProxyType(boundary_g),
-        component_boundary_g=tuple(per_component),
+        component_boundary_g=tuple(
+            MappingProxyType(per_q) for per_q in per_component
+        ),
         tally=g.vertex_tally(),
     )
 
@@ -463,14 +614,11 @@ def face_vector(g: ColoredGraph) -> FaceVector:
 class ValidationReport:
     """Outcome flags of the structural gem checks.
 
-    Construction already guarantees well-formed involutions, totality of
-    colors 0..d-1 and proper coloring, so those flags are always true on
-    live graphs; they are kept so a report is self-describing.
+    Well-formed involutions, totality of colors 0..d-1 and proper
+    coloring are not reported: `ColoredGraph` construction rejects any
+    graph that violates them.
     """
 
-    involutions_ok: bool
-    regular_wrt_last_color: bool
-    proper_coloring: bool
     connected: bool
     bipartite: bool
     contracted: bool
@@ -517,9 +665,6 @@ def validate(g: ColoredGraph) -> ValidationReport:
             and f0 == d * h + 1
         )
     return ValidationReport(
-        involutions_ok=True,
-        regular_wrt_last_color=True,
-        proper_coloring=True,
         connected=connected,
         bipartite=g.is_bipartite(),
         contracted=all(per_color),

@@ -83,17 +83,13 @@ def _check(name, statement, left, right, relation="=="):
     )
 
 
-def verify_identities(
-    g: ColoredGraph, meta: ManifoldMeta | None = None
-) -> IdentityReport:
+def verify_identities(g: ColoredGraph) -> IdentityReport:
     """Evaluate every applicable census identity with exact arithmetic.
 
     Closed inputs run the closed-case subset; the boundary-only families
-    are listed as skipped with a reason.  The identities are metadata-free,
-    so `meta` is accepted for interface symmetry with the bound harness
-    but unused.
+    are listed as skipped with a reason.  The identities are
+    metadata-free.
     """
-    del meta
     if g.dimension != 4:
         raise GemError("the identity harness is specific to dimension 4")
     report = validate(g)

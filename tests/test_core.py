@@ -276,26 +276,20 @@ class TestPerGraphMemo:
 
     def test_residue_work_runs_once_per_graph(self, monkeypatch):
         calls = []
-        original = gemkit.core.residue_components
+        original = gemkit.core._residue_counts
 
-        def counting(g, colors):
+        def counting(g):
             calls.append(g)
-            return original(g, colors)
+            return original(g)
 
-        monkeypatch.setattr(gemkit.core, "residue_components", counting)
+        monkeypatch.setattr(gemkit.core, "_residue_counts", counting)
         g = _fresh("fig4_boundary16")
         regular_genus(g)
-        h = validate(g).h
-        subsets = 2**5 - 1
-        pairs = 6
-        # census(g): every color subset of g, every pair of the boundary
-        # graph and of each of its h components; census(double(g)):
-        # every color subset of the closed double
-        assert len(calls) == (subsets + pairs * (1 + h)) + subsets
-        before = len(calls)
+        # one residue census of g and one of its double
+        assert calls == [g, double(g)[0]]
         meta = catalog_get("fig4_boundary16").meta
         verify_identities(g)
         verify_bounds(g, meta)
         certify_minimal(g, meta)
         ManifoldMeta.for_graph(g, m=meta.m)
-        assert len(calls) == before
+        assert len(calls) == 2

@@ -9,6 +9,7 @@ from gemkit import (
     ColoredGraph,
     boundary_graph,
     census,
+    connected_sum,
     export_gem,
     face_vector,
     parse_gem,
@@ -43,9 +44,7 @@ def random_gems(draw, dimension: int = 4):
     return ColoredGraph(dimension, n, pairs)
 
 
-@given(random_gems())
-@settings(max_examples=60, deadline=None)
-def test_census_matches_oracle(g):
+def _assert_census_matches_oracle(g):
     counts = census(g)
     for size in (1, 2, 3, 4, 5):
         for subset in itertools.combinations(g.colors, size):
@@ -53,6 +52,78 @@ def test_census_matches_oracle(g):
             assert counts.g[key] == bfs_component_count(g, subset)
             assert counts.g_dot[key] == bfs_regular_component_count(g, subset)
             assert counts.g[key] >= counts.g_dot[key]
+
+
+@given(random_gems())
+@settings(max_examples=60, deadline=None)
+def test_census_matches_oracle(g):
+    _assert_census_matches_oracle(g)
+
+
+@st.composite
+def boundary_heavy_gems(draw):
+    """Gems of up to 60 vertices where at most a quarter of the color-4
+    edges exist, so most {i,4}-residues are paths rather than cycles."""
+    p = draw(st.integers(min_value=1, max_value=30))
+    n = 2 * p
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    pairs = [_matching(list(range(1, n + 1)), rng) for _ in range(4)]
+    matched = draw(st.integers(min_value=0, max_value=p // 4))
+    pairs.append(_matching(list(range(1, n + 1)), rng)[:matched])
+    return ColoredGraph(4, n, pairs)
+
+
+def _assert_boundary_counts_match_subgraphs(g):
+    """Boundary cycle counts against BFS on the boundary graph, and per
+    component against BFS on each extracted component subgraph."""
+    counts = census(g)
+    bg = boundary_graph(g)
+    for i, j in itertools.combinations(range(g.dimension), 2):
+        key = frozenset((i, j))
+        assert counts.boundary_g[key] == bfs_component_count(bg.graph, (i, j))
+    assert len(counts.component_boundary_g) == bg.component_count()
+    for q, per_q in enumerate(counts.component_boundary_g):
+        sub = bg.component_subgraph(q)
+        for i, j in itertools.combinations(range(g.dimension), 2):
+            assert per_q[frozenset((i, j))] == bfs_component_count(sub, (i, j))
+
+
+@given(boundary_heavy_gems())
+@settings(max_examples=60, deadline=None)
+def test_census_matches_oracle_on_boundary_heavy_gems(g):
+    _assert_census_matches_oracle(g)
+    _assert_boundary_counts_match_subgraphs(g)
+
+
+def test_census_matches_oracle_at_scale():
+    # far beyond the sizes hypothesis draws: residues merge many labels
+    # and the {i,4}-residues include long paths
+    n = 2000
+    rng = random.Random(2024)
+    pairs = [_matching(list(range(1, n + 1)), rng) for _ in range(5)]
+    pairs[4] = pairs[4][:800]
+    g = ColoredGraph(4, n, pairs)
+    assert len(g.boundary_vertices()) == 400
+    _assert_census_matches_oracle(g)
+    _assert_boundary_counts_match_subgraphs(g)
+
+
+def test_census_matches_oracle_on_catalog_and_constructions(
+    all_entries, bounded_construction_outputs, crystallized_double_fig3,
+    fig3, fig4
+):
+    gems = [e.graph for e in all_entries]
+    gems.extend(bounded_construction_outputs.values())
+    gems.append(crystallized_double_fig3)
+    # structured gems whose residues have many small components, so
+    # their labels merge in many different orders
+    for base in (fig3, fig4):
+        for v in _internal_vertices(base):
+            gems.append(connected_sum(base, v, crystallized_double_fig3, 1))
+    for g in gems:
+        _assert_census_matches_oracle(g)
+        if not g.is_closed():
+            _assert_boundary_counts_match_subgraphs(g)
 
 
 @given(random_gems())
