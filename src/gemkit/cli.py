@@ -231,8 +231,7 @@ def _cmd_bounds(args) -> int:
 
 def _cmd_double(args) -> int:
     g = _load_input(args.input)
-    doubled, _ = double(g)
-    _write_graph(doubled, args.output)
+    _write_graph(double(g), args.output)
     return 0
 
 

@@ -17,28 +17,15 @@ from dataclasses import dataclass
 from .core import (
     ColoredGraph,
     GemError,
+    _labels,
     _per_graph,
     census,
-    residue_components,
     validate,
 )
 
 
-@dataclass(frozen=True)
-class DoubleProvenance:
-    """Where each vertex of a doubled graph came from.
-
-    `origin[v]` is a (copy, original_vertex) pair with copy in {1, 2}.
-    """
-
-    origin: tuple[tuple[int, int], ...]
-
-    def vertex_of(self, copy: int, original: int) -> int:
-        return self.origin.index((copy, original)) + 1
-
-
 @_per_graph
-def double(g: ColoredGraph) -> tuple[ColoredGraph, DoubleProvenance]:
+def double(g: ColoredGraph) -> ColoredGraph:
     """Join two copies of a gem along their boundary.
 
     Copy 1 keeps the original vertex numbers; copy 2 is shifted by n.
@@ -56,11 +43,7 @@ def double(g: ColoredGraph) -> tuple[ColoredGraph, DoubleProvenance]:
         pairs_by_color.append(pairs)
     for v in g.boundary_vertices():
         pairs_by_color[d].append((v, v + n))
-    doubled = ColoredGraph(d, 2 * n, pairs_by_color)
-    origin = tuple(
-        (1, v) for v in g.vertices
-    ) + tuple((2, v) for v in g.vertices)
-    return doubled, DoubleProvenance(origin=origin)
+    return ColoredGraph(d, 2 * n, pairs_by_color)
 
 
 @dataclass(frozen=True)
@@ -82,29 +65,21 @@ class Dipole:
         for c in g.colors:
             if c != self.color and g.mate(self.u, c) == self.v:
                 return False
-        rest = set(g.colors) - {self.color}
-        for comp in residue_components(g, rest):
-            if self.u in comp.vertices:
-                return self.v not in comp.vertices
-        raise AssertionError("unreachable")
+        labels, _ = _labels(g, set(g.colors) - {self.color})
+        return labels[self.u] != labels[self.v]
 
 
 def find_one_dipoles(g: ColoredGraph, color: int) -> list[Dipole]:
     """All 1-dipoles of one color, ordered by smaller endpoint."""
     if color not in g.colors:
         raise GemError(f"color {color} out of range 0..{g.dimension}")
-    rest = set(g.colors) - {color}
-    comp_of = {}
-    for idx, comp in enumerate(residue_components(g, rest)):
-        for v in comp.vertices:
-            comp_of[v] = idx
-    out = []
-    for a, b in g.edges(color):
-        if comp_of[a] != comp_of[b] and all(
-            g.mate(a, c) != b for c in g.colors if c != color
-        ):
-            out.append(Dipole(u=a, v=b, color=color))
-    return out
+    labels, _ = _labels(g, set(g.colors) - {color})
+    # endpoints in different residues share no edge of another color
+    return [
+        Dipole(u=a, v=b, color=color)
+        for a, b in g.edges(color)
+        if labels[a] != labels[b]
+    ]
 
 
 def remove_one_dipole(g: ColoredGraph, dipole: Dipole) -> ColoredGraph:
@@ -151,7 +126,7 @@ def crystallize_double(g: ColoredGraph) -> ColoredGraph:
         )
     h = report.h
     d = g.dimension
-    doubled, _ = double(g)
+    doubled = double(g)
     doubled_census = census(doubled)
     out = doubled
     for color in range(d):

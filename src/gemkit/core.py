@@ -14,8 +14,9 @@ the two); the residues of every larger color set come from the labels
 of a smaller one, joined along one more color by a union-find over
 labels rather than vertices.  A residue with color d fails to be
 regular exactly when its label holds a boundary vertex.
-`residue_components` remains the API that lists components with their
-vertices.
+`residue_components`, the components of the boundary graph and the
+1-dipole search of `constructions` read the same labels for one color
+set; no other component algorithm runs on vertices.
 
 Graphs are immutable, so each per-graph analysis (`census`,
 `boundary_graph`, `face_vector`, `validate` and
@@ -36,31 +37,6 @@ from types import MappingProxyType
 
 class GemError(ValueError):
     """Raised for structurally invalid gems or bad operation inputs."""
-
-
-class UnionFind:
-    """Disjoint sets over 0..n-1 with path compression and union by size."""
-
-    def __init__(self, n: int):
-        self._parent = list(range(n))
-        self._size = [1] * n
-
-    def find(self, v: int) -> int:
-        root = v
-        while self._parent[root] != root:
-            root = self._parent[root]
-        while self._parent[v] != root:
-            self._parent[v], v = root, self._parent[v]
-        return root
-
-    def union(self, a: int, b: int) -> None:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return
-        if self._size[ra] < self._size[rb]:
-            ra, rb = rb, ra
-        self._parent[rb] = ra
-        self._size[ra] += self._size[rb]
 
 
 def _per_graph(analysis):
@@ -196,9 +172,6 @@ class ColoredGraph:
 
     # -- structural predicates ---------------------------------------------
 
-    def is_connected(self) -> bool:
-        return len(_components(self, self.colors)) == 1
-
     def is_bipartite(self) -> bool:
         """Two-colorability, checked by BFS over every edge."""
         side = [0] * (self.vertex_count + 1)
@@ -219,13 +192,6 @@ class ColoredGraph:
                     elif side[w] == side[v]:
                         return False
         return True
-
-    def is_contracted(self) -> bool:
-        """True iff dropping any single color leaves the graph connected."""
-        full = set(self.colors)
-        return all(
-            len(_components(self, full - {c})) == 1 for c in self.colors
-        )
 
 
 @dataclass(frozen=True)
@@ -261,37 +227,31 @@ class ResidueComponent:
     regular: bool
 
 
-def _components(g: ColoredGraph, colors) -> list[list[int]]:
-    uf = UnionFind(g.vertex_count + 1)
-    for c in colors:
-        mates = g._mates[c]
-        for v in g.vertices:
-            if mates[v]:
-                uf.union(v, mates[v])
-    groups: dict[int, list[int]] = {}
-    for v in g.vertices:
-        groups.setdefault(uf.find(v), []).append(v)
-    return sorted(groups.values(), key=lambda comp: comp[0])
-
-
 def residue_components(g: ColoredGraph, colors) -> list[ResidueComponent]:
     """Connected components of the subgraph with edge colors in `colors`.
 
-    Components are ordered by smallest vertex; each is flagged regular
-    iff all its vertices meet every color of the set.
+    Components are the residue labels of `_labels`, ordered by smallest
+    vertex.  Colors 0..d-1 pair every vertex, so a component is flagged
+    regular (all its vertices meet every color of the set) iff the set
+    misses color d or the component holds no boundary vertex.
     """
     colorset = frozenset(colors)
     if not colorset:
         raise GemError("residue color set must be nonempty")
     if not colorset <= set(g.colors):
         raise GemError(f"colors {sorted(colorset)} out of range 0..{g.dimension}")
-    out = []
-    for comp in _components(g, colorset):
-        regular = all(
-            g._mates[c][v] for v in comp for c in colorset
-        )
-        out.append(ResidueComponent(vertices=tuple(comp), regular=regular))
-    return out
+    labels, _ = _labels(g, colorset)
+    # labels first seen in vertex order, so smallest vertex first
+    groups: dict[int, list[int]] = {}
+    for v in g.vertices:
+        groups.setdefault(labels[v], []).append(v)
+    held = set()
+    if g.dimension in colorset:
+        held = {labels[v] for v in g.boundary_vertices()}
+    return [
+        ResidueComponent(vertices=tuple(comp), regular=label not in held)
+        for label, comp in groups.items()
+    ]
 
 
 @dataclass(frozen=True)
@@ -366,9 +326,12 @@ def boundary_graph(g: ColoredGraph) -> BoundaryGraph:
             reached.add(cur)
             pairs_by_color[j].append((index[v], index[cur]))
     bg = ColoredGraph(d - 1, len(boundary), pairs_by_color)
-    comps = tuple(
-        tuple(comp) for comp in _components(bg, bg.colors)
-    )
+    labels, _ = _labels(bg, bg.colors)
+    # labels first seen in vertex order, so smallest vertex first
+    groups: dict[int, list[int]] = {}
+    for v in bg.vertices:
+        groups.setdefault(labels[v], []).append(v)
+    comps = tuple(tuple(comp) for comp in groups.values())
     return BoundaryGraph(
         graph=bg, parent_vertices=tuple(boundary), components=comps
     )
@@ -475,6 +438,37 @@ def _join(labels, count, mate) -> tuple[list[int], int]:
     return renumber, k
 
 
+def _padded_last(g: ColoredGraph) -> tuple[int, ...]:
+    """Color d's involution array with boundary vertices as fixed points,
+    the form `_join` takes."""
+    return tuple(m or v for v, m in enumerate(g._mates[g.dimension]))
+
+
+def _labels(g: ColoredGraph, colors) -> tuple[list[int], int]:
+    """Label the residues of one nonempty color set with 1..count.
+
+    The two smallest colors are labeled by a walk (`_pair_labels`), each
+    further color is added by `_join`; a single color starts from one
+    label per vertex.  Index 0 keeps label 0.
+    """
+    d = g.dimension
+    ordered = sorted(colors)
+    if len(ordered) == 1:
+        labels, count = list(range(g.vertex_count + 1)), g.vertex_count
+    else:
+        i, j = ordered[:2]
+        ends = g.boundary_vertices() if j == d else ()
+        labels, starts = _pair_labels(g._mates[i], g._mates[j], ends)
+        count = len(starts)
+        ordered = ordered[2:]
+    for c in ordered:
+        renumber, count = _join(
+            labels, count, _padded_last(g) if c == d else g._mates[c]
+        )
+        labels = list(map(renumber.__getitem__, labels))
+    return labels, count
+
+
 def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
     """Component and regular-component counts of every residue.
 
@@ -489,8 +483,7 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
     n, d = g.vertex_count, g.dimension
     last = g._mates[d]
     boundary = [v for v in range(1, n + 1) if not last[v]]
-    # color d with boundary vertices as fixed points, for `_join`
-    joins = g._mates[:d] + (tuple(m or v for v, m in enumerate(last)),)
+    joins = g._mates[:d] + (_padded_last(g),)
     counts: dict[frozenset, int] = {}
     regular: dict[frozenset, int] = {}
     for c in range(d):

@@ -121,8 +121,7 @@ def rho_epsilon_via_double(g: ColoredGraph, scheme: Scheme) -> Fraction:
     """
     h = _require_bounded_crystallization(g)
     _check_scheme(g, scheme)
-    doubled, _ = double(g)
-    doubled_census = census(doubled)
+    doubled_census = census(double(g))
     chi = face_vector(g).euler_characteristic
     triple_sum = sum(
         doubled_census.g_of(

@@ -13,7 +13,14 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 
-from .core import ColoredGraph, GemError, census, face_vector, validate
+from .core import (
+    ColoredGraph,
+    GemError,
+    boundary_graph,
+    census,
+    face_vector,
+    validate,
+)
 from .constructions import double
 from .genus import (
     ManifoldMeta,
@@ -172,12 +179,10 @@ def verify_identities(g: ColoredGraph) -> IdentityReport:
                     4 * h + tally.boundary,
                 )
             )
-            from .core import boundary_graph as _bd
-
-            bd = _bd(g)
+            bd = boundary_graph(g)
             for q, per_q in enumerate(counts.component_boundary_g):
                 size = len(bd.components[q])
-                for i, j, k in itertools.combinations(range(3 + 1), 3):
+                for i, j, k in itertools.combinations(range(4), 3):
                     checks.append(
                         _check(
                             "per-boundary-component-sphere-relation",
@@ -209,7 +214,7 @@ def verify_identities(g: ColoredGraph) -> IdentityReport:
         skipped.append(Skip(name="vertex-count-identity", reason="closed input"))
         skipped.append(Skip(name="vertex-sum-identity", reason="closed input"))
     else:
-        doubled, _ = double(g)
+        doubled = double(g)
         dcounts = census(doubled)
         for i, j, k in triples:
             checks.append(

@@ -153,7 +153,7 @@ def test_criterion_06_connector_sum_sharpness():
 
 def test_criterion_07_double_pipeline():
     g = catalog_get("fig3_d3xs1").graph
-    doubled, _ = double(g)
+    doubled = double(g)
     closed = crystallize_double(g)
     assert closed.vertex_count == 18
     report = validate(closed)

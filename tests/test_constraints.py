@@ -1,0 +1,29 @@
+"""The package's standing constraints: stdlib-only imports, no floats."""
+
+import ast
+import sys
+from pathlib import Path
+
+PACKAGE = Path(__file__).parent.parent / "src" / "gemkit"
+
+
+def test_imports_are_stdlib_only_and_no_floats():
+    sources = sorted(PACKAGE.glob("*.py"))
+    assert sources
+    for path in sources:
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                modules = [node.module]
+            else:
+                modules = []
+            for module in modules:
+                top = module.split(".")[0]
+                assert top in sys.stdlib_module_names, (path.name, module)
+            assert not (
+                isinstance(node, ast.Constant) and isinstance(node.value, float)
+            ), (path.name, node.lineno)
+            assert not (
+                isinstance(node, ast.Name) and node.id == "float"
+            ), (path.name, node.lineno)

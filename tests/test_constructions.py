@@ -25,15 +25,23 @@ from oracles import bfs_component_count
 
 class TestDouble:
     def test_double_is_closed_with_twice_the_vertices(self, fig2):
-        doubled, prov = double(fig2)
+        doubled = double(fig2)
         assert doubled.is_closed()
-        assert doubled.vertex_count == 2 * fig2.vertex_count
-        assert prov.vertex_of(1, 3) == 3
-        assert prov.vertex_of(2, 3) == 13
+        n = fig2.vertex_count
+        assert doubled.vertex_count == 2 * n
+        # copy 2 of vertex v is v + n, with every edge shifted alongside
+        for v in fig2.vertices:
+            for c in fig2.colors:
+                mate = fig2.mate(v, c)
+                if mate is not None:
+                    assert doubled.mate(v, c) == mate
+                    assert doubled.mate(v + n, c) == mate + n
+        for v in fig2.boundary_vertices():
+            assert doubled.mate(v, 4) == v + n
 
     def test_double_census_relations(self, fig2, fig3, fig4):
         for g in (fig2, fig3, fig4):
-            doubled, _ = double(g)
+            doubled = double(g)
             dc, c = census(doubled), census(g)
             for i, j, k in itertools.combinations(range(4), 3):
                 assert dc.g_of(i, j, k) == 2 * c.g_of(i, j, k)
@@ -44,7 +52,7 @@ class TestDouble:
         # chi(double) = 2 chi - chi(boundary); boundary components of a
         # 4-manifold are closed 3-manifolds with chi = 0
         for g in (fig3, fig4):
-            doubled, _ = double(g)
+            doubled = double(g)
             assert (
                 face_vector(doubled).euler_characteristic
                 == 2 * face_vector(g).euler_characteristic
@@ -57,11 +65,11 @@ class TestDouble:
 
 class TestDipoles:
     def test_doubled_fig3_has_dipoles(self, fig3):
-        doubled, _ = double(fig3)
+        doubled = double(fig3)
         assert find_one_dipoles(doubled, 4)
 
     def test_stale_certificate_rejected(self, fig3):
-        doubled, _ = double(fig3)
+        doubled = double(fig3)
         dipoles = find_one_dipoles(doubled, 4)
         out = remove_one_dipole(doubled, dipoles[0])
         with pytest.raises(GemError, match="stale dipole"):
@@ -69,7 +77,7 @@ class TestDipoles:
                               else dipoles[0])
 
     def test_removal_preserves_euler_characteristic(self, fig3):
-        doubled, _ = double(fig3)
+        doubled = double(fig3)
         chi = face_vector(doubled).euler_characteristic
         for color in range(5):
             for dipole in find_one_dipoles(doubled, color):
@@ -78,7 +86,7 @@ class TestDipoles:
                 assert face_vector(out).euler_characteristic == chi
 
     def test_bogus_dipole_rejected(self, fig3):
-        doubled, _ = double(fig3)
+        doubled = double(fig3)
         a = 1
         b = doubled.mate(1, 0)
         with pytest.raises(GemError):
@@ -94,7 +102,7 @@ class TestCrystallizeDouble:
         assert face_vector(out).euler_characteristic == 0
 
     def test_fig3_census_shift(self, crystallized_double_fig3, fig3):
-        doubled, _ = double(fig3)
+        doubled = double(fig3)
         dc = census(doubled)
         oc = census(crystallized_double_fig3)
         h = validate(fig3).h

@@ -7,17 +7,23 @@ from hypothesis import given, settings, strategies as st
 
 from gemkit import (
     ColoredGraph,
+    Dipole,
     boundary_graph,
+    catalog_get,
     census,
     connected_sum,
+    double,
     export_gem,
     face_vector,
+    find_one_dipoles,
     parse_gem,
+    residue_components,
     rho_epsilon,
     validate,
 )
 from oracles import (
     bfs_component_count,
+    bfs_components,
     bfs_regular_component_count,
     oracle_face_vector,
 )
@@ -93,6 +99,80 @@ def _assert_boundary_counts_match_subgraphs(g):
 def test_census_matches_oracle_on_boundary_heavy_gems(g):
     _assert_census_matches_oracle(g)
     _assert_boundary_counts_match_subgraphs(g)
+
+
+def _assert_components_match_oracle(g):
+    """Listed components against BFS: the same vertex tuples in the same
+    order (smallest vertex first) with the same regular flags."""
+    for size in range(1, g.dimension + 2):
+        for subset in itertools.combinations(g.colors, size):
+            expected = [
+                (
+                    tuple(sorted(comp)),
+                    all(g.mate(v, c) is not None for v in comp for c in subset),
+                )
+                for comp in bfs_components(g, subset)
+            ]
+            assert [
+                (comp.vertices, comp.regular)
+                for comp in residue_components(g, subset)
+            ] == expected
+
+
+@given(random_gems())
+@settings(max_examples=60, deadline=None)
+def test_residue_components_match_oracle(g):
+    _assert_components_match_oracle(g)
+
+
+@given(boundary_heavy_gems())
+@settings(max_examples=60, deadline=None)
+def test_residue_components_match_oracle_on_boundary_heavy_gems(g):
+    _assert_components_match_oracle(g)
+
+
+def _assert_dipoles_match_brute_force(g):
+    """A color-c edge {a, b} is a 1-dipole iff a and b lie in different
+    BFS components of the other colors and no other color joins them."""
+    for color in g.colors:
+        rest = [c for c in g.colors if c != color]
+        component_of = {
+            v: q
+            for q, comp in enumerate(bfs_components(g, rest))
+            for v in comp
+        }
+        expected = []
+        for a, b in g.edges(color):
+            dipole = Dipole(u=a, v=b, color=color)
+            separated = component_of[a] != component_of[b] and all(
+                g.mate(a, c) != b for c in rest
+            )
+            assert dipole.verify(g) == separated
+            if separated:
+                expected.append(dipole)
+        assert find_one_dipoles(g, color) == expected
+
+
+@given(random_gems())
+@settings(max_examples=60, deadline=None)
+def test_dipoles_match_brute_force(g):
+    _assert_dipoles_match_brute_force(g)
+
+
+@given(boundary_heavy_gems())
+@settings(max_examples=60, deadline=None)
+def test_dipoles_match_brute_force_on_boundary_heavy_gems(g):
+    _assert_dipoles_match_brute_force(g)
+
+
+def test_dipoles_match_brute_force_on_doubles():
+    # fig3_d3xs1 has h = 1, so its double has 1-dipoles of color 4 only;
+    # fig2_s3xI has h = 2 and its double has them in every color
+    for name, colors in (("fig3_d3xs1", [4]), ("fig2_s3xI", range(5))):
+        doubled = double(catalog_get(name).graph)
+        assert [c for c in doubled.colors if find_one_dipoles(doubled, c)] \
+            == list(colors)
+        _assert_dipoles_match_brute_force(doubled)
 
 
 def test_census_matches_oracle_at_scale():
