@@ -1,10 +1,13 @@
 """Command-line front end.
 
 Every subcommand reads gems either from GEM v1 files or from the
-built-in catalog (file paths win when a name is both).  Reports are
-printed as plain tables or, with --json, as a versioned record
-("schema": 1) with deterministically ordered keys, so identical inputs
-produce byte-identical output.
+built-in catalog (file paths win when a name is both).  A report
+subcommand builds one record of the library's own values (dataclasses,
+tuples, exact rationals).  With --json the record is printed as a
+versioned JSON object ("schema": 1) with deterministically ordered keys;
+otherwise the subcommand's renderer turns the same record into plain
+text lines.  Either way identical inputs produce byte-identical output.
+Construction subcommands write GEM v1 text instead.
 
 Exit codes: 0 success, 1 at least one verification check failed,
 2 bad input (unknown file/name, malformed gem, wrong dimension).
@@ -13,6 +16,7 @@ Exit codes: 0 success, 1 at least one verification check failed,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import itertools
 import json
 import sys
@@ -35,13 +39,10 @@ from .core import (
     face_vector,
     validate,
 )
-from .gemfile import export_gem, load_gem, parse_gem
+from .gemfile import export_gem, load_gem
 from .genus import (
     ManifoldMeta,
     boundary_genus_cap,
-    complexity_lower_bounds,
-    gem_complexity,
-    genus_lower_bounds,
     rank_upper_bound,
     regular_genus,
     weak_semi_simple,
@@ -62,22 +63,36 @@ def _load_input(token: str) -> ColoredGraph:
 
 
 def _jsonable(value):
+    """A record in JSON form: dataclasses become objects of their fields,
+    tuples become lists, and rationals become ints or "p/q" strings."""
+    if value is None or isinstance(value, (str, int)):  # bool is an int
+        return value
     if isinstance(value, Fraction):
         return str(value) if value.denominator != 1 else int(value)
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _jsonable(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
     return value
 
 
-def _emit(record: dict, as_json: bool, lines: list[str]) -> None:
+def _emit(record: dict, as_json: bool, render) -> None:
+    """Print `record` as JSON, or as the text lines `render(record)`."""
     if as_json:
         record = {"schema": 1, **record}
         print(json.dumps(_jsonable(record), sort_keys=True, indent=2))
     else:
-        for line in lines:
+        for line in render(record):
             print(line)
+
+
+def _assignments(mapping) -> str:
+    return " ".join(f"{k}={v}" for k, v in mapping.items())
 
 
 def _write_graph(g: ColoredGraph, out: str | None) -> None:
@@ -100,43 +115,30 @@ def _meta_from_args(g: ColoredGraph, args) -> ManifoldMeta:
     )
 
 
-def _report_record(report) -> dict:
+def _ledger(report) -> dict:
     return {
         "passed": report.passed,
-        "checks": [
-            {
-                "name": c.name,
-                "statement": c.statement,
-                "left": c.left,
-                "right": c.right,
-                "relation": c.relation,
-                "passed": c.passed,
-                "sharp": c.sharp,
-            }
-            for c in report.checks
-        ],
-        "skipped": [
-            {"name": s.name, "reason": s.reason} for s in report.skipped
-        ],
+        "checks": report.checks,
+        "skipped": report.skipped,
     }
 
 
-def _report_lines(title: str, report) -> list[str]:
+def _ledger_lines(title: str, ledger: dict) -> list[str]:
     lines = [title]
-    for c in report.checks:
+    for c in ledger["checks"]:
         mark = "PASS" if c.passed else "FAIL"
         sharp = "  (sharp)" if c.sharp else ""
         lines.append(
             f"  [{mark}] {c.name}: {c.statement}  "
             f"[{c.left} {c.relation} {c.right}]{sharp}"
         )
-    for s in report.skipped:
+    for s in ledger["skipped"]:
         lines.append(f"  [skip] {s.name}: {s.reason}")
-    lines.append("overall: " + ("PASS" if report.passed else "FAIL"))
+    lines.append("overall: " + ("PASS" if ledger["passed"] else "FAIL"))
     return lines
 
 
-# -- subcommand handlers ---------------------------------------------------
+# -- subcommand handlers and their text renderers ----------------------------
 
 
 def _cmd_info(args) -> int:
@@ -145,14 +147,6 @@ def _cmd_info(args) -> int:
     fv = face_vector(g)
     counts = census(g)
     tally = g.vertex_tally()
-    pair_counts = {
-        f"g_{i}{j}": counts.g_of(i, j)
-        for i, j in itertools.combinations(range(g.dimension + 1), 2)
-    }
-    boundary_counts = {
-        f"bd_g_{i}{j}": counts.boundary_g_of(i, j)
-        for i, j in itertools.combinations(range(g.dimension), 2)
-    } if not report.closed else {}
     record = {
         "command": "info",
         "dimension": g.dimension,
@@ -164,80 +158,79 @@ def _cmd_info(args) -> int:
         "closed": report.closed,
         "boundary_components": report.h,
         "is_crystallization": report.is_crystallization,
-        "f_vector": list(fv.f),
+        "f_vector": fv.f,
         "euler_characteristic": fv.euler_characteristic,
-        "pair_cycle_counts": pair_counts,
-        "boundary_cycle_counts": boundary_counts,
+        "pair_cycle_counts": {
+            f"g_{i}{j}": counts.g_of(i, j)
+            for i, j in itertools.combinations(g.colors, 2)
+        },
+        "boundary_cycle_counts": {} if report.closed else {
+            f"bd_g_{i}{j}": counts.boundary_g_of(i, j)
+            for i, j in itertools.combinations(range(g.dimension), 2)
+        },
     }
-    lines = [
-        f"dimension {g.dimension}, {tally.total} vertices "
-        f"({tally.boundary} on the boundary)",
-        f"connected={report.connected} bipartite={report.bipartite} "
-        f"contracted={report.contracted}",
-        f"closed={report.closed} boundary components={report.h} "
-        f"crystallization={report.is_crystallization}",
-        f"f-vector {list(fv.f)}  chi={fv.euler_characteristic}",
-        "pair cycle counts: "
-        + " ".join(f"{k}={v}" for k, v in pair_counts.items()),
-    ]
-    if boundary_counts:
-        lines.append(
-            "boundary cycle counts: "
-            + " ".join(f"{k}={v}" for k, v in boundary_counts.items())
-        )
-    _emit(record, args.json, lines)
+    _emit(record, args.json, _info_lines)
     return 0
+
+
+def _info_lines(r: dict) -> list[str]:
+    lines = [
+        f"dimension {r['dimension']}, {r['vertices']} vertices "
+        f"({r['boundary_vertices']} on the boundary)",
+        f"connected={r['connected']} bipartite={r['bipartite']} "
+        f"contracted={r['contracted']}",
+        f"closed={r['closed']} boundary components={r['boundary_components']} "
+        f"crystallization={r['is_crystallization']}",
+        f"f-vector {list(r['f_vector'])}  chi={r['euler_characteristic']}",
+        "pair cycle counts: " + _assignments(r["pair_cycle_counts"]),
+    ]
+    if r["boundary_cycle_counts"]:
+        lines.append(
+            "boundary cycle counts: " + _assignments(r["boundary_cycle_counts"])
+        )
+    return lines
 
 
 def _cmd_genus(args) -> int:
-    g = _load_input(args.input)
-    profile = regular_genus(g)
+    profile = regular_genus(_load_input(args.input))
     record = {
         "command": "genus",
         "rho": profile.rho,
-        "argmin_scheme": list(profile.argmin),
-        "diagnostics": list(profile.diagnostics),
+        "argmin_scheme": profile.argmin,
+        "diagnostics": profile.diagnostics,
     }
-    lines = [f"rho(Gamma) = {profile.rho}  at scheme {profile.argmin}"]
     if args.all_permutations:
-        record["schemes"] = [
-            {
-                "scheme": list(e.scheme),
-                "chi": e.chi,
-                "holes": e.holes,
-                "rho": e.rho,
-            }
-            for e in profile.entries
-        ]
+        record["schemes"] = profile.entries
+    _emit(record, args.json, _genus_lines)
+    return 0
+
+
+def _genus_lines(r: dict) -> list[str]:
+    lines = [f"rho(Gamma) = {r['rho']}  at scheme {r['argmin_scheme']}"]
+    if "schemes" in r:
         lines.append("scheme                 chi_eps  holes  rho_eps")
-        for e in profile.entries:
+        for e in r["schemes"]:
             lines.append(
                 f"{str(e.scheme):22s} {e.chi:7d} {e.holes:6d}  {e.rho}"
             )
-    for diag in profile.diagnostics:
-        lines.append(f"warning: {diag}")
-    _emit(record, args.json, lines)
-    return 0
+    lines.extend(f"warning: {diag}" for diag in r["diagnostics"])
+    return lines
 
 
 def _cmd_bounds(args) -> int:
     g = _load_input(args.input)
     meta = _meta_from_args(g, args)
     report = verify_bounds(g, meta, k_boundary=args.boundary_complexity)
-    record = {"command": "bounds", **_report_record(report)}
-    _emit(record, args.json, _report_lines("bounds vs attained values:", report))
+    record = {"command": "bounds", **_ledger(report)}
+    _emit(record, args.json,
+          lambda r: _ledger_lines("bounds vs attained values:", r))
     return 0 if report.passed else 1
 
 
-def _cmd_double(args) -> int:
-    g = _load_input(args.input)
-    _write_graph(double(g), args.output)
-    return 0
-
-
-def _cmd_crystallize_double(args) -> int:
-    g = _load_input(args.input)
-    _write_graph(crystallize_double(g), args.output)
+def _cmd_construct(args) -> int:
+    """`double`, `crystallize-double` and `product`: one construction
+    applied to one input."""
+    _write_graph(args.construction(_load_input(args.input)), args.output)
     return 0
 
 
@@ -261,12 +254,6 @@ def _cmd_connect(args) -> int:
     return 0
 
 
-def _cmd_product(args) -> int:
-    g = _load_input(args.input)
-    _write_graph(interval_product(g), args.output)
-    return 0
-
-
 def _cmd_boundary(args) -> int:
     g = _load_input(args.input)
     bg = boundary_graph(g)
@@ -285,29 +272,28 @@ def _cmd_boundary(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _load_input(args.input)
-    identities = verify_identities(g)
-    reports = [("identities", identities)]
+    ledgers = {"identities": _ledger(verify_identities(g))}
     if args.rank is not None and not g.is_closed():
         meta = _meta_from_args(g, args)
-        reports.append(
-            ("bounds", verify_bounds(g, meta, k_boundary=args.boundary_complexity))
+        ledgers["bounds"] = _ledger(
+            verify_bounds(g, meta, k_boundary=args.boundary_complexity)
         )
-    record = {
-        "command": "verify",
-        "passed": all(r.passed for _, r in reports),
-        "reports": {name: _report_record(r) for name, r in reports},
-    }
+    passed = all(ledger["passed"] for ledger in ledgers.values())
+    record = {"command": "verify", "passed": passed, "reports": ledgers}
+    _emit(record, args.json, _verify_lines)
+    return 0 if passed else 1
+
+
+def _verify_lines(r: dict) -> list[str]:
     lines: list[str] = []
-    for name, r in reports:
-        lines.extend(_report_lines(f"{name}:", r))
-    _emit(record, args.json, lines)
-    return 0 if record["passed"] else 1
+    for name, ledger in r["reports"].items():
+        lines.extend(_ledger_lines(f"{name}:", ledger))
+    return lines
 
 
 def _cmd_recognize(args) -> int:
     g = _load_input(args.input)
-    meta = _meta_from_args(g, args)
-    report = weak_semi_simple(g, meta)
+    report = weak_semi_simple(g, _meta_from_args(g, args))
     record = {
         "command": "recognize",
         "weak_semi_simple_type_one": report.type_one,
@@ -315,65 +301,56 @@ def _cmd_recognize(args) -> int:
         "rank_upper_bound": rank_upper_bound(g),
         "boundary_genus_cap": boundary_genus_cap(g),
     }
-    lines = [
-        f"weak semi-simple, type I:  {report.type_one}"
-        + ("  (supply --boundary-genus to decide)" if report.type_one is None else ""),
-        f"weak semi-simple, type II: {report.type_two}",
-        f"fundamental group rank <= {record['rank_upper_bound']}",
-        f"summed boundary genus  <= {record['boundary_genus_cap']}",
-    ]
-    _emit(record, args.json, lines)
+    _emit(record, args.json, _recognize_lines)
     return 0
+
+
+def _recognize_lines(r: dict) -> list[str]:
+    type_one = r["weak_semi_simple_type_one"]
+    return [
+        f"weak semi-simple, type I:  {type_one}"
+        + ("  (supply --boundary-genus to decide)" if type_one is None else ""),
+        f"weak semi-simple, type II: {r['weak_semi_simple_type_two']}",
+        f"fundamental group rank <= {r['rank_upper_bound']}",
+        f"summed boundary genus  <= {r['boundary_genus_cap']}",
+    ]
 
 
 def _cmd_catalog(args) -> int:
     if args.action == "list":
         record = {"command": "catalog-list", "entries": catalog_list()}
-        _emit(record, args.json, catalog_list())
+        _emit(record, args.json, lambda r: r["entries"])
         return 0
     entry = catalog_get(args.name)
-    if args.action == "show":
-        record = {
-            "command": "catalog-show",
-            "name": entry.name,
-            "note": entry.note,
-            "dimension": entry.graph.dimension,
-            "vertices": entry.graph.vertex_count,
-            "meta": None
-            if entry.meta is None
-            else {
-                "h": entry.meta.h,
-                "chi": entry.meta.chi,
-                "m": entry.meta.m,
-                "boundary_genus": entry.meta.boundary_genus,
-                "double_rank": entry.meta.double_rank,
-            },
-            "expected": {k: v for k, v in sorted(entry.expected.items())},
-            "connector_vertices": entry.connector_vertices,
-        }
-        lines = [
-            f"{entry.name}: dimension {entry.graph.dimension}, "
-            f"{entry.graph.vertex_count} vertices",
-            entry.note,
-        ]
-        if entry.meta is not None:
-            lines.append(
-                f"meta: h={entry.meta.h} chi={entry.meta.chi} m={entry.meta.m} "
-                f"boundary_genus={entry.meta.boundary_genus} "
-                f"double_rank={entry.meta.double_rank}"
-            )
-        if entry.expected:
-            lines.append(
-                "expected: "
-                + " ".join(f"{k}={v}" for k, v in sorted(entry.expected.items()))
-            )
-        if entry.connector_vertices:
-            lines.append(f"connector vertices: {entry.connector_vertices}")
-        _emit(record, args.json, lines)
+    if args.action == "export":
+        _write_graph(entry.graph, args.output)
         return 0
-    # export
-    _write_graph(entry.graph, args.output)
+    record = {
+        "command": "catalog-show",
+        "name": entry.name,
+        "note": entry.note,
+        "dimension": entry.graph.dimension,
+        "vertices": entry.graph.vertex_count,
+        "meta": entry.meta,
+        "expected": dict(sorted(entry.expected.items())),
+        "connector_vertices": entry.connector_vertices,
+    }
+    _emit(record, args.json, _show_lines)
     return 0
+
+
+def _show_lines(r: dict) -> list[str]:
+    lines = [
+        f"{r['name']}: dimension {r['dimension']}, {r['vertices']} vertices",
+        r["note"],
+    ]
+    if r["meta"] is not None:
+        lines.append("meta: " + _assignments(dataclasses.asdict(r["meta"])))
+    if r["expected"]:
+        lines.append("expected: " + _assignments(r["expected"]))
+    if r["connector_vertices"]:
+        lines.append(f"connector vertices: {r['connector_vertices']}")
+    return lines
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -419,12 +396,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("double", help="double along the boundary")
     add_common(p, output=True)
-    p.set_defaults(handler=_cmd_double)
+    p.set_defaults(handler=_cmd_construct, construction=double)
 
     p = sub.add_parser("crystallize-double",
                        help="double, then contract to a crystallization")
     add_common(p, output=True)
-    p.set_defaults(handler=_cmd_crystallize_double)
+    p.set_defaults(handler=_cmd_construct, construction=crystallize_double)
 
     p = sub.add_parser("connect", help="connected sum of two gems")
     add_common(p, output=True)
@@ -439,7 +416,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("product",
                        help="interval product of a closed 3-manifold gem")
     add_common(p, output=True)
-    p.set_defaults(handler=_cmd_product)
+    p.set_defaults(handler=_cmd_construct, construction=interval_product)
 
     p = sub.add_parser("boundary", help="export each boundary component")
     add_common(p, output=True)

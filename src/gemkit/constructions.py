@@ -165,19 +165,11 @@ def crystallize_double(g: ColoredGraph) -> ColoredGraph:
 
 
 def connected_sum(
-    g1: ColoredGraph,
-    v1: int,
-    g2: ColoredGraph,
-    v2: int,
-    allow_boundary_vertices: bool = False,
+    g1: ColoredGraph, v1: int, g2: ColoredGraph, v2: int
 ) -> ColoredGraph:
     """Graph connected sum: delete v1, v2 and splice edges color by color.
 
-    By default both vertices must be internal; the weaker per-color
-    condition (it suffices that, for each color, one of the two deleted
-    simplices' correspondingly labeled vertices avoids the boundary) can
-    be opted into with `allow_boundary_vertices`, in which case only the
-    color-degree match is enforced.
+    Both vertices must be internal.
     """
     if g1.dimension != g2.dimension:
         raise GemError("connected sum requires equal dimensions")
@@ -188,13 +180,9 @@ def connected_sum(
             raise GemError(
                 f"color-degree mismatch at summing vertices for color {c}"
             )
-    if not allow_boundary_vertices:
-        d = g1.dimension
-        if g1.mate(v1, d) is None or g2.mate(v2, d) is None:
-            raise GemError(
-                "summing vertices must be internal "
-                "(pass allow_boundary_vertices=True to override)"
-            )
+    d = g1.dimension
+    if g1.mate(v1, d) is None or g2.mate(v2, d) is None:
+        raise GemError("summing vertices must be internal")
     n1 = g1.vertex_count
     relabel1 = {w: (w if w < v1 else w - 1) for w in g1.vertices if w != v1}
     relabel2 = {
@@ -214,9 +202,8 @@ def connected_sum(
             for a, b in g2.edges(c)
             if v2 not in (a, b)
         )
-        a, b = g1.mate(v1, c), g2.mate(v2, c)
-        if a is not None:
-            pairs.append((relabel1[a], relabel2[b]))
+        # both summing vertices are internal, so matched in every color
+        pairs.append((relabel1[g1.mate(v1, c)], relabel2[g2.mate(v2, c)]))
         pairs_by_color.append(pairs)
     return ColoredGraph(g1.dimension, n1 + g2.vertex_count - 2, pairs_by_color)
 

@@ -82,6 +82,10 @@ class ColoredGraph:
         n = vertex_count
         mates = []
         for color, pairs in enumerate(pairs_by_color):
+            # checked before allocating, so a vertex count that the
+            # pairs cannot cover costs no memory
+            if color < dimension and len(pairs) * 2 != n:
+                raise GemError(f"color {color} not a total pairing")
             mate = [0] * (n + 1)
             for a, b in pairs:
                 if not (1 <= a <= n and 1 <= b <= n):
@@ -96,8 +100,6 @@ class ColoredGraph:
                         f"color {color}: vertex {dup} paired more than once"
                     )
                 mate[a], mate[b] = b, a
-            if color < dimension and len(pairs) * 2 != n:
-                raise GemError(f"color {color} not a total pairing")
             mates.append(tuple(mate))
         object.__setattr__(self, "dimension", dimension)
         object.__setattr__(self, "vertex_count", vertex_count)
@@ -126,12 +128,6 @@ class ColoredGraph:
         """Edges of one color as (smaller, larger) pairs, sorted."""
         mate = self._mates[color]
         return [(v, mate[v]) for v in self.vertices if v < mate[v]]
-
-    def all_edges(self) -> list[tuple[int, int, int]]:
-        """All edges as (smaller, larger, color) triples."""
-        return [
-            (a, b, c) for c in self.colors for (a, b) in self.edges(c)
-        ]
 
     def boundary_vertices(self) -> list[int]:
         mate = self._mates[self.dimension]
@@ -617,14 +613,9 @@ class ValidationReport:
     contracted: bool
     contracted_per_color: tuple[bool, ...]
     closed: bool
-    boundary_component_count: int
+    h: int  # boundary components, 0 for closed gems
     is_crystallization: bool
     f0: int
-
-    @property
-    def h(self) -> int:
-        """Number of boundary components (0 for closed gems)."""
-        return self.boundary_component_count
 
 
 @_per_graph
@@ -663,7 +654,7 @@ def validate(g: ColoredGraph) -> ValidationReport:
         contracted=all(per_color),
         contracted_per_color=per_color,
         closed=closed,
-        boundary_component_count=h,
+        h=h,
         is_crystallization=crystal,
         f0=f0,
     )

@@ -86,8 +86,14 @@ def export_gem(g: ColoredGraph) -> str:
 
 
 def load_gem(path) -> ColoredGraph:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_gem(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise GemError(
+            f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
+        ) from None
+    return parse_gem(text)
 
 
 def save_gem(g: ColoredGraph, path) -> None:

@@ -11,7 +11,7 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .core import ColoredGraph, GemError, ResidueCensus, census, face_vector, validate
+from .core import ColoredGraph, GemError, census, face_vector, validate
 from .constructions import double
 
 
@@ -76,9 +76,7 @@ class GenusProfile:
     diagnostics: tuple[str, ...] = ()
 
 
-def rho_epsilon(
-    g: ColoredGraph, scheme: Scheme, counts: ResidueCensus | None = None
-) -> SchemeProfile:
+def rho_epsilon(g: ColoredGraph, scheme: Scheme) -> SchemeProfile:
     """Genus of the regular embedding surface for one scheme.
 
     chi = sum of bicolored cycle counts over cyclically adjacent color
@@ -87,8 +85,7 @@ def rho_epsilon(
     (first color, color before last).
     """
     _check_scheme(g, scheme)
-    if counts is None:
-        counts = census(g)
+    counts = census(g)
     d = g.dimension
     cycle_sum = sum(
         counts.g_dot_of(scheme[i], scheme[(i + 1) % (d + 1)])
@@ -136,15 +133,12 @@ def rho_epsilon_via_double(g: ColoredGraph, scheme: Scheme) -> Fraction:
     )
 
 
-def rho_epsilon_census(
-    g: ColoredGraph, scheme: Scheme, counts: ResidueCensus | None = None
-) -> Fraction:
+def rho_epsilon_census(g: ColoredGraph, scheme: Scheme) -> Fraction:
     """Scheme genus straight from the input's own residue census,
     without building the double."""
     h = _require_bounded_crystallization(g)
     _check_scheme(g, scheme)
-    if counts is None:
-        counts = census(g)
+    counts = census(g)
     chi = face_vector(g).euler_characteristic
     e0, e1, e2, e3, _ = scheme
     return Fraction(
@@ -157,7 +151,7 @@ def rho_epsilon_census(
     )
 
 
-def regular_genus(g: ColoredGraph, cross_check: bool = True) -> GenusProfile:
+def regular_genus(g: ColoredGraph) -> GenusProfile:
     """Minimum scheme genus over all schemes.
 
     For 4-dimensional crystallizations with boundary, every scheme is
@@ -165,9 +159,8 @@ def regular_genus(g: ColoredGraph, cross_check: bool = True) -> GenusProfile:
     direct census formula; any disagreement signals an encoding bug and
     raises instead of being ignored.
     """
-    counts = census(g)
     entries = tuple(
-        rho_epsilon(g, scheme, counts) for scheme in enumerate_schemes(g.dimension)
+        rho_epsilon(g, scheme) for scheme in enumerate_schemes(g.dimension)
     )
     diagnostics = []
     for entry in entries:
@@ -175,12 +168,12 @@ def regular_genus(g: ColoredGraph, cross_check: bool = True) -> GenusProfile:
             diagnostics.append(
                 f"non-integral genus {entry.rho} at scheme {entry.scheme}"
             )
-    if cross_check and g.dimension == 4 and not g.is_closed():
+    if g.dimension == 4 and not g.is_closed():
         report = validate(g)
         if report.is_crystallization:
             for entry in entries:
                 via_double = rho_epsilon_via_double(g, entry.scheme)
-                via_census = rho_epsilon_census(g, entry.scheme, counts)
+                via_census = rho_epsilon_census(g, entry.scheme)
                 if not (entry.rho == via_double == via_census):
                     raise GemError(
                         f"genus formulas disagree at scheme {entry.scheme}: "
@@ -335,18 +328,9 @@ def boundary_genus_cap(g: ColoredGraph) -> int:
 
 
 @dataclass(frozen=True)
-class RelabelingCheck:
-    """Weak semi-simplicity conditions under one relabeling of the
-    non-last colors."""
-
-    relabeling: tuple[int, int, int, int]
-    type_one: bool | None
-    type_two: bool
-
-
-@dataclass(frozen=True)
 class WeakSemiSimpleReport:
-    checks: tuple[RelabelingCheck, ...]
+    """Verdicts of both types; type I is None without a boundary genus."""
+
     type_one: bool | None
     type_two: bool
 
@@ -363,32 +347,20 @@ def weak_semi_simple(g: ColoredGraph, meta: ManifoldMeta) -> WeakSemiSimpleRepor
     if meta.m is None:
         raise GemError("weak semi-simplicity needs the rank m in meta")
     counts = census(g)
-    checks = []
-    for sigma in itertools.permutations(range(4)):
-        s0, s1, s2, s3 = sigma
-        common = (
-            counts.g_of(s0, s1, s2) == meta.m + h
-            and counts.g_of(s1, s2, s3) == meta.m + h
-            and counts.g_dot_of(s2, s3, 4) == h - 1
-            and counts.g_dot_of(s0, s3, 4) == h - 1
-        )
-        g014 = counts.g_of(s0, s1, 4)
-        type_two = common and g014 == meta.m + 2 * h - 1
-        if meta.boundary_genus is None:
-            type_one = None
-        else:
-            type_one = common and g014 == meta.boundary_genus + 2 * h - 1
-        checks.append(
-            RelabelingCheck(relabeling=sigma, type_one=type_one, type_two=type_two)
-        )
-    if meta.boundary_genus is None:
-        overall_one = None
-    else:
-        overall_one = any(c.type_one for c in checks)
+    # g_{s0 s1 4} of every relabeling that meets the common equalities
+    g014 = {
+        counts.g_of(s0, s1, 4)
+        for s0, s1, s2, s3 in itertools.permutations(range(4))
+        if counts.g_of(s0, s1, s2) == meta.m + h
+        and counts.g_of(s1, s2, s3) == meta.m + h
+        and counts.g_dot_of(s2, s3, 4) == h - 1
+        and counts.g_dot_of(s0, s3, 4) == h - 1
+    }
+    type_one = None
+    if meta.boundary_genus is not None:
+        type_one = meta.boundary_genus + 2 * h - 1 in g014
     return WeakSemiSimpleReport(
-        checks=tuple(checks),
-        type_one=overall_one,
-        type_two=any(c.type_two for c in checks),
+        type_one=type_one, type_two=meta.m + 2 * h - 1 in g014
     )
 
 

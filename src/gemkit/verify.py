@@ -1,7 +1,10 @@
 """One-shot harness checking every census identity and bound on a gem.
 
-Checks are data: a static table of named evaluators, each producing one
-or more (left, right) comparisons.  Every check recomputes its two sides
+`verify_identities` and `verify_bounds` each walk the paper's statements
+in a fixed order and append one `Check` per evaluated (left, right)
+comparison to a ledger; a statement that does not apply to the input
+(closed gem, not a crystallization, metadata not supplied) is appended
+as a `Skip` with its reason instead.  Every check computes its two sides
 from independent sources (for instance boundary cycle counts from the
 extracted boundary graph versus regular-component counts on the parent),
 so a passing report is a genuine cross-validation and a mistranscribed
@@ -195,24 +198,18 @@ def verify_identities(g: ColoredGraph) -> IdentityReport:
                         )
                     )
         else:
-            skipped.append(
-                Skip(
-                    name="boundary-cycle-sum",
-                    reason="not a crystallization",
-                )
-            )
-            skipped.append(
-                Skip(
-                    name="per-boundary-component-sphere-relation",
-                    reason="not a crystallization",
-                )
-            )
+            for fam in (
+                "boundary-cycle-sum",
+                "per-boundary-component-sphere-relation",
+            ):
+                skipped.append(Skip(name=fam, reason="not a crystallization"))
 
     # doubled-graph census relations hold for any gem with boundary
     if closed:
-        skipped.append(Skip(name="double-census", reason="closed input"))
-        skipped.append(Skip(name="vertex-count-identity", reason="closed input"))
-        skipped.append(Skip(name="vertex-sum-identity", reason="closed input"))
+        for fam in (
+            "double-census", "vertex-count-identity", "vertex-sum-identity"
+        ):
+            skipped.append(Skip(name=fam, reason="closed input"))
     else:
         doubled = double(g)
         dcounts = census(doubled)
@@ -291,12 +288,8 @@ def verify_identities(g: ColoredGraph) -> IdentityReport:
                     )
                 )
         else:
-            skipped.append(
-                Skip(name="vertex-count-identity", reason="not a crystallization")
-            )
-            skipped.append(
-                Skip(name="vertex-sum-identity", reason="not a crystallization")
-            )
+            for fam in ("vertex-count-identity", "vertex-sum-identity"):
+                skipped.append(Skip(name=fam, reason="not a crystallization"))
 
     if closed:
         half = g.vertex_count // 2
@@ -314,7 +307,7 @@ def verify_identities(g: ColoredGraph) -> IdentityReport:
             )
         # with no boundary the embedding formula loses its hole term
         for scheme in enumerate_schemes(4):
-            profile = rho_epsilon(g, scheme, counts)
+            profile = rho_epsilon(g, scheme)
             reduced_chi = (
                 sum(
                     counts.g_dot_of(scheme[i], scheme[(i + 1) % 5])
@@ -332,9 +325,9 @@ def verify_identities(g: ColoredGraph) -> IdentityReport:
             )
     elif crystal:
         for scheme in enumerate_schemes(4):
-            embedding = rho_epsilon(g, scheme, counts).rho
+            embedding = rho_epsilon(g, scheme).rho
             via_double = rho_epsilon_via_double(g, scheme)
-            via_census = rho_epsilon_census(g, scheme, counts)
+            via_census = rho_epsilon_census(g, scheme)
             checks.append(
                 _check(
                     "genus-formula-agreement",

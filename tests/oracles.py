@@ -95,3 +95,51 @@ def oracle_face_vector(g: ColoredGraph) -> tuple[int, ...]:
 
 def oracle_euler_characteristic(g: ColoredGraph) -> int:
     return sum((-1) ** k * fk for k, fk in enumerate(oracle_face_vector(g)))
+
+
+def weak_semi_simple_reference(
+    g: ColoredGraph, m: int, boundary_genus: int | None
+) -> tuple[bool | None, bool]:
+    """Weak semi-simplicity of a bounded 4-dimensional crystallization,
+    decided relabeling by relabeling.
+
+    For each of the 24 orders s of colors 0..3 the common equalities
+    g_{s0 s1 s2} = g_{s1 s2 s3} = m + h and gdot_{s2 s3 4} =
+    gdot_{s0 s3 4} = h - 1 are evaluated on BFS counts, then each type's
+    own equality on g_{s0 s1 4}.  Returns (type I, type II); type I is
+    None without a boundary genus.
+    """
+    triples = itertools.combinations(range(5), 3)
+    counts = {
+        frozenset(t): (
+            bfs_component_count(g, t), bfs_regular_component_count(g, t)
+        )
+        for t in triples
+    }
+
+    def g_(*colors):
+        return counts[frozenset(colors)][0]
+
+    def g_dot(*colors):
+        return counts[frozenset(colors)][1]
+
+    # a crystallization with h boundary components has h residues
+    # without color 0
+    h = bfs_component_count(g, (1, 2, 3, 4))
+    verdicts = []
+    for s0, s1, s2, s3 in itertools.permutations(range(4)):
+        common = (
+            g_(s0, s1, s2) == m + h
+            and g_(s1, s2, s3) == m + h
+            and g_dot(s2, s3, 4) == h - 1
+            and g_dot(s0, s3, 4) == h - 1
+        )
+        g014 = g_(s0, s1, 4)
+        type_one = None
+        if boundary_genus is not None:
+            type_one = common and g014 == boundary_genus + 2 * h - 1
+        verdicts.append((type_one, common and g014 == m + 2 * h - 1))
+    type_one = None
+    if boundary_genus is not None:
+        type_one = any(one for one, _ in verdicts)
+    return type_one, any(two for _, two in verdicts)

@@ -54,11 +54,10 @@ def test_criterion_01_interval_bundle_gem():
     assert face_vector(g).euler_characteristic == 0
     profile = regular_genus(g)
     assert profile.rho == 0
-    counts = census(g)
     for scheme in enumerate_schemes(4):
-        embedding = rho_epsilon(g, scheme, counts).rho
+        embedding = rho_epsilon(g, scheme).rho
         assert embedding == rho_epsilon_via_double(g, scheme)
-        assert embedding == rho_epsilon_census(g, scheme, counts)
+        assert embedding == rho_epsilon_census(g, scheme)
     meta = ManifoldMeta.for_graph(g, m=0, boundary_genus=0)
     assert gem_complexity(g) == 4 == complexity_lower_bounds(meta)[0]
     recognition = weak_semi_simple(g, meta)
@@ -198,11 +197,10 @@ def test_criterion_09_property_sweeps():
     for name in catalog_list():
         g = catalog_get(name).graph
         if g.dimension == 4:
-            counts = census(g)
             for head in itertools.permutations(range(4)):
                 assert (
-                    rho_epsilon(g, head + (4,), counts).rho
-                    == rho_epsilon(g, head[::-1] + (4,), counts).rho
+                    rho_epsilon(g, head + (4,)).rho
+                    == rho_epsilon(g, head[::-1] + (4,)).rho
                 )
             if not g.is_closed():
                 bounded.append(g)

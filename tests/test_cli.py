@@ -34,6 +34,14 @@ class TestInfo:
         assert code == 2
         assert "error:" in err
 
+    def test_non_utf8_file_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "bad.gem"
+        path.write_bytes(b"gem-format 1\n\xff\n")
+        code, out, err = run(capsys, "info", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and str(path) in err
+
     def test_json_schema_version(self, capsys):
         code, out, _ = run(capsys, "info", "fig3_d3xs1", "--json")
         record = json.loads(out)

@@ -1,6 +1,7 @@
 """Core model: construction validation, residues, censuses, face vectors."""
 
 import itertools
+import tracemalloc
 
 import pytest
 
@@ -37,6 +38,17 @@ class TestConstructionErrors:
     def test_incomplete_matching_rejected(self):
         with pytest.raises(GemError, match="not a total pairing"):
             ColoredGraph(1, 4, [[(1, 2)], []])
+
+    def test_vertex_count_checked_before_allocating(self):
+        # a mate array for 10**6 vertices alone takes 8 MB
+        tracemalloc.start()
+        try:
+            with pytest.raises(GemError, match="not a total pairing"):
+                ColoredGraph(4, 10**6, [[(1, 2)]] * 5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_000_000
 
     def test_loop_rejected(self):
         with pytest.raises(GemError, match="loop"):

@@ -60,3 +60,11 @@ def test_file_round_trip(tmp_path, fig4):
 def test_parse_errors(text, message):
     with pytest.raises(GemError, match=message):
         parse_gem(text)
+
+
+def test_non_utf8_file_names_the_file(tmp_path):
+    path = tmp_path / "bad.gem"
+    path.write_bytes(b"gem-format 1\n\xff\n")
+    with pytest.raises(GemError, match="not UTF-8") as exc:
+        load_gem(path)
+    assert str(path) in str(exc.value)
