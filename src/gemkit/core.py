@@ -16,7 +16,9 @@ labels rather than vertices.  A residue with color d fails to be
 regular exactly when its label holds a boundary vertex.
 `residue_components`, the components of the boundary graph and the
 1-dipole search of `constructions` read the same labels for one color
-set; no other component algorithm runs on vertices.
+set.  `constructions.crystallize_double` labels its own mutable arrays
+with the same walk and joins (`_array_labels`) and then only merges
+labels; no other component algorithm runs on vertices.
 
 Graphs are immutable, so each per-graph analysis (`census`,
 `boundary_graph`, `face_vector`, `validate` and
@@ -440,29 +442,43 @@ def _padded_last(g: ColoredGraph) -> tuple[int, ...]:
     return tuple(m or v for v, m in enumerate(g._mates[g.dimension]))
 
 
-def _labels(g: ColoredGraph, colors) -> tuple[list[int], int]:
-    """Label the residues of one nonempty color set with 1..count.
+def _array_labels(arrays, ends=()) -> tuple[list[int], int]:
+    """Label the residues spanned by a nonempty list of involution arrays
+    with 1..count.
 
-    The two smallest colors are labeled by a walk (`_pair_labels`), each
-    further color is added by `_join`; a single color starts from one
-    label per vertex.  Index 0 keeps label 0.
+    The first two arrays are labeled by a walk (`_pair_labels`), so the
+    first pairs every vertex and the second may leave the vertices
+    `ends` unmatched; each further array is added by `_join` and maps
+    its unmatched vertices to themselves.  A single array starts from
+    one label per vertex and is joined like a further one.  Index 0
+    keeps label 0.
     """
-    d = g.dimension
-    ordered = sorted(colors)
-    if len(ordered) == 1:
-        labels, count = list(range(g.vertex_count + 1)), g.vertex_count
+    if len(arrays) == 1:
+        labels, count = list(range(len(arrays[0]))), len(arrays[0]) - 1
     else:
-        i, j = ordered[:2]
-        ends = g.boundary_vertices() if j == d else ()
-        labels, starts = _pair_labels(g._mates[i], g._mates[j], ends)
+        labels, starts = _pair_labels(arrays[0], arrays[1], ends)
         count = len(starts)
-        ordered = ordered[2:]
-    for c in ordered:
-        renumber, count = _join(
-            labels, count, _padded_last(g) if c == d else g._mates[c]
-        )
+        arrays = arrays[2:]
+    for mate in arrays:
+        renumber, count = _join(labels, count, mate)
         labels = list(map(renumber.__getitem__, labels))
     return labels, count
+
+
+def _labels(g: ColoredGraph, colors) -> tuple[list[int], int]:
+    """Label the residues of one nonempty color set with 1..count, by
+    `_array_labels` over the colors in ascending order."""
+    d = g.dimension
+    ordered = sorted(colors)
+    # color d is walked with its boundary vertices as path ends only in
+    # a pair; joined, it maps them to themselves
+    if len(ordered) == 2 and ordered[1] == d:
+        return _array_labels(
+            [g._mates[ordered[0]], g._mates[d]], g.boundary_vertices()
+        )
+    return _array_labels(
+        [_padded_last(g) if c == d else g._mates[c] for c in ordered]
+    )
 
 
 def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:

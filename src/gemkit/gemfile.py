@@ -86,6 +86,7 @@ def export_gem(g: ColoredGraph) -> str:
 
 
 def load_gem(path) -> ColoredGraph:
+    """Read a GEM v1 file; every format error names the file."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -93,7 +94,10 @@ def load_gem(path) -> ColoredGraph:
         raise GemError(
             f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})"
         ) from None
-    return parse_gem(text)
+    try:
+        return parse_gem(text)
+    except GemError as exc:
+        raise GemError(f"{path}: {exc}") from None
 
 
 def save_gem(g: ColoredGraph, path) -> None:

@@ -4,7 +4,11 @@ Everything here deliberately avoids the library's own algorithms:
 components come from BFS over explicit adjacency lists (the library
 uses union-find), two-colorability from a fresh BFS coloring, and the
 face vector is rebuilt from the oracle component counts.  Agreement is
-therefore a genuine cross-check, not a tautology.
+therefore a genuine cross-check, not a tautology.  The one exception is
+`crystallize_double_reference`: it repeats the public dipole moves
+(`find_one_dipoles`, then `remove_one_dipole`), which rebuild and
+relabel the whole graph at every step, against the library's single
+pass of label merges.
 """
 
 from __future__ import annotations
@@ -12,7 +16,15 @@ from __future__ import annotations
 import itertools
 from collections import deque
 
-from gemkit import ColoredGraph
+from gemkit import (
+    ColoredGraph,
+    GemError,
+    census,
+    double,
+    find_one_dipoles,
+    remove_one_dipole,
+    validate,
+)
 
 
 def adjacency(g: ColoredGraph, colors) -> dict[int, list[int]]:
@@ -143,3 +155,58 @@ def weak_semi_simple_reference(
     if boundary_genus is not None:
         type_one = any(one for one, _ in verdicts)
     return type_one, any(two for _, two in verdicts)
+
+
+def cancel_dipoles_reference(doubled: ColoredGraph, h: int) -> ColoredGraph:
+    """Cancel h-1 1-dipoles of each color below the last, then one of the
+    last color, each time the first that `find_one_dipoles` lists."""
+    d = doubled.dimension
+    out = doubled
+    for color in range(d):
+        for step in range(h - 1):
+            dipoles = find_one_dipoles(out, color)
+            if not dipoles:
+                raise GemError(
+                    f"no 1-dipole of color {color} available at step {step}"
+                )
+            out = remove_one_dipole(out, dipoles[0])
+    dipoles = find_one_dipoles(out, d)
+    if not dipoles:
+        raise GemError(f"no 1-dipole of color {d} available")
+    return remove_one_dipole(out, dipoles[0])
+
+
+def crystallize_double_reference(g: ColoredGraph) -> ColoredGraph:
+    """`crystallize_double` by repeated public dipole moves, with the same
+    checks and error messages."""
+    report = validate(g)
+    if not report.is_crystallization or report.h < 1:
+        raise GemError(
+            "crystallize_double requires a crystallization with boundary"
+        )
+    h = report.h
+    d = g.dimension
+    doubled = double(g)
+    doubled_census = census(doubled)
+    out = cancel_dipoles_reference(doubled, h)
+    final = validate(out)
+    if not (final.closed and final.is_crystallization):
+        raise GemError("dipole cancellation did not yield a closed "
+                       "crystallization")
+    if d == 4:
+        out_census = census(out)
+        for i, j, k in itertools.combinations(range(4), 3):
+            if out_census.g_of(i, j, k) != doubled_census.g_of(i, j, k) - h:
+                raise GemError(
+                    f"census check failed: g_{i}{j}{k} of the contracted "
+                    "double is not the doubled count minus h"
+                )
+        for i, j in itertools.combinations(range(4), 2):
+            if out_census.g_of(i, j, 4) != (
+                doubled_census.g_of(i, j, 4) - 2 * (h - 1)
+            ):
+                raise GemError(
+                    f"census check failed: g_{i}{j}4 of the contracted "
+                    "double is not the doubled count minus 2(h-1)"
+                )
+    return out

@@ -1,9 +1,15 @@
 """Command-line interface: subcommands, exit codes, JSON determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gemkit
+import gemkit.cli
 from gemkit import export_gem, load_gem, parse_gem, save_gem
 from gemkit.cli import main
 
@@ -136,6 +142,16 @@ class TestConstructionsCli:
         assert code == 0
         assert load_gem(out_path).vertex_count == 26
 
+    def test_parse_error_names_the_bad_file(self, capsys, tmp_path, fig3):
+        good, bad = tmp_path / "good.gem", tmp_path / "bad.gem"
+        save_gem(fig3, good)
+        bad.write_text("gem-format 2\n")
+        code, out, err = run(capsys, "connect", str(good), str(bad))
+        assert (code, out) == (2, "")
+        assert err == (
+            f"error: {bad}: malformed header: expected 'gem-format 1'\n"
+        )
+
     def test_connect_plain(self, capsys, tmp_path):
         out_path = tmp_path / "sum.gem"
         code, _, _ = run(capsys, "connect", "fig1_s4", "fig1_s4",
@@ -190,6 +206,34 @@ class TestCatalogCli:
         assert "extra" in out.splitlines()
         code, out, _ = run(capsys, "info", "extra")
         assert code == 0
+
+
+class TestParserReuse:
+    def test_parser_is_built_once(self, capsys, monkeypatch):
+        run(capsys, "catalog", "list")
+
+        def rebuilt():
+            raise AssertionError("parser rebuilt")
+
+        monkeypatch.setattr(gemkit.cli, "build_parser", rebuilt)
+        code, out, _ = run(capsys, "info", "fig2_s3xI")
+        assert code == 0 and "crystallization=True" in out
+
+    def test_rejected_argv_leaves_later_calls_unchanged(self, capsys):
+        for argv in (["catalog", "show"], ["info"], ["no-such-command"]):
+            with pytest.raises(SystemExit) as exc:
+                main(argv)
+            assert exc.value.code == 2
+        capsys.readouterr()
+        argv = ["verify", "fig3_d3xs1", "--rank", "1", "--json"]
+        code, out, err = run(capsys, *argv)
+        src = str(Path(gemkit.__file__).resolve().parent.parent)
+        env = dict(os.environ, PYTHONPATH=src)
+        fresh = subprocess.run(
+            [sys.executable, "-m", "gemkit.cli", *argv],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr)
 
 
 class TestDeterminism:

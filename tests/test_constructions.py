@@ -1,6 +1,7 @@
 """Doubling, dipole moves, connected sums and the interval product."""
 
 import itertools
+import random
 
 import pytest
 
@@ -13,14 +14,21 @@ from gemkit import (
     connected_sum,
     crystallize_double,
     double,
+    export_gem,
     face_vector,
     find_one_dipoles,
     interval_product,
+    parse_gem,
     remove_one_dipole,
     sphere_connector_sum,
     validate,
 )
-from oracles import bfs_component_count
+from gemkit.constructions import _cancel_dipoles
+from oracles import (
+    bfs_component_count,
+    cancel_dipoles_reference,
+    crystallize_double_reference,
+)
 
 
 class TestDouble:
@@ -131,6 +139,105 @@ class TestCrystallizeDouble:
     def test_closed_input_rejected(self, fig1):
         with pytest.raises(GemError, match="with boundary"):
             crystallize_double(fig1)
+
+
+def _internal(g):
+    return [v for v in g.vertices if g.mate(v, g.dimension) is not None]
+
+
+def _chain(h, seed):
+    """A seeded sphere-connector sum of h copies of D^3 x S^1."""
+    fig3 = catalog_get("fig3_d3xs1").graph
+    rng = random.Random(seed)
+    chain = fig3
+    for _ in range(h - 1):
+        chain = sphere_connector_sum(
+            chain, rng.choice(_internal(chain)), fig3, rng.choice(_internal(fig3))
+        )
+    return chain
+
+
+def _outcome(construct, *args):
+    """The GEM export of a construction, or its error message."""
+    try:
+        return export_gem(construct(*args))
+    except GemError as exc:
+        return f"GemError: {exc}"
+
+
+def _cancellation_corpus():
+    """Bounded catalog entries, interval products, chains for h = 1..10
+    and 50 seeded sums of them with closed or bounded 4-gems."""
+    gems = {
+        name: catalog_get(name).graph
+        for name in ("d4_order2", "fig2_s3xI", "fig3_d3xs1", "fig4_boundary16")
+    }
+    for name in ("s2xs1_8", "rp3_8", "s3_order2"):
+        gems[f"product-{name}"] = interval_product(catalog_get(name).graph)
+    for h in range(1, 11):
+        gems[f"chain-h{h}"] = _chain(h, seed=h)
+    left = [g for name, g in gems.items()
+            if _internal(g) and name not in ("chain-h9", "chain-h10")]
+    right = left + [catalog_get(name).graph for name in ("fig1_s4", "s4_order2")]
+    rng = random.Random(2026)
+    for i in range(50):
+        g1, g2 = rng.choice(left), rng.choice(right)
+        summing = rng.choice((connected_sum, sphere_connector_sum))
+        gems[f"sum-{i}"] = summing(
+            g1, rng.choice(_internal(g1)), g2, rng.choice(_internal(g2))
+        )
+    return gems
+
+
+class TestFastCancellation:
+    """`crystallize_double` cancels dipoles by label merges on mutable
+    arrays; repeated public dipole moves are its oracle."""
+
+    def test_matches_repeated_dipole_moves(self):
+        outcomes = {"ok": 0, "error": 0}
+        for name, g in _cancellation_corpus().items():
+            fast = _outcome(crystallize_double, g)
+            assert fast == _outcome(crystallize_double_reference, g), name
+            outcomes["error" if fast.startswith("GemError") else "ok"] += 1
+        # both the contraction and its failures are exercised
+        assert outcomes["ok"] >= 30 and outcomes["error"] >= 10
+
+    @pytest.mark.parametrize(
+        "name", ["fig1_s4", "fig2_s3xI", "fig3_d3xs1", "fig4_boundary16"]
+    )
+    def test_exhausted_dipoles_fail_alike(self, name):
+        g = catalog_get(name).graph
+        closed = g if g.is_closed() else double(g)
+        for h in range(1, 6):
+            assert _outcome(_cancel_dipoles, closed, h) == _outcome(
+                cancel_dipoles_reference, closed, h
+            ), h
+
+    def test_graphs_built_do_not_grow_with_cancellations(self, monkeypatch):
+        built = {}
+        init = ColoredGraph.__init__
+        for h in (2, 7):
+            g = parse_gem(export_gem(_chain(h, seed=3)))
+            double(g)  # memoized: only the contraction's own graphs count
+            count = 0
+
+            def counting_init(self, *args):
+                nonlocal count
+                count += 1
+                init(self, *args)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(ColoredGraph, "__init__", counting_init)
+                crystallize_double(g)
+            built[h] = count
+        assert built[2] == built[7]
+
+    def test_chain_of_a_hundred_summands(self):
+        h = 100
+        g = _chain(h, seed=3)
+        out = crystallize_double(g)
+        # each of the 4(h-1) + 1 cancellations removes two vertices
+        assert out.vertex_count == 2 * g.vertex_count - 2 * (4 * (h - 1) + 1)
 
 
 class TestConnectedSum:

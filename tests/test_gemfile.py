@@ -68,3 +68,11 @@ def test_non_utf8_file_names_the_file(tmp_path):
     with pytest.raises(GemError, match="not UTF-8") as exc:
         load_gem(path)
     assert str(path) in str(exc.value)
+
+
+def test_parse_error_names_the_file(tmp_path):
+    path = tmp_path / "bad.gem"
+    path.write_text("gem-format 1\ndim 1\nvertices 2\ncolor 0:\ncolor 1:\nend\n")
+    with pytest.raises(GemError) as exc:
+        load_gem(path)
+    assert str(exc.value) == f"{path}: color 0 not a total pairing"
