@@ -9,8 +9,16 @@ otherwise the subcommand's renderer turns the same record into plain
 text lines.  Either way identical inputs produce byte-identical output.
 Construction subcommands write GEM v1 text instead.
 
+The JSON text is written by `_dump` in one walk over the record.  It
+matches `json.dumps(..., sort_keys=True, indent=2)` of the record's JSON
+form byte for byte, and that call stays the test oracle.  `json.dumps`
+itself is not used: before Python 3.13 it falls back to its pure-Python
+encoder whenever `indent` is set, and it needs a converted copy of the
+record.
+
 Exit codes: 0 success, 1 at least one verification check failed,
-2 bad input (unknown file/name, malformed gem, wrong dimension).
+2 bad input (unknown file/name, malformed gem, wrong dimension),
+141 (128 + SIGPIPE) stdout closed by its reader before all was written.
 """
 
 from __future__ import annotations
@@ -19,9 +27,10 @@ import argparse
 import dataclasses
 import functools
 import itertools
-import json
+import os
 import sys
 from fractions import Fraction
+from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from .catalog import catalog_get, catalog_list
@@ -63,30 +72,82 @@ def _load_input(token: str) -> ColoredGraph:
         )
 
 
-def _jsonable(value):
-    """A record in JSON form: dataclasses become objects of their fields,
-    tuples become lists, and rationals become ints or "p/q" strings."""
-    if value is None or isinstance(value, (str, int)):  # bool is an int
-        return value
-    if isinstance(value, Fraction):
-        return str(value) if value.denominator != 1 else int(value)
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if dataclasses.is_dataclass(value):
-        return {
-            f.name: _jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
-    return value
+# sorted field names of each dataclass `_dump` has met
+_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+
+
+def _dump(value, out: list[str], newline: str) -> None:
+    """Append the JSON text of `value` to `out`, in the layout of
+    `json.dumps(..., sort_keys=True, indent=2)`; `newline` is a line
+    break plus the indentation of the line `value` starts on.
+
+    A record's JSON form: dataclasses become objects of their fields,
+    tuples become lists, and rationals become ints or "p/q" strings.
+    Keys are sorted and must be strings.  Types are matched exactly, so
+    a subclass (an `IntEnum` member, say) raises `TypeError` like any
+    other type without a JSON form.
+    """
+    kind = type(value)
+    if kind is str:
+        out.append(_quote(value))
+    elif kind is int:
+        out.append(repr(value))
+    elif value is None:
+        out.append("null")
+    elif kind is bool:
+        out.append("true" if value else "false")
+    elif kind is Fraction:
+        if value.denominator == 1:
+            out.append(repr(value.numerator))
+        else:
+            out.append(f'"{value.numerator}/{value.denominator}"')
+    elif kind is list or kind is tuple:
+        if not value:
+            out.append("[]")
+            return
+        inner = newline + "  "
+        sep = "[" + inner
+        for item in value:
+            out.append(sep)
+            sep = "," + inner
+            _dump(item, out, inner)
+        out.append(newline + "]")
+    elif kind is dict:
+        _dump_object(sorted(value.items()), out, newline)
+    else:
+        names = _FIELD_NAMES.get(kind)
+        if names is None:
+            if not dataclasses.is_dataclass(kind):
+                raise TypeError(
+                    f"Object of type {kind.__name__} is not JSON serializable"
+                )
+            names = _FIELD_NAMES[kind] = tuple(
+                sorted(f.name for f in dataclasses.fields(kind))
+            )
+        _dump_object([(n, getattr(value, n)) for n in names], out, newline)
+
+
+def _dump_object(items: list, out: list[str], newline: str) -> None:
+    """`_dump` of a JSON object whose (key, value) items are sorted."""
+    if not items:
+        out.append("{}")
+        return
+    inner = newline + "  "
+    sep = "{" + inner
+    for key, item in items:
+        out.append(sep + _quote(key) + ": ")
+        sep = "," + inner
+        _dump(item, out, inner)
+    out.append(newline + "}")
 
 
 def _emit(record: dict, as_json: bool, render) -> None:
     """Print `record` as JSON, or as the text lines `render(record)`."""
     if as_json:
-        record = {"schema": 1, **record}
-        print(json.dumps(_jsonable(record), sort_keys=True, indent=2))
+        out: list[str] = []
+        _dump({"schema": 1, **record}, out, "\n")
+        out.append("\n")
+        sys.stdout.write("".join(out))
     else:
         for line in render(record):
             print(line)
@@ -458,7 +519,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.subcommand == "catalog" and args.action != "list" and not args.name:
         parser.error("catalog show/export need an entry name")
     try:
-        return args.handler(args)
+        code = args.handler(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # The reader of stdout went away (`gemkit verify X | head -1`).
+        # Point stdout at devnull so the flush at interpreter exit does
+        # not raise again; see the note on SIGPIPE in the `signal` docs.
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        return 141  # 128 + SIGPIPE, as a shell reports a process it killed
     except (GemError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

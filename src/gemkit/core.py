@@ -60,6 +60,12 @@ def _per_graph(analysis):
     return memoized
 
 
+# The census enumerates all 2^(d+1) - 1 color sets, so its time and
+# memory double with each dimension; at d = 10 a 2-vertex gem already
+# takes about 1 MB.
+MAX_DIMENSION = 10
+
+
 class ColoredGraph:
     """Immutable (d+1)-edge-colored multigraph, regular w.r.t. color d.
 
@@ -67,6 +73,7 @@ class ColoredGraph:
     stored as an involution array; colors 0..d-1 must pair every vertex.
     Parallel edges between the same two vertices are allowed as long as
     their colors differ (which the matching representation guarantees).
+    The dimension is at most `MAX_DIMENSION`.
     """
 
     __slots__ = ("dimension", "vertex_count", "_mates", "_memo")
@@ -74,6 +81,12 @@ class ColoredGraph:
     def __init__(self, dimension, vertex_count, pairs_by_color):
         if dimension < 1:
             raise GemError("dimension must be a positive integer")
+        if dimension > MAX_DIMENSION:
+            raise GemError(
+                f"dimension {dimension} exceeds the supported maximum "
+                f"{MAX_DIMENSION}: the residue census enumerates all "
+                f"2^(d+1) - 1 color sets"
+            )
         if vertex_count < 1:
             raise GemError("vertex count must be positive")
         pairs_by_color = [list(p) for p in pairs_by_color]

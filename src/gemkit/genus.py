@@ -94,7 +94,7 @@ def rho_epsilon(g: ColoredGraph, scheme: Scheme) -> SchemeProfile:
     tally = counts.tally
     chi = cycle_sum + (1 - d) * tally.p_dot + (2 - d) * tally.p_bar
     holes = counts.boundary_g_of(scheme[0], scheme[d - 1]) if tally.p_bar else 0
-    rho = 1 - Fraction(chi, 2) - Fraction(holes, 2)
+    rho = Fraction(2 - chi - holes, 2)
     return SchemeProfile(scheme=scheme, chi=chi, holes=holes, rho=rho)
 
 
@@ -127,9 +127,8 @@ def rho_epsilon_via_double(g: ColoredGraph, scheme: Scheme) -> Fraction:
         for i in range(5)
     )
     boundary_pairs = census(g).boundary_g_of(scheme[0], scheme[3])
-    return (
-        -1 - 4 * h + 2 * chi + Fraction(triple_sum, 2)
-        - Fraction(boundary_pairs, 2)
+    return Fraction(
+        2 * (-1 - 4 * h + 2 * chi) + triple_sum - boundary_pairs, 2
     )
 
 

@@ -8,13 +8,17 @@ therefore a genuine cross-check, not a tautology.  The one exception is
 `crystallize_double_reference`: it repeats the public dipole moves
 (`find_one_dipoles`, then `remove_one_dipole`), which rebuild and
 relabel the whole graph at every step, against the library's single
-pass of label merges.
+pass of label merges.  `json_reference` renders a CLI record with the
+standard library's `json.dumps`, against the CLI's own writer.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import json
 from collections import deque
+from fractions import Fraction
 
 from gemkit import (
     ColoredGraph,
@@ -210,3 +214,27 @@ def crystallize_double_reference(g: ColoredGraph) -> ColoredGraph:
                     "double is not the doubled count minus 2(h-1)"
                 )
     return out
+
+
+def _jsonable(value):
+    """A record in JSON form: dataclasses become objects of their fields,
+    tuples become lists, and rationals become ints or "p/q" strings."""
+    if value is None or isinstance(value, (str, int)):  # bool is an int
+        return value
+    if isinstance(value, Fraction):
+        return str(value) if value.denominator != 1 else int(value)
+    if isinstance(value, dict):
+        return {k: _jsonable(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_jsonable(v) for v in value]
+    if dataclasses.is_dataclass(value):
+        return {
+            f.name: _jsonable(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    return value
+
+
+def json_reference(value) -> str:
+    """The CLI's JSON text of a record, by the standard library."""
+    return json.dumps(_jsonable(value), sort_keys=True, indent=2)

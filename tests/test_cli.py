@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -47,6 +48,47 @@ class TestInfo:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and str(path) in err
+
+    def test_dimension_over_the_cap_exits_2_without_allocating(
+        self, capsys, tmp_path
+    ):
+        def order_two(d):
+            colors = [f"color {c}: 1-2" for c in range(d + 1)]
+            return "\n".join(
+                ["gem-format 1", f"dim {d}", "vertices 2", *colors, "end", ""]
+            )
+
+        small, big = tmp_path / "d10.gem", tmp_path / "d20.gem"
+        small.write_text(order_two(10))
+        big.write_text(order_two(20))
+        code, out, _ = run(capsys, "info", str(small))
+        assert code == 0 and out.startswith("dimension 10, 2 vertices")
+        tracemalloc.start()
+        try:
+            code, out, err = run(capsys, "info", str(big))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert (code, out) == (2, "")
+        assert "dimension 20 exceeds the supported maximum 10" in err
+        assert peak < 1_000_000
+
+    def test_closed_stdout_is_not_bad_input(self):
+        # the read end is closed before the child starts, so its first
+        # write to stdout fails with a broken pipe
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        src = str(Path(gemkit.__file__).resolve().parent.parent)
+        try:
+            child = subprocess.run(
+                [sys.executable, "-m", "gemkit.cli",
+                 "verify", "fig4_boundary16", "--json"],
+                stdout=write_end, stderr=subprocess.PIPE,
+                env=dict(os.environ, PYTHONPATH=src), timeout=120,
+            )
+        finally:
+            os.close(write_end)
+        assert (child.returncode, child.stderr) == (141, b"")
 
     def test_json_schema_version(self, capsys):
         code, out, _ = run(capsys, "info", "fig3_d3xs1", "--json")

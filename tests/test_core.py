@@ -50,6 +50,12 @@ class TestConstructionErrors:
             tracemalloc.stop()
         assert peak < 1_000_000
 
+    def test_dimension_capped_before_allocating(self):
+        limit = gemkit.core.MAX_DIMENSION
+        with pytest.raises(GemError, match=f"supported maximum {limit}"):
+            ColoredGraph(limit + 1, 2, [[(1, 2)]] * (limit + 2))
+        assert ColoredGraph(limit, 2, [[(1, 2)]] * (limit + 1))
+
     def test_loop_rejected(self):
         with pytest.raises(GemError, match="loop"):
             ColoredGraph(1, 2, [[(1, 1)], []])
