@@ -15,21 +15,23 @@ entry name.  Built-in names shadow user entries.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from collections.abc import Mapping
 from fractions import Fraction
 from pathlib import Path
+from types import MappingProxyType
+from typing import NamedTuple
 
 from .core import ColoredGraph, GemError
 from .genus import ManifoldMeta
 
 
-@dataclass(frozen=True)
-class CatalogEntry:
+class CatalogEntry(NamedTuple):
     """One named gem with its documented metadata and expectations.
 
     `meta` is None for closed entries (the bound formulas need h >= 1).
     `expected` maps invariant names (census highlights, genus,
     complexity) to exact values; the test suite recomputes every one.
+    Its default is a shared empty mapping, read-only like the record.
     `derived_from` documents how the graph arises from another entry,
     e.g. by deleting listed last-color edges.
     """
@@ -38,7 +40,7 @@ class CatalogEntry:
     graph: ColoredGraph
     note: str
     meta: ManifoldMeta | None = None
-    expected: dict = field(default_factory=dict)
+    expected: Mapping[str, object] = MappingProxyType({})
     connector_vertices: tuple[int, int] | None = None
     derived_from: tuple[str, tuple[tuple[int, int], ...]] | None = None
 

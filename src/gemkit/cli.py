@@ -2,9 +2,10 @@
 
 Every subcommand reads gems either from GEM v1 files or from the
 built-in catalog (file paths win when a name is both).  A report
-subcommand builds one record of the library's own values (dataclasses,
-tuples, exact rationals).  With --json the record is printed as a
-versioned JSON object ("schema": 1) with deterministically ordered keys;
+subcommand builds one record of the library's own values
+(`typing.NamedTuple` records, tuples, exact rationals).  With --json the
+record is printed as a versioned JSON object ("schema": 1) with
+deterministically ordered keys;
 otherwise the subcommand's renderer turns the same record into plain
 text lines.  Either way identical inputs produce byte-identical output.
 Construction subcommands write GEM v1 text instead.
@@ -24,7 +25,6 @@ Exit codes: 0 success, 1 at least one verification check failed,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import itertools
 import os
@@ -72,7 +72,7 @@ def _load_input(token: str) -> ColoredGraph:
         )
 
 
-# sorted field names of each dataclass `_dump` has met
+# sorted field names of each record type `_dump` has met
 _FIELD_NAMES: dict[type, tuple[str, ...]] = {}
 
 
@@ -81,11 +81,12 @@ def _dump(value, out: list[str], newline: str) -> None:
     `json.dumps(..., sort_keys=True, indent=2)`; `newline` is a line
     break plus the indentation of the line `value` starts on.
 
-    A record's JSON form: dataclasses become objects of their fields,
-    tuples become lists, and rationals become ints or "p/q" strings.
-    Keys are sorted and must be strings.  Types are matched exactly, so
-    a subclass (an `IntEnum` member, say) raises `TypeError` like any
-    other type without a JSON form.
+    A record's JSON form: records (`typing.NamedTuple` types, found by
+    their `_fields`) become objects of their fields, plain tuples become
+    lists, and rationals become ints or "p/q" strings.  Keys are sorted
+    and must be strings.  Types are matched exactly, so a subclass (an
+    `IntEnum` member, say) raises `TypeError` like any other type
+    without a JSON form.
     """
     kind = type(value)
     if kind is str:
@@ -117,13 +118,12 @@ def _dump(value, out: list[str], newline: str) -> None:
     else:
         names = _FIELD_NAMES.get(kind)
         if names is None:
-            if not dataclasses.is_dataclass(kind):
+            fields = getattr(kind, "_fields", None)
+            if fields is None:
                 raise TypeError(
                     f"Object of type {kind.__name__} is not JSON serializable"
                 )
-            names = _FIELD_NAMES[kind] = tuple(
-                sorted(f.name for f in dataclasses.fields(kind))
-            )
+            names = _FIELD_NAMES[kind] = tuple(sorted(fields))
         _dump_object([(n, getattr(value, n)) for n in names], out, newline)
 
 
@@ -407,7 +407,7 @@ def _show_lines(r: dict) -> list[str]:
         r["note"],
     ]
     if r["meta"] is not None:
-        lines.append("meta: " + _assignments(dataclasses.asdict(r["meta"])))
+        lines.append("meta: " + _assignments(r["meta"]._asdict()))
     if r["expected"]:
         lines.append("expected: " + _assignments(r["expected"]))
     if r["connector_vertices"]:

@@ -20,7 +20,7 @@ dipoles in the same order and serve as its test oracle.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     ColoredGraph,
@@ -55,8 +55,7 @@ def double(g: ColoredGraph) -> ColoredGraph:
     return ColoredGraph(d, 2 * n, pairs_by_color)
 
 
-@dataclass(frozen=True)
-class Dipole:
+class Dipole(NamedTuple):
     """A color-c edge whose endpoints lie in different components of the
     residue on the remaining colors (a 1-dipole).  The separation
     certificate is re-verified against the graph before removal."""

@@ -25,7 +25,7 @@ Graphs are immutable, so each per-graph analysis (`census`,
 `constructions.double`) is computed at most once per graph object and
 the result is shared by every later caller.  Shared results are
 read-only: the census mappings are `MappingProxyType` views and every
-other result is a frozen dataclass or tuple.
+other result is a tuple or a `typing.NamedTuple` record.
 """
 
 from __future__ import annotations
@@ -33,8 +33,8 @@ from __future__ import annotations
 import functools
 import itertools
 from collections.abc import Mapping
-from dataclasses import dataclass
 from types import MappingProxyType
+from typing import NamedTuple
 
 
 class GemError(ValueError):
@@ -205,8 +205,7 @@ class ColoredGraph:
         return True
 
 
-@dataclass(frozen=True)
-class VertexTally:
+class VertexTally(NamedTuple):
     """Vertex counts: total = boundary + internal, all even for gems."""
 
     total: int
@@ -226,8 +225,7 @@ class VertexTally:
         return self.internal // 2
 
 
-@dataclass(frozen=True)
-class ResidueComponent:
+class ResidueComponent(NamedTuple):
     """One connected component of a residue subgraph.
 
     `regular` means every vertex of the component meets an edge of every
@@ -265,8 +263,7 @@ def residue_components(g: ColoredGraph, colors) -> list[ResidueComponent]:
     ]
 
 
-@dataclass(frozen=True)
-class BoundaryGraph:
+class BoundaryGraph(NamedTuple):
     """The d-colored graph induced on the boundary vertices of a parent.
 
     Vertices are renumbered 1..2p_bar in increasing parent order;
@@ -348,8 +345,7 @@ def boundary_graph(g: ColoredGraph) -> BoundaryGraph:
     )
 
 
-@dataclass(frozen=True)
-class ResidueCensus:
+class ResidueCensus(NamedTuple):
     """Component counts over every nonempty color subset.
 
     `g[B]` counts connected components of the residue with colors B;
@@ -596,8 +592,7 @@ def census(g: ColoredGraph) -> ResidueCensus:
     )
 
 
-@dataclass(frozen=True)
-class FaceVector:
+class FaceVector(NamedTuple):
     """Face counts of the induced simplicial cell complex.
 
     f[k] is the number of k-simplices; a k-simplex with vertex labels B
@@ -628,8 +623,7 @@ def face_vector(g: ColoredGraph) -> FaceVector:
     return FaceVector(f=tuple(f), euler_characteristic=chi)
 
 
-@dataclass(frozen=True)
-class ValidationReport:
+class ValidationReport(NamedTuple):
     """Outcome flags of the structural gem checks.
 
     Well-formed involutions, totality of colors 0..d-1 and proper

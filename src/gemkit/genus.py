@@ -8,14 +8,20 @@ surfaced as a diagnostic rather than rounded away.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+import math
 from fractions import Fraction
+from typing import NamedTuple
 
 from .core import ColoredGraph, GemError, census, face_vector, validate
 from .constructions import double
 
 
 Scheme = tuple[int, ...]
+
+# `regular_genus` evaluates all d!/2 schemes: at d = 9 (181 440 of
+# them) `gemkit genus` on a 2-vertex gem takes about 4 s and 70 MB, and
+# d = 10 would take ten times that.
+MAX_SCHEME_DIMENSION = 9
 
 
 def canonical_scheme(scheme: Scheme) -> Scheme:
@@ -29,9 +35,16 @@ def enumerate_schemes(d: int) -> list[Scheme]:
     """All cyclic color orderings ending in d, deduplicated by reversal.
 
     For d = 4 there are 4!/2 = 12 of them, in lexicographic order.
+    The dimension is at most `MAX_SCHEME_DIMENSION`.
     """
     if d < 2:
         raise GemError("schemes need dimension >= 2")
+    if d > MAX_SCHEME_DIMENSION:
+        raise GemError(
+            f"dimension {d} exceeds the scheme maximum "
+            f"{MAX_SCHEME_DIMENSION}: it has {math.factorial(d) // 2} "
+            "schemes (d!/2)"
+        )
     seen = set()
     out = []
     for head in itertools.permutations(range(d)):
@@ -50,8 +63,7 @@ def _check_scheme(g: ColoredGraph, scheme: Scheme) -> None:
         raise GemError(f"scheme {scheme} is not a color cycle for d={d}")
 
 
-@dataclass(frozen=True)
-class SchemeProfile:
+class SchemeProfile(NamedTuple):
     """Genus data of one embedding scheme: the surface Euler
     characteristic, its hole count, and the resulting genus value."""
 
@@ -61,8 +73,7 @@ class SchemeProfile:
     rho: Fraction
 
 
-@dataclass(frozen=True)
-class GenusProfile:
+class GenusProfile(NamedTuple):
     """Per-scheme genus table plus the minimizing scheme.
 
     `rho` is the minimum over all schemes; ties resolve to the
@@ -200,8 +211,7 @@ def gem_complexity(g: ColoredGraph) -> int:
     return g.vertex_count // 2 - 1
 
 
-@dataclass(frozen=True)
-class ManifoldMeta:
+class ManifoldMeta(NamedTuple):
     """Manifold facts used by the bound formulas.
 
     `h` and `chi` are derivable from a gem; the fundamental-group rank
@@ -224,6 +234,11 @@ class ManifoldMeta:
         boundary_genus: int | None = None,
         double_rank: int | None = None,
     ) -> "ManifoldMeta":
+        """The metadata of `g`, with h and chi read from the gem.  The
+        supplied values are ranks and genera, so none may be negative."""
+        _require_nonnegative(
+            m=m, boundary_genus=boundary_genus, double_rank=double_rank
+        )
         report = validate(g)
         return cls(
             h=report.h,
@@ -234,9 +249,21 @@ class ManifoldMeta:
         )
 
 
+def _require_nonnegative(**values: int | None) -> None:
+    for name, value in values.items():
+        if value is not None and value < 0:
+            raise GemError(f"{name} must be nonnegative, got {value}")
+
+
 def _require_boundary_meta(meta: ManifoldMeta) -> None:
     if meta.h < 1:
         raise GemError("this bound assumes at least one boundary component")
+    # a record built directly skips the check in `for_graph`
+    _require_nonnegative(
+        m=meta.m,
+        boundary_genus=meta.boundary_genus,
+        double_rank=meta.double_rank,
+    )
 
 
 def complexity_lower_bounds(
@@ -245,8 +272,10 @@ def complexity_lower_bounds(
     """Gem-complexity lower bounds.
 
     Returns 3*chi + 7m + 7h - 10 and, when the boundary's gem-complexity
-    is supplied, k_boundary + 3*chi + 4m + 6h - 9.
+    is supplied, k_boundary + 3*chi + 4m + 6h - 9.  A gem-complexity is
+    never negative.
     """
+    _require_nonnegative(k_boundary=k_boundary)
     _require_boundary_meta(meta)
     first = 3 * meta.chi + 7 * meta.m + 7 * meta.h - 10
     second = (
@@ -326,8 +355,7 @@ def boundary_genus_cap(g: ColoredGraph) -> int:
     )
 
 
-@dataclass(frozen=True)
-class WeakSemiSimpleReport:
+class WeakSemiSimpleReport(NamedTuple):
     """Verdicts of both types; type I is None without a boundary genus."""
 
     type_one: bool | None
@@ -363,8 +391,7 @@ def weak_semi_simple(g: ColoredGraph, meta: ManifoldMeta) -> WeakSemiSimpleRepor
     )
 
 
-@dataclass(frozen=True)
-class MinimalityReport:
+class MinimalityReport(NamedTuple):
     """Comparison of a gem's attained complexity/size/genus against the
     lower bounds computed from its manifold metadata."""
 

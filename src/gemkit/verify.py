@@ -14,7 +14,7 @@ gem reliably fails.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .core import (
     ColoredGraph,
@@ -40,8 +40,7 @@ from .genus import (
 )
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One evaluated comparison: `left` relates to `right` via `relation`
     (an equality or inequality symbol)."""
 
@@ -54,14 +53,12 @@ class Check:
     sharp: bool | None = None
 
 
-@dataclass(frozen=True)
-class Skip:
+class Skip(NamedTuple):
     name: str
     reason: str
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(NamedTuple):
     checks: tuple[Check, ...]
     skipped: tuple[Skip, ...]
 

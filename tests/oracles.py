@@ -14,7 +14,6 @@ standard library's `json.dumps`, against the CLI's own writer.
 
 from __future__ import annotations
 
-import dataclasses
 import itertools
 import json
 from collections import deque
@@ -217,21 +216,19 @@ def crystallize_double_reference(g: ColoredGraph) -> ColoredGraph:
 
 
 def _jsonable(value):
-    """A record in JSON form: dataclasses become objects of their fields,
-    tuples become lists, and rationals become ints or "p/q" strings."""
+    """A record in JSON form: records (NamedTuples, found by `_fields`)
+    become objects of their fields, other tuples become lists, and
+    rationals become ints or "p/q" strings."""
     if value is None or isinstance(value, (str, int)):  # bool is an int
         return value
     if isinstance(value, Fraction):
         return str(value) if value.denominator != 1 else int(value)
     if isinstance(value, dict):
         return {k: _jsonable(v) for k, v in value.items()}
+    if hasattr(value, "_fields"):
+        return {n: _jsonable(getattr(value, n)) for n in value._fields}
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
-    if dataclasses.is_dataclass(value):
-        return {
-            f.name: _jsonable(getattr(value, f.name))
-            for f in dataclasses.fields(value)
-        }
     return value
 
 

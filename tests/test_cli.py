@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -19,6 +20,14 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def order_two(d):
+    """GEM text of the closed 2-vertex gem of dimension d."""
+    colors = [f"color {c}: 1-2" for c in range(d + 1)]
+    return "\n".join(
+        ["gem-format 1", f"dim {d}", "vertices 2", *colors, "end", ""]
+    )
 
 
 class TestInfo:
@@ -52,12 +61,6 @@ class TestInfo:
     def test_dimension_over_the_cap_exits_2_without_allocating(
         self, capsys, tmp_path
     ):
-        def order_two(d):
-            colors = [f"color {c}: 1-2" for c in range(d + 1)]
-            return "\n".join(
-                ["gem-format 1", f"dim {d}", "vertices 2", *colors, "end", ""]
-            )
-
         small, big = tmp_path / "d10.gem", tmp_path / "d20.gem"
         small.write_text(order_two(10))
         big.write_text(order_two(20))
@@ -103,6 +106,23 @@ class TestGenus:
         assert code == 0
         assert "rho(Gamma) = 1" in out
 
+    def test_dimension_over_the_scheme_cap_exits_2_at_once(
+        self, capsys, tmp_path
+    ):
+        path = tmp_path / "d10.gem"
+        path.write_text(order_two(10))
+        start = time.perf_counter()
+        code, out, err = run(capsys, "genus", str(path))
+        elapsed = time.perf_counter() - start
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: dimension 10 exceeds the scheme maximum 9: "
+            "it has 1814400 schemes (d!/2)\n"
+        )
+        assert elapsed < 0.5
+        code, out, _ = run(capsys, "info", str(path))
+        assert code == 0 and out.startswith("dimension 10, 2 vertices")
+
     def test_all_permutations_table(self, capsys):
         code, out, _ = run(capsys, "genus", "fig3_d3xs1",
                            "--all-permutations")
@@ -128,6 +148,30 @@ class TestBoundsVerifyRecognize:
         code, _, err = run(capsys, "bounds", "fig4_boundary16")
         assert code == 2
         assert "--rank" in err
+
+    @pytest.mark.parametrize(
+        "subcommand, flag, value, field",
+        [
+            (subcommand, *negative)
+            for subcommand in ("bounds", "verify", "recognize")
+            for negative in (
+                ("--rank", "-3", "m"),
+                ("--boundary-genus", "-2", "boundary_genus"),
+                ("--double-rank", "-4", "double_rank"),
+                ("--boundary-complexity", "-5", "k_boundary"),
+            )
+            # recognize reads no boundary complexity
+            if (subcommand, negative[0])
+            != ("recognize", "--boundary-complexity")
+        ],
+    )
+    def test_negative_metadata_exits_2(
+        self, capsys, subcommand, flag, value, field
+    ):
+        argv = [subcommand, "fig3_d3xs1", "--rank", "1", flag, value]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: {field} must be nonnegative, got {value}\n"
 
     def test_verify_fig2(self, capsys):
         code, out, _ = run(capsys, "verify", "fig2_s3xI",

@@ -26,6 +26,7 @@ from gemkit import (
     vertex_lower_bounds,
     weak_semi_simple,
 )
+from gemkit.genus import MAX_SCHEME_DIMENSION
 from oracles import weak_semi_simple_reference
 
 
@@ -42,6 +43,13 @@ class TestSchemes:
     def test_bad_scheme_rejected(self, fig2):
         with pytest.raises(GemError, match="not a color cycle"):
             rho_epsilon(fig2, (0, 1, 2, 4, 3))
+
+    def test_dimension_over_the_scheme_cap_rejected(self):
+        assert MAX_SCHEME_DIMENSION == 9
+        with pytest.raises(
+            GemError, match=r"dimension 10 .* 1814400 schemes \(d!/2\)"
+        ):
+            enumerate_schemes(10)
 
 
 class TestReversalInvariance:
@@ -132,6 +140,28 @@ class TestComplexityAndBounds:
         )
         assert first == 0
         assert third == 4
+
+    @pytest.mark.parametrize("field", ["m", "boundary_genus", "double_rank"])
+    def test_negative_metadata_rejected(self, fig3, field):
+        values = {"m": 1, field: -2}
+        message = f"^{field} must be nonnegative, got -2$"
+        with pytest.raises(GemError, match=message):
+            ManifoldMeta.for_graph(fig3, **values)
+
+    @pytest.mark.parametrize(
+        "bound",
+        [complexity_lower_bounds, vertex_lower_bounds, genus_lower_bounds],
+    )
+    def test_bounds_reject_negative_metadata(self, bound):
+        with pytest.raises(GemError, match="^m must be nonnegative, got -2$"):
+            bound(ManifoldMeta(h=1, chi=0, m=-2))
+
+    def test_negative_boundary_complexity_rejected(self):
+        meta = ManifoldMeta(h=1, chi=0, m=1)
+        message = "^k_boundary must be nonnegative, got -5$"
+        with pytest.raises(GemError, match=message):
+            complexity_lower_bounds(meta, k_boundary=-5)
+        assert complexity_lower_bounds(meta, k_boundary=0) == (4, 1)
 
     def test_bounds_reject_closed_meta(self):
         with pytest.raises(GemError, match="boundary"):
