@@ -90,218 +90,66 @@ def _check(name, statement, left, right, relation="=="):
     )
 
 
+# families stated for bounded gems only, in ledger order
+_CLOSED_SKIPS = tuple(
+    Skip(name=family, reason="closed input")
+    for family in (
+        "interior-cycle-floor",
+        "boundary-census-split",
+        "facet-count-split",
+        "boundary-cycle-sum",
+        "per-boundary-component-sphere-relation",
+        "genus-formula-agreement",
+        "double-census",
+        "vertex-count-identity",
+        "vertex-sum-identity",
+    )
+)
+
+# families stated for bounded crystallizations only, in ledger order
+_NOT_CRYSTAL_SKIPS = tuple(
+    Skip(name=family, reason="not a crystallization")
+    for family in (
+        "interior-cycle-floor",
+        "boundary-cycle-sum",
+        "per-boundary-component-sphere-relation",
+        "vertex-count-identity",
+        "vertex-sum-identity",
+    )
+)
+
+
+def _triple_relations(counts, n: int, mark: str = "") -> list[Check]:
+    """The closed-graph relation 2 g_ijk == g_ij + g_ik + g_jk - n/2 on
+    every color triple of a closed 4-gem with `n` vertices; `mark` "'"
+    states it for the double."""
+    prefix = "double: " if mark else ""
+    return [
+        _check(
+            "closed-triple-relation",
+            f"{prefix}2 g{mark}_{i}{j}{k} == g{mark}_{i}{j} + g{mark}_{i}{k} "
+            f"+ g{mark}_{j}{k} - n{mark}/2",
+            2 * counts.g_of(i, j, k),
+            counts.g_of(i, j) + counts.g_of(i, k) + counts.g_of(j, k) - n // 2,
+        )
+        for i, j, k in itertools.combinations(range(5), 3)
+    ]
+
+
 def verify_identities(g: ColoredGraph) -> IdentityReport:
     """Evaluate every applicable census identity with exact arithmetic.
 
-    Closed inputs run the closed-case subset; the boundary-only families
-    are listed as skipped with a reason.  The identities are
-    metadata-free.
+    A closed input gets the closed triple relation and the closed
+    embedding reduction, and skips every family stated for bounded
+    gems.  A bounded input that is not a crystallization skips the
+    crystallization-only families.  The identities are metadata-free.
     """
     if g.dimension != 4:
         raise GemError("the identity harness is specific to dimension 4")
-    report = validate(g)
     counts = census(g)
-    fv = face_vector(g)
     tally = g.vertex_tally()
-    chi = fv.euler_characteristic
-    h = report.h
-    checks: list[Check] = []
-    skipped: list[Skip] = []
-    pairs = list(itertools.combinations(range(4), 2))
-    triples = list(itertools.combinations(range(4), 3))
-
-    closed = g.is_closed()
-    crystal = report.is_crystallization
-
-    if closed:
-        for fam in (
-            "interior-cycle-floor",
-            "boundary-census-split",
-            "facet-count-split",
-            "boundary-cycle-sum",
-            "per-boundary-component-sphere-relation",
-            "genus-formula-agreement",
-        ):
-            skipped.append(Skip(name=fam, reason="closed input"))
-    else:
-        # the harness's contract is a crystallization input, so for
-        # bounded gems the structural counts are themselves a check:
-        # a mistranscribed graph fails here even though the universal
-        # census identities below still hold on it
-        checks.append(
-            _check(
-                "crystallization-structure",
-                "labeled vertex count f0 == 4h + 1 and residue counts "
-                "match a crystallization",
-                (report.f0, crystal),
-                (4 * h + 1, True),
-            )
-        )
-        if crystal:
-            for a, b in pairs:
-                checks.append(
-                    _check(
-                        "interior-cycle-floor",
-                        f"gdot_{a}{b}4 >= h - 1",
-                        counts.g_dot_of(a, b, 4),
-                        h - 1,
-                        ">=",
-                    )
-                )
-        else:
-            skipped.append(
-                Skip(name="interior-cycle-floor", reason="not a crystallization")
-            )
-        for i, j in pairs:
-            checks.append(
-                _check(
-                    "boundary-census-split",
-                    f"g_{i}{j}4 == gdot_{i}{j}4 + bd_g_{i}{j}",
-                    counts.g_of(i, j, 4),
-                    counts.g_dot_of(i, j, 4) + counts.boundary_g_of(i, j),
-                )
-            )
-        for i in range(4):
-            checks.append(
-                _check(
-                    "facet-count-split",
-                    f"g_{i}4 == gdot_{i}4 + p_bar",
-                    counts.g_of(i, 4),
-                    counts.g_dot_of(i, 4) + tally.p_bar,
-                )
-            )
-        if crystal:
-            checks.append(
-                _check(
-                    "boundary-cycle-sum",
-                    "sum bd_g_ij == 4h + 2 p_bar",
-                    sum(counts.boundary_g_of(i, j) for i, j in pairs),
-                    4 * h + tally.boundary,
-                )
-            )
-            bd = boundary_graph(g)
-            for q, per_q in enumerate(counts.component_boundary_g):
-                size = len(bd.components[q])
-                for i, j, k in itertools.combinations(range(4), 3):
-                    checks.append(
-                        _check(
-                            "per-boundary-component-sphere-relation",
-                            f"component {q}: bd_g_{i}{j} + bd_g_{i}{k} + "
-                            f"bd_g_{j}{k} == 2 + n_q/2",
-                            per_q[frozenset((i, j))]
-                            + per_q[frozenset((i, k))]
-                            + per_q[frozenset((j, k))],
-                            2 + size // 2,
-                        )
-                    )
-        else:
-            for fam in (
-                "boundary-cycle-sum",
-                "per-boundary-component-sphere-relation",
-            ):
-                skipped.append(Skip(name=fam, reason="not a crystallization"))
-
-    # doubled-graph census relations hold for any gem with boundary
-    if closed:
-        for fam in (
-            "double-census", "vertex-count-identity", "vertex-sum-identity"
-        ):
-            skipped.append(Skip(name=fam, reason="closed input"))
-    else:
-        doubled = double(g)
-        dcounts = census(doubled)
-        for i, j, k in triples:
-            checks.append(
-                _check(
-                    "double-census",
-                    f"g'_{i}{j}{k} == 2 g_{i}{j}{k}",
-                    dcounts.g_of(i, j, k),
-                    2 * counts.g_of(i, j, k),
-                )
-            )
-        for i, j in pairs:
-            checks.append(
-                _check(
-                    "double-census",
-                    f"g'_{i}{j}4 == g_{i}{j}4 + gdot_{i}{j}4",
-                    dcounts.g_of(i, j, 4),
-                    counts.g_of(i, j, 4) + counts.g_dot_of(i, j, 4),
-                )
-            )
-            checks.append(
-                _check(
-                    "double-census",
-                    f"g'_{i}{j} == 2 g_{i}{j}",
-                    dcounts.g_of(i, j),
-                    2 * counts.g_of(i, j),
-                )
-            )
-        for i in range(4):
-            checks.append(
-                _check(
-                    "double-census",
-                    f"g'_{i}4 == g_{i}4 + gdot_{i}4",
-                    dcounts.g_of(i, 4),
-                    counts.g_of(i, 4) + counts.g_dot_of(i, 4),
-                )
-            )
-        if crystal:
-            all_triples = list(itertools.combinations(range(5), 3))
-            checks.append(
-                _check(
-                    "vertex-count-identity",
-                    "2p == 6 chi + sum g'_ijk - 12h - 6",
-                    tally.total,
-                    6 * chi
-                    + sum(dcounts.g_of(*t) for t in all_triples)
-                    - 12 * h
-                    - 6,
-                )
-            )
-            checks.append(
-                _check(
-                    "vertex-sum-identity",
-                    "2p + 2 p_bar == 6 chi + 2 sum g_ijk - 16h - 6",
-                    tally.total + tally.boundary,
-                    6 * chi
-                    + 2 * sum(counts.g_of(*t) for t in all_triples)
-                    - 16 * h
-                    - 6,
-                )
-            )
-            # closed-graph triple relation, applied to the double
-            half = doubled.vertex_count // 2
-            for i, j, k in itertools.combinations(range(5), 3):
-                checks.append(
-                    _check(
-                        "closed-triple-relation",
-                        f"double: 2 g'_{i}{j}{k} == g'_{i}{j} + g'_{i}{k} "
-                        f"+ g'_{j}{k} - n'/2",
-                        2 * dcounts.g_of(i, j, k),
-                        dcounts.g_of(i, j)
-                        + dcounts.g_of(i, k)
-                        + dcounts.g_of(j, k)
-                        - half,
-                    )
-                )
-        else:
-            for fam in ("vertex-count-identity", "vertex-sum-identity"):
-                skipped.append(Skip(name=fam, reason="not a crystallization"))
-
-    if closed:
-        half = g.vertex_count // 2
-        for i, j, k in itertools.combinations(range(5), 3):
-            checks.append(
-                _check(
-                    "closed-triple-relation",
-                    f"2 g_{i}{j}{k} == g_{i}{j} + g_{i}{k} + g_{j}{k} - n/2",
-                    2 * counts.g_of(i, j, k),
-                    counts.g_of(i, j)
-                    + counts.g_of(i, k)
-                    + counts.g_of(j, k)
-                    - half,
-                )
-            )
+    if g.is_closed():
+        checks = _triple_relations(counts, g.vertex_count)
         # with no boundary the embedding formula loses its hole term
         for scheme in enumerate_schemes(4):
             profile = rho_epsilon(g, scheme)
@@ -320,7 +168,145 @@ def verify_identities(g: ColoredGraph) -> IdentityReport:
                     (reduced_chi, 0),
                 )
             )
-    elif crystal:
+        return IdentityReport(checks=tuple(checks), skipped=_CLOSED_SKIPS)
+
+    report = validate(g)
+    h = report.h
+    crystal = report.is_crystallization
+    skipped = () if crystal else _NOT_CRYSTAL_SKIPS
+    pairs = list(itertools.combinations(range(4), 2))
+    # the harness's contract is a crystallization input, so for bounded
+    # gems the structural counts are themselves a check: a
+    # mistranscribed graph fails here even though the universal census
+    # identities below still hold on it
+    checks = [
+        _check(
+            "crystallization-structure",
+            "labeled vertex count f0 == 4h + 1 and residue counts "
+            "match a crystallization",
+            (report.f0, crystal),
+            (4 * h + 1, True),
+        )
+    ]
+    if crystal:
+        checks += [
+            _check(
+                "interior-cycle-floor",
+                f"gdot_{a}{b}4 >= h - 1",
+                counts.g_dot_of(a, b, 4),
+                h - 1,
+                ">=",
+            )
+            for a, b in pairs
+        ]
+    checks += [
+        _check(
+            "boundary-census-split",
+            f"g_{i}{j}4 == gdot_{i}{j}4 + bd_g_{i}{j}",
+            counts.g_of(i, j, 4),
+            counts.g_dot_of(i, j, 4) + counts.boundary_g_of(i, j),
+        )
+        for i, j in pairs
+    ]
+    checks += [
+        _check(
+            "facet-count-split",
+            f"g_{i}4 == gdot_{i}4 + p_bar",
+            counts.g_of(i, 4),
+            counts.g_dot_of(i, 4) + tally.p_bar,
+        )
+        for i in range(4)
+    ]
+    if crystal:
+        checks.append(
+            _check(
+                "boundary-cycle-sum",
+                "sum bd_g_ij == 4h + 2 p_bar",
+                sum(counts.boundary_g_of(i, j) for i, j in pairs),
+                4 * h + tally.boundary,
+            )
+        )
+        bd = boundary_graph(g)
+        for q, per_q in enumerate(counts.component_boundary_g):
+            size = len(bd.components[q])
+            checks += [
+                _check(
+                    "per-boundary-component-sphere-relation",
+                    f"component {q}: bd_g_{i}{j} + bd_g_{i}{k} + "
+                    f"bd_g_{j}{k} == 2 + n_q/2",
+                    per_q[frozenset((i, j))]
+                    + per_q[frozenset((i, k))]
+                    + per_q[frozenset((j, k))],
+                    2 + size // 2,
+                )
+                for i, j, k in itertools.combinations(range(4), 3)
+            ]
+
+    # doubled-graph census relations hold for any gem with boundary
+    doubled = double(g)
+    dcounts = census(doubled)
+    checks += [
+        _check(
+            "double-census",
+            f"g'_{i}{j}{k} == 2 g_{i}{j}{k}",
+            dcounts.g_of(i, j, k),
+            2 * counts.g_of(i, j, k),
+        )
+        for i, j, k in itertools.combinations(range(4), 3)
+    ]
+    for i, j in pairs:
+        checks.append(
+            _check(
+                "double-census",
+                f"g'_{i}{j}4 == g_{i}{j}4 + gdot_{i}{j}4",
+                dcounts.g_of(i, j, 4),
+                counts.g_of(i, j, 4) + counts.g_dot_of(i, j, 4),
+            )
+        )
+        checks.append(
+            _check(
+                "double-census",
+                f"g'_{i}{j} == 2 g_{i}{j}",
+                dcounts.g_of(i, j),
+                2 * counts.g_of(i, j),
+            )
+        )
+    checks += [
+        _check(
+            "double-census",
+            f"g'_{i}4 == g_{i}4 + gdot_{i}4",
+            dcounts.g_of(i, 4),
+            counts.g_of(i, 4) + counts.g_dot_of(i, 4),
+        )
+        for i in range(4)
+    ]
+    if crystal:
+        chi = face_vector(g).euler_characteristic
+        all_triples = list(itertools.combinations(range(5), 3))
+        checks.append(
+            _check(
+                "vertex-count-identity",
+                "2p == 6 chi + sum g'_ijk - 12h - 6",
+                tally.total,
+                6 * chi
+                + sum(dcounts.g_of(*t) for t in all_triples)
+                - 12 * h
+                - 6,
+            )
+        )
+        checks.append(
+            _check(
+                "vertex-sum-identity",
+                "2p + 2 p_bar == 6 chi + 2 sum g_ijk - 16h - 6",
+                tally.total + tally.boundary,
+                6 * chi
+                + 2 * sum(counts.g_of(*t) for t in all_triples)
+                - 16 * h
+                - 6,
+            )
+        )
+        # closed-graph triple relation, applied to the double
+        checks += _triple_relations(dcounts, doubled.vertex_count, "'")
         for scheme in enumerate_schemes(4):
             embedding = rho_epsilon(g, scheme).rho
             via_double = rho_epsilon_via_double(g, scheme)
@@ -333,8 +319,7 @@ def verify_identities(g: ColoredGraph) -> IdentityReport:
                     (via_double, via_census),
                 )
             )
-
-    return IdentityReport(checks=tuple(checks), skipped=tuple(skipped))
+    return IdentityReport(checks=tuple(checks), skipped=skipped)
 
 
 def verify_bounds(
@@ -367,67 +352,27 @@ def verify_bounds(
         )
 
     kb1, kb2 = complexity_lower_bounds(meta, k_boundary)
-    complexity = gem_complexity(g)
-    checks.append(
-        _check(
-            "complexity-floor",
-            "k >= 3 chi + 7m + 7h - 10",
-            complexity,
-            kb1,
-            ">=",
-        )
-    )
-    if kb2 is not None:
-        checks.append(
-            _check(
-                "complexity-floor",
-                "k >= k(boundary) + 3 chi + 4m + 6h - 9",
-                complexity,
-                kb2,
-                ">=",
-            )
-        )
-    else:
-        skipped.append(
-            Skip(
-                name="complexity-floor-with-boundary",
-                reason="boundary gem-complexity not supplied",
-            )
-        )
-
+    k = gem_complexity(g)
     gb1, gb2, gb3 = genus_lower_bounds(meta)
     rho = regular_genus(g).rho
-    checks.append(
-        _check("genus-floor", "rho >= 2 chi + 3m + 2h - 4", rho, gb2, ">=")
+    # (family, statement, attained, bound, skipped as, reason); a bound
+    # of None is one whose metadata was not supplied
+    floors = (
+        ("complexity-floor", "k >= 3 chi + 7m + 7h - 10", k, kb1, None, None),
+        ("complexity-floor", "k >= k(boundary) + 3 chi + 4m + 6h - 9", k, kb2,
+         "complexity-floor-with-boundary",
+         "boundary gem-complexity not supplied"),
+        ("genus-floor", "rho >= 2 chi + 3m + 2h - 4", rho, gb2, None, None),
+        ("genus-floor", "rho >= 2 chi + 2 (double rank) - 2", rho, gb1,
+         "genus-floor-via-double-rank", "double rank not supplied"),
+        ("genus-floor", "rho >= boundary genus + 2 chi + 2m + 2h - 4", rho,
+         gb3, "genus-floor-with-boundary", "boundary genus not supplied"),
     )
-    if gb1 is not None:
-        checks.append(
-            _check(
-                "genus-floor",
-                "rho >= 2 chi + 2 (double rank) - 2",
-                rho,
-                gb1,
-                ">=",
-            )
-        )
-    else:
-        skipped.append(
-            Skip(name="genus-floor-via-double-rank", reason="double rank not supplied")
-        )
-    if gb3 is not None:
-        checks.append(
-            _check(
-                "genus-floor",
-                "rho >= boundary genus + 2 chi + 2m + 2h - 4",
-                rho,
-                gb3,
-                ">=",
-            )
-        )
-    else:
-        skipped.append(
-            Skip(name="genus-floor-with-boundary", reason="boundary genus not supplied")
-        )
+    for family, statement, got, bound, skip_name, reason in floors:
+        if bound is None:
+            skipped.append(Skip(name=skip_name, reason=reason))
+        else:
+            checks.append(_check(family, statement, got, bound, ">="))
 
     checks.append(
         _check(
