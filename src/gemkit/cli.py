@@ -335,7 +335,13 @@ def _cmd_boundary(args) -> int:
 def _cmd_verify(args) -> int:
     g = _load_input(args.input)
     ledgers = {"identities": _ledger(verify_identities(g))}
-    if args.rank is not None and not g.is_closed():
+    # any meta flag asks for the bounds ledger, so a flag that ledger
+    # cannot use (one without --rank, any on a closed gem) is bad input
+    if any(
+        value is not None
+        for value in (args.rank, args.boundary_genus, args.double_rank,
+                      args.boundary_complexity)
+    ):
         meta = _meta_from_args(g, args)
         ledgers["bounds"] = _ledger(
             verify_bounds(g, meta, k_boundary=args.boundary_complexity)

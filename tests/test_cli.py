@@ -173,6 +173,38 @@ class TestBoundsVerifyRecognize:
         assert (code, out) == (2, "")
         assert err == f"error: {field} must be nonnegative, got {value}\n"
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--boundary-genus", "1"),
+            ("--double-rank", "1"),
+            ("--boundary-complexity", "0"),
+            ("--boundary-genus", "-2", "--boundary-complexity", "-5"),
+        ],
+    )
+    def test_verify_rejects_dependent_flags_without_rank(self, capsys, flags):
+        code, out, err = run(capsys, "verify", "fig3_d3xs1", *flags)
+        assert (code, out) == (2, "")
+        assert "needs --rank" in err
+
+    @pytest.mark.parametrize(
+        "name, flags",
+        [
+            ("s4_order2", ("--rank", "1")),
+            ("fig1_s4", ("--rank", "0", "--boundary-genus", "0")),
+            ("fig1_s4", ("--rank", "1", "--boundary-complexity", "3")),
+            ("s4_order2", ("--double-rank", "1")),
+        ],
+    )
+    def test_verify_rejects_meta_flags_on_closed_input(
+        self, capsys, name, flags
+    ):
+        code, out, err = run(capsys, "verify", name, *flags)
+        assert (code, out) == (2, "")
+        assert err.startswith("error: ")
+        code, out, _ = run(capsys, "verify", name)
+        assert code == 0 and out.endswith("overall: PASS\n")
+
     def test_verify_fig2(self, capsys):
         code, out, _ = run(capsys, "verify", "fig2_s3xI",
                            "--rank", "0", "--boundary-genus", "0")
