@@ -3,7 +3,7 @@
 import itertools
 import random
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gemkit import (
     ColoredGraph,
@@ -20,6 +20,7 @@ from gemkit import (
     residue_components,
     rho_epsilon,
     validate,
+    verify_identities,
 )
 from oracles import (
     bfs_component_count,
@@ -337,3 +338,21 @@ def test_rho_reversal_invariance_on_catalog(all_entries):
                 rho_epsilon(g, head + (4,)).rho
                 == rho_epsilon(g, head[::-1] + (4,)).rho
             ), entry.name
+
+
+def _ledger_families(report):
+    checked = {c.name for c in report.checks}
+    skipped = {s.name for s in report.skipped}
+    assert not checked & skipped
+    return checked | skipped
+
+
+@given(random_gems())
+@settings(max_examples=60, deadline=None)
+def test_bounded_ledger_names_every_family(g):
+    """A bounded 4-gem's identity ledger checks or skips every family of
+    a bounded crystallization's ledger, crystallization or not."""
+    assume(not g.is_closed())
+    crystal = verify_identities(catalog_get("fig3_d3xs1").graph)
+    assert not crystal.skipped
+    assert _ledger_families(verify_identities(g)) == _ledger_families(crystal)
