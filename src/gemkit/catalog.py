@@ -6,18 +6,12 @@ figures were transcribed by hand, so none of the expectations here are
 taken on trust: the acceptance suite recomputes all of them, and the
 identity harness cross-validates the censuses, which at these minimal
 sizes pin the graphs tightly enough that a mistranscription fails.
-
-Extra entries can be supplied as GEM v1 files in a directory named by
-the GEMKIT_CATALOG_DIR environment variable; the file stem becomes the
-entry name.  Built-in names shadow user entries.
 """
 
 from __future__ import annotations
 
-import os
 from collections.abc import Mapping
 from fractions import Fraction
-from pathlib import Path
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -230,39 +224,13 @@ _add(
 )
 
 
-def _user_entries() -> dict[str, CatalogEntry]:
-    """GEM files from GEMKIT_CATALOG_DIR, re-read on every call so the
-    variable can change between runs in one process."""
-    directory = os.environ.get("GEMKIT_CATALOG_DIR")
-    if not directory:
-        return {}
-    out: dict[str, CatalogEntry] = {}
-    root = Path(directory)
-    if not root.is_dir():
-        raise GemError(f"GEMKIT_CATALOG_DIR is not a directory: {directory}")
-    from .gemfile import load_gem
-
-    for path in sorted(root.glob("*.gem")):
-        name = path.stem
-        out[name] = CatalogEntry(
-            name=name,
-            graph=load_gem(path),
-            note=f"user catalog entry loaded from {path}",
-        )
-    return out
-
-
 def catalog_list() -> list[str]:
-    """All entry names, built-ins first, each group alphabetical."""
-    user = [n for n in sorted(_user_entries()) if n not in _BUILTIN]
-    return sorted(_BUILTIN) + user
+    """All entry names, alphabetical."""
+    return sorted(_BUILTIN)
 
 
 def catalog_get(name: str) -> CatalogEntry:
     if name in _BUILTIN:
         return _BUILTIN[name]
-    user = _user_entries()
-    if name in user:
-        return user[name]
     raise GemError(f"unknown catalog entry {name!r}; "
                    f"known: {', '.join(catalog_list())}")

@@ -1,4 +1,4 @@
-"""Catalog contents, derivations between entries, user catalog dir."""
+"""Catalog contents and derivations between entries."""
 
 import itertools
 
@@ -10,7 +10,6 @@ from gemkit import (
     catalog_get,
     catalog_list,
     census,
-    save_gem,
     validate,
 )
 
@@ -141,17 +140,3 @@ def test_connector_vertices_are_internal(fig1):
     for v in entry.connector_vertices:
         assert fig1.mate(v, 4) is not None
 
-
-def test_user_catalog_dir(tmp_path, monkeypatch, fig3):
-    save_gem(fig3, tmp_path / "mygem.gem")
-    monkeypatch.setenv("GEMKIT_CATALOG_DIR", str(tmp_path))
-    assert "mygem" in catalog_list()
-    assert catalog_get("mygem").graph == fig3
-    monkeypatch.delenv("GEMKIT_CATALOG_DIR")
-    assert "mygem" not in catalog_list()
-
-
-def test_builtin_shadows_user_entry(tmp_path, monkeypatch, fig3):
-    save_gem(fig3, tmp_path / "fig1_s4.gem")
-    monkeypatch.setenv("GEMKIT_CATALOG_DIR", str(tmp_path))
-    assert catalog_get("fig1_s4").graph != fig3

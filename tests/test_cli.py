@@ -316,15 +316,6 @@ class TestCatalogCli:
             main(["catalog", "show"])
         assert exc.value.code == 2
 
-    def test_user_catalog_dir(self, capsys, tmp_path, monkeypatch, fig3):
-        save_gem(fig3, tmp_path / "extra.gem")
-        monkeypatch.setenv("GEMKIT_CATALOG_DIR", str(tmp_path))
-        code, out, _ = run(capsys, "catalog", "list")
-        assert code == 0
-        assert "extra" in out.splitlines()
-        code, out, _ = run(capsys, "info", "extra")
-        assert code == 0
-
 
 class TestParserReuse:
     def test_parser_is_built_once(self, capsys, monkeypatch):

@@ -121,8 +121,7 @@ def test_corpus_matches_recorded_keys():
     assert sorted(recorded) == sorted(" ".join(a) for a in corpus())
 
 
-def test_cli_output_matches_golden(tmp_path, monkeypatch):
-    monkeypatch.delenv("GEMKIT_CATALOG_DIR", raising=False)
+def test_cli_output_matches_golden(tmp_path):
     recorded = json.loads(GOLDEN.read_text(encoding="utf-8"))
     mismatches = [
         f"$ gemkit {' '.join(argv)}\nexit {code}\n{out}"
@@ -133,7 +132,6 @@ def test_cli_output_matches_golden(tmp_path, monkeypatch):
 
 
 if __name__ == "__main__":
-    os.environ.pop("GEMKIT_CATALOG_DIR", None)
     with tempfile.TemporaryDirectory() as tmp:
         record = {
             " ".join(argv): digest(code, out)
