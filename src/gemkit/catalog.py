@@ -190,8 +190,9 @@ _add(
     CatalogEntry(
         name="fig4_boundary16",
         graph=_FIG4,
-        note="16-vertex crystallization with one boundary component and "
-        "fundamental group Z/2 (a punctured real projective 4-space); "
+        note="16-vertex crystallization with Euler characteristic 1, "
+        "fundamental group Z/2 and one boundary component, which is "
+        "non-orientable (its 8-vertex boundary gem is not bipartite); "
         "the unique non-bipartite entry.",
         meta=ManifoldMeta(h=1, chi=1, m=1),
         expected={

@@ -7,9 +7,11 @@ import pytest
 from gemkit import (
     ColoredGraph,
     GemError,
+    boundary_graph,
     catalog_get,
     catalog_list,
     census,
+    face_vector,
     validate,
 )
 
@@ -140,3 +142,18 @@ def test_connector_vertices_are_internal(fig1):
     for v in entry.connector_vertices:
         assert fig1.mate(v, 4) is not None
 
+
+
+def test_fig4_has_one_non_orientable_boundary_component(fig4):
+    """Not a punctured RP^4, which has chi = 0 and boundary S^3: chi = 1,
+    and neither the gem nor its one boundary gem is bipartite."""
+    meta = catalog_get("fig4_boundary16").meta
+    fv = face_vector(fig4)
+    assert fv.f == (5, 20, 44, 44, 16)
+    assert fv.euler_characteristic == meta.chi == 1
+    assert validate(fig4).h == meta.h == 1
+    assert not fig4.is_bipartite()
+    bd = boundary_graph(fig4)
+    assert bd.component_count() == 1
+    assert bd.graph.vertex_count == 8
+    assert not bd.graph.is_bipartite()
