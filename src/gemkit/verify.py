@@ -90,7 +90,7 @@ def _check(name, statement, left, right, relation="=="):
     )
 
 
-# families stated for bounded gems only, in ledger order
+# the families a closed gem's ledger skips, in ledger order
 _CLOSED_SKIPS = tuple(
     Skip(name=family, reason="closed input")
     for family in (
@@ -106,7 +106,8 @@ _CLOSED_SKIPS = tuple(
     )
 )
 
-# families stated for bounded crystallizations only, in ledger order
+# the families a bounded non-crystallization's ledger skips, in ledger
+# order: those stated for bounded crystallizations only
 _NOT_CRYSTAL_SKIPS = tuple(
     Skip(name=family, reason="not a crystallization")
     for family in (
