@@ -177,6 +177,15 @@ def _meta_from_args(g: ColoredGraph, args) -> ManifoldMeta:
     )
 
 
+def _bounds_meta_from_args(g: ColoredGraph, args) -> ManifoldMeta:
+    """`_meta_from_args` for the bounds ledger.  That ledger rejects a
+    closed gem whatever flags are given, so this is reported before a
+    missing --rank."""
+    if g.is_closed():
+        raise GemError("bounds assume at least one boundary component")
+    return _meta_from_args(g, args)
+
+
 def _ledger(report) -> dict:
     return {
         "passed": report.passed,
@@ -281,7 +290,7 @@ def _genus_lines(r: dict) -> list[str]:
 
 def _cmd_bounds(args) -> int:
     g = _load_input(args.input)
-    meta = _meta_from_args(g, args)
+    meta = _bounds_meta_from_args(g, args)
     report = verify_bounds(g, meta, k_boundary=args.boundary_complexity)
     record = {"command": "bounds", **_ledger(report)}
     _emit(record, args.json,
@@ -342,7 +351,7 @@ def _cmd_verify(args) -> int:
         for value in (args.rank, args.boundary_genus, args.double_rank,
                       args.boundary_complexity)
     ):
-        meta = _meta_from_args(g, args)
+        meta = _bounds_meta_from_args(g, args)
         ledgers["bounds"] = _ledger(
             verify_bounds(g, meta, k_boundary=args.boundary_complexity)
         )
@@ -429,15 +438,16 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_meta_flags(p):
+    def add_meta_flags(p, boundary_complexity=True):
         p.add_argument("--rank", type=int, default=None,
                        help="fundamental group rank m of the manifold")
         p.add_argument("--boundary-genus", type=int, default=None,
                        help="summed regular genus of the boundary")
         p.add_argument("--double-rank", type=int, default=None,
                        help="fundamental group rank of the double")
-        p.add_argument("--boundary-complexity", type=int, default=None,
-                       help="gem-complexity of the boundary manifold")
+        if boundary_complexity:
+            p.add_argument("--boundary-complexity", type=int, default=None,
+                           help="gem-complexity of the boundary manifold")
 
     def add_common(p, output=False):
         p.add_argument("input", help="GEM v1 file or catalog entry name")
@@ -498,7 +508,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("recognize",
                        help="weak semi-simplicity and combinatorial caps")
     add_common(p)
-    add_meta_flags(p)
+    # the recognizers read no boundary gem-complexity
+    add_meta_flags(p, boundary_complexity=False)
     p.set_defaults(handler=_cmd_recognize)
 
     p = sub.add_parser("catalog", help="built-in gem catalog")

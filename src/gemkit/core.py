@@ -21,11 +21,12 @@ with the same walk and joins (`_array_labels`) and then only merges
 labels; no other component algorithm runs on vertices.
 
 Graphs are immutable, so each per-graph analysis (`census`,
-`boundary_graph`, `face_vector`, `validate` and
-`constructions.double`) is computed at most once per graph object and
-the result is shared by every later caller.  Shared results are
-read-only: the census mappings are `MappingProxyType` views and every
-other result is a tuple or a `typing.NamedTuple` record.
+`boundary_graph`, `face_vector`, `validate`, `constructions.double`
+and the scheme-genus table `genus._scheme_table`) is computed at most
+once per graph object and the result is shared by every later caller.
+Shared results are read-only: the census mappings are
+`MappingProxyType` views and every other result is a tuple or a
+`typing.NamedTuple` record.
 """
 
 from __future__ import annotations

@@ -3,6 +3,15 @@
 Genus values are exact rationals with denominator 1 or 2.  They are
 reported verbatim; a non-integral value on a well-formed gem is
 surfaced as a diagnostic rather than rounded away.
+
+Each scheme genus has three formulas: the embedding surface
+(`rho_epsilon`), the double's census (`rho_epsilon_via_double`) and the
+input's own census (`rho_epsilon_census`).  Each formula is written
+once, as a kernel over already computed census data.  The scheme table
+`_scheme_table` holds all three values for every scheme; like the
+census, it is a per-graph analysis, computed at most once per graph
+object.  `regular_genus` and the `verify` ledger read it, and the
+public single-scheme functions call the same kernels.
 """
 
 from __future__ import annotations
@@ -12,7 +21,14 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
-from .core import ColoredGraph, GemError, census, face_vector, validate
+from .core import (
+    ColoredGraph,
+    GemError,
+    _per_graph,
+    census,
+    face_vector,
+    validate,
+)
 from .constructions import double
 
 
@@ -87,17 +103,8 @@ class GenusProfile(NamedTuple):
     diagnostics: tuple[str, ...] = ()
 
 
-def rho_epsilon(g: ColoredGraph, scheme: Scheme) -> SchemeProfile:
-    """Genus of the regular embedding surface for one scheme.
-
-    chi = sum of bicolored cycle counts over cyclically adjacent color
-    pairs, plus (1-d) per internal vertex pair and (2-d) per boundary
-    vertex pair; the hole count is the boundary cycle count of the pair
-    (first color, color before last).
-    """
-    _check_scheme(g, scheme)
-    counts = census(g)
-    d = g.dimension
+def _embedding(counts, d: int, scheme: Scheme) -> SchemeProfile:
+    """`rho_epsilon` of a gem with census `counts` and dimension `d`."""
     cycle_sum = sum(
         counts.g_dot_of(scheme[i], scheme[(i + 1) % (d + 1)])
         for i in range(d + 1)
@@ -107,6 +114,50 @@ def rho_epsilon(g: ColoredGraph, scheme: Scheme) -> SchemeProfile:
     holes = counts.boundary_g_of(scheme[0], scheme[d - 1]) if tally.p_bar else 0
     rho = Fraction(2 - chi - holes, 2)
     return SchemeProfile(scheme=scheme, chi=chi, holes=holes, rho=rho)
+
+
+def _via_double(
+    doubled_counts, counts, h: int, chi: int, scheme: Scheme
+) -> Fraction:
+    """`rho_epsilon_via_double` of a bounded 4-crystallization with h
+    boundary components, Euler characteristic chi and census `counts`,
+    whose double has census `doubled_counts`."""
+    triple_sum = sum(
+        doubled_counts.g_of(
+            scheme[i % 5], scheme[(i + 2) % 5], scheme[(i + 4) % 5]
+        )
+        for i in range(5)
+    )
+    boundary_pairs = counts.boundary_g_of(scheme[0], scheme[3])
+    return Fraction(
+        2 * (-1 - 4 * h + 2 * chi) + triple_sum - boundary_pairs, 2
+    )
+
+
+def _via_census(counts, h: int, chi: int, scheme: Scheme) -> Fraction:
+    """`rho_epsilon_census` of a bounded 4-crystallization with h
+    boundary components, Euler characteristic chi and census `counts`."""
+    e0, e1, e2, e3, _ = scheme
+    return Fraction(
+        -1 - 4 * h + 2 * chi
+        + counts.g_of(e0, e1, e3)
+        + counts.g_of(e0, e2, e3)
+        + counts.g_of(e1, e3, 4)
+        + counts.g_dot_of(e0, e2, 4)
+        + counts.g_dot_of(e1, e2, 4)
+    )
+
+
+def rho_epsilon(g: ColoredGraph, scheme: Scheme) -> SchemeProfile:
+    """Genus of the regular embedding surface for one scheme.
+
+    chi = sum of bicolored cycle counts over cyclically adjacent color
+    pairs, plus (1-d) per internal vertex pair and (2-d) per boundary
+    vertex pair; the hole count is the boundary cycle count of the pair
+    (first color, color before last).
+    """
+    _check_scheme(g, scheme)
+    return _embedding(census(g), g.dimension, scheme)
 
 
 def _require_bounded_crystallization(g: ColoredGraph) -> int:
@@ -129,17 +180,12 @@ def rho_epsilon_via_double(g: ColoredGraph, scheme: Scheme) -> Fraction:
     """
     h = _require_bounded_crystallization(g)
     _check_scheme(g, scheme)
-    doubled_census = census(double(g))
-    chi = face_vector(g).euler_characteristic
-    triple_sum = sum(
-        doubled_census.g_of(
-            scheme[i % 5], scheme[(i + 2) % 5], scheme[(i + 4) % 5]
-        )
-        for i in range(5)
-    )
-    boundary_pairs = census(g).boundary_g_of(scheme[0], scheme[3])
-    return Fraction(
-        2 * (-1 - 4 * h + 2 * chi) + triple_sum - boundary_pairs, 2
+    return _via_double(
+        census(double(g)),
+        census(g),
+        h,
+        face_vector(g).euler_characteristic,
+        scheme,
     )
 
 
@@ -148,16 +194,39 @@ def rho_epsilon_census(g: ColoredGraph, scheme: Scheme) -> Fraction:
     without building the double."""
     h = _require_bounded_crystallization(g)
     _check_scheme(g, scheme)
+    return _via_census(
+        census(g), h, face_vector(g).euler_characteristic, scheme
+    )
+
+
+@_per_graph
+def _scheme_table(
+    g: ColoredGraph,
+) -> tuple[tuple[SchemeProfile, Fraction | None, Fraction | None], ...]:
+    """One row per scheme of `enumerate_schemes`: the `rho_epsilon`
+    profile, then the `rho_epsilon_via_double` and `rho_epsilon_census`
+    values, which are None unless g is a 4-dimensional crystallization
+    with boundary.
+
+    The rows are evaluated, never compared: the callers compare them.
+    """
+    d = g.dimension
+    schemes = enumerate_schemes(d)
     counts = census(g)
+    if d != 4 or g.is_closed() or not validate(g).is_crystallization:
+        return tuple(
+            (_embedding(counts, d, scheme), None, None) for scheme in schemes
+        )
+    h = validate(g).h
+    doubled_counts = census(double(g))
     chi = face_vector(g).euler_characteristic
-    e0, e1, e2, e3, _ = scheme
-    return Fraction(
-        -1 - 4 * h + 2 * chi
-        + counts.g_of(e0, e1, e3)
-        + counts.g_of(e0, e2, e3)
-        + counts.g_of(e1, e3, 4)
-        + counts.g_dot_of(e0, e2, 4)
-        + counts.g_dot_of(e1, e2, 4)
+    return tuple(
+        (
+            _embedding(counts, d, scheme),
+            _via_double(doubled_counts, counts, h, chi, scheme),
+            _via_census(counts, h, chi, scheme),
+        )
+        for scheme in schemes
     )
 
 
@@ -169,33 +238,27 @@ def regular_genus(g: ColoredGraph) -> GenusProfile:
     direct census formula; any disagreement signals an encoding bug and
     raises instead of being ignored.
     """
-    entries = tuple(
-        rho_epsilon(g, scheme) for scheme in enumerate_schemes(g.dimension)
-    )
-    diagnostics = []
-    for entry in entries:
-        if entry.rho.denominator != 1:
-            diagnostics.append(
-                f"non-integral genus {entry.rho} at scheme {entry.scheme}"
+    table = _scheme_table(g)
+    for entry, via_double, via_census in table:
+        if via_double is not None and not (
+            entry.rho == via_double == via_census
+        ):
+            raise GemError(
+                f"genus formulas disagree at scheme {entry.scheme}: "
+                f"{entry.rho} (embedding) vs {via_double} (double) "
+                f"vs {via_census} (census)"
             )
-    if g.dimension == 4 and not g.is_closed():
-        report = validate(g)
-        if report.is_crystallization:
-            for entry in entries:
-                via_double = rho_epsilon_via_double(g, entry.scheme)
-                via_census = rho_epsilon_census(g, entry.scheme)
-                if not (entry.rho == via_double == via_census):
-                    raise GemError(
-                        f"genus formulas disagree at scheme {entry.scheme}: "
-                        f"{entry.rho} (embedding) vs {via_double} (double) "
-                        f"vs {via_census} (census)"
-                    )
+    entries = tuple(entry for entry, _, _ in table)
     best = min(entries, key=lambda e: (e.rho, e.scheme))
     return GenusProfile(
         entries=entries,
         rho=best.rho,
         argmin=best.scheme,
-        diagnostics=tuple(diagnostics),
+        diagnostics=tuple(
+            f"non-integral genus {entry.rho} at scheme {entry.scheme}"
+            for entry in entries
+            if entry.rho.denominator != 1
+        ),
     )
 
 

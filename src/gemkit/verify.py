@@ -27,15 +27,12 @@ from .core import (
 from .constructions import double
 from .genus import (
     ManifoldMeta,
+    _scheme_table,
     complexity_lower_bounds,
-    enumerate_schemes,
     gem_complexity,
     genus_lower_bounds,
     rank_upper_bound,
     regular_genus,
-    rho_epsilon,
-    rho_epsilon_census,
-    rho_epsilon_via_double,
     vertex_lower_bounds,
 )
 
@@ -154,8 +151,8 @@ def verify_identities(g: ColoredGraph) -> IdentityReport:
     if g.is_closed():
         checks = _triple_relations(counts, g.vertex_count)
         # with no boundary the embedding formula loses its hole term
-        for scheme in enumerate_schemes(4):
-            profile = rho_epsilon(g, scheme)
+        for profile, _, _ in _scheme_table(g):
+            scheme = profile.scheme
             reduced_chi = (
                 sum(
                     counts.g_dot_of(scheme[i], scheme[(i + 1) % 5])
@@ -310,15 +307,15 @@ def verify_identities(g: ColoredGraph) -> IdentityReport:
         )
         # closed-graph triple relation, applied to the double
         checks += _triple_relations(dcounts, doubled.vertex_count, "'")
-        for scheme in enumerate_schemes(4):
-            embedding = rho_epsilon(g, scheme).rho
-            via_double = rho_epsilon_via_double(g, scheme)
-            via_census = rho_epsilon_census(g, scheme)
+        # the embedding and census formulas read census(g), the double
+        # formula census(double(g))
+        for profile, via_double, via_census in _scheme_table(g):
             checks.append(
                 _check(
                     "genus-formula-agreement",
-                    f"scheme {scheme}: embedding == double == census formula",
-                    (embedding, embedding),
+                    f"scheme {profile.scheme}: embedding == double == "
+                    "census formula",
+                    (profile.rho, profile.rho),
                     (via_double, via_census),
                 )
             )

@@ -8,8 +8,10 @@ therefore a genuine cross-check, not a tautology.  The one exception is
 `crystallize_double_reference`: it repeats the public dipole moves
 (`find_one_dipoles`, then `remove_one_dipole`), which rebuild and
 relabel the whole graph at every step, against the library's single
-pass of label merges.  `json_reference` renders a CLI record with the
-standard library's `json.dumps`, against the CLI's own writer.
+pass of label merges.  `regular_genus_reference` evaluates the public
+single-scheme formulas scheme by scheme, against the library's shared
+scheme table.  `json_reference` renders a CLI record with the standard
+library's `json.dumps`, against the CLI's own writer.
 """
 
 from __future__ import annotations
@@ -22,10 +24,15 @@ from fractions import Fraction
 from gemkit import (
     ColoredGraph,
     GemError,
+    GenusProfile,
     census,
     double,
+    enumerate_schemes,
     find_one_dipoles,
     remove_one_dipole,
+    rho_epsilon,
+    rho_epsilon_census,
+    rho_epsilon_via_double,
     validate,
 )
 
@@ -213,6 +220,39 @@ def crystallize_double_reference(g: ColoredGraph) -> ColoredGraph:
                     "double is not the doubled count minus 2(h-1)"
                 )
     return out
+
+
+def regular_genus_reference(g: ColoredGraph) -> GenusProfile:
+    """`regular_genus` as a loop over the schemes that calls the public
+    single-scheme functions, with the same checks and error message."""
+    entries = tuple(
+        rho_epsilon(g, scheme) for scheme in enumerate_schemes(g.dimension)
+    )
+    diagnostics = []
+    for entry in entries:
+        if entry.rho.denominator != 1:
+            diagnostics.append(
+                f"non-integral genus {entry.rho} at scheme {entry.scheme}"
+            )
+    if g.dimension == 4 and not g.is_closed():
+        report = validate(g)
+        if report.is_crystallization:
+            for entry in entries:
+                via_double = rho_epsilon_via_double(g, entry.scheme)
+                via_census = rho_epsilon_census(g, entry.scheme)
+                if not (entry.rho == via_double == via_census):
+                    raise GemError(
+                        f"genus formulas disagree at scheme {entry.scheme}: "
+                        f"{entry.rho} (embedding) vs {via_double} (double) "
+                        f"vs {via_census} (census)"
+                    )
+    best = min(entries, key=lambda e: (e.rho, e.scheme))
+    return GenusProfile(
+        entries=entries,
+        rho=best.rho,
+        argmin=best.scheme,
+        diagnostics=tuple(diagnostics),
+    )
 
 
 def _jsonable(value):

@@ -205,6 +205,39 @@ class TestBoundsVerifyRecognize:
         code, out, _ = run(capsys, "verify", name)
         assert code == 0 and out.endswith("overall: PASS\n")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("bounds", "s4_order2"),
+            *(
+                (subcommand, "s4_order2", *flags)
+                for subcommand in ("verify", "bounds")
+                for flags in (
+                    ("--boundary-genus", "1"),
+                    ("--boundary-genus", "1", "--rank", "1"),
+                    ("--rank", "1", "--boundary-genus", "1"),
+                )
+            ),
+        ],
+    )
+    def test_closed_input_reported_before_missing_rank(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: bounds assume at least one boundary component\n"
+        )
+
+    def test_recognize_rejects_boundary_complexity(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["recognize", "fig3_d3xs1", "--rank", "1",
+                  "--boundary-complexity", "-5"])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --boundary-complexity -5" in (
+            captured.err
+        )
+
     def test_verify_fig2(self, capsys):
         code, out, _ = run(capsys, "verify", "fig2_s3xI",
                            "--rank", "0", "--boundary-genus", "0")

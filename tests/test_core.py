@@ -6,6 +6,7 @@ import tracemalloc
 import pytest
 
 import gemkit.core
+import gemkit.genus
 from gemkit import (
     ColoredGraph,
     GemError,
@@ -314,6 +315,16 @@ class TestPerGraphMemo:
             return original(g)
 
         monkeypatch.setattr(gemkit.core, "_residue_counts", counting)
+        kernel_calls = {}
+        for kernel in ("_embedding", "_via_double", "_via_census"):
+            kernel_calls[kernel] = 0
+            original_kernel = getattr(gemkit.genus, kernel)
+
+            def counting_kernel(*args, _name=kernel, _run=original_kernel):
+                kernel_calls[_name] += 1
+                return _run(*args)
+
+            monkeypatch.setattr(gemkit.genus, kernel, counting_kernel)
         g = _fresh("fig4_boundary16")
         regular_genus(g)
         # one residue census of g and one of its double
@@ -323,4 +334,8 @@ class TestPerGraphMemo:
         verify_bounds(g, meta)
         certify_minimal(g, meta)
         ManifoldMeta.for_graph(g, m=meta.m)
-        assert len(calls) == 2
+        assert calls == [g, double(g)]
+        # one scheme table: each formula once per scheme
+        assert kernel_calls == {
+            "_embedding": 12, "_via_double": 12, "_via_census": 12
+        }

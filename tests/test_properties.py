@@ -3,22 +3,29 @@
 import itertools
 import random
 
+import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import gemkit.genus
 from gemkit import (
     ColoredGraph,
     Dipole,
+    GemError,
     boundary_graph,
     catalog_get,
     census,
     connected_sum,
     double,
+    enumerate_schemes,
     export_gem,
     face_vector,
     find_one_dipoles,
     parse_gem,
+    regular_genus,
     residue_components,
     rho_epsilon,
+    rho_epsilon_census,
+    rho_epsilon_via_double,
     validate,
     verify_identities,
 )
@@ -27,6 +34,7 @@ from oracles import (
     bfs_components,
     bfs_regular_component_count,
     oracle_face_vector,
+    regular_genus_reference,
 )
 
 
@@ -356,3 +364,69 @@ def test_bounded_ledger_names_every_family(g):
     crystal = verify_identities(catalog_get("fig3_d3xs1").graph)
     assert not crystal.skipped
     assert _ledger_families(verify_identities(g)) == _ledger_families(crystal)
+
+
+@given(random_gems())
+@settings(max_examples=100, deadline=None)
+def test_scheme_table_matches_per_scheme_formulas(g):
+    """`regular_genus` and the ledger's genus-formula-agreement rows read
+    one shared scheme table; both match the public single-scheme
+    formulas evaluated scheme by scheme.  Random 4-gems are closed,
+    bounded non-crystallizations, and bounded crystallizations, most of
+    them not manifolds (the formulas disagree on those)."""
+    try:
+        expected = regular_genus_reference(g)
+    except GemError as exc:
+        with pytest.raises(GemError) as raised:
+            regular_genus(g)
+        assert str(raised.value) == str(exc)
+    else:
+        assert regular_genus(g) == expected
+    rows = [
+        c for c in verify_identities(g).checks
+        if c.name == "genus-formula-agreement"
+    ]
+    crystal = not g.is_closed() and validate(g).is_crystallization
+    assert len(rows) == (12 if crystal else 0)
+    for check, scheme in zip(rows, enumerate_schemes(4)):
+        embedding = rho_epsilon(g, scheme).rho
+        assert check.left == (embedding, embedding)
+        assert check.right == (
+            rho_epsilon_via_double(g, scheme),
+            rho_epsilon_census(g, scheme),
+        )
+
+
+def _swapped_fig2():
+    """The negative control of the acceptance gate: fig2 with two color-0
+    edges swapped."""
+    fig2 = catalog_get("fig2_s3xI").graph
+    pairs = [list(fig2.edges(c)) for c in fig2.colors]
+    (a, b), (c, d) = pairs[0][0], pairs[0][1]
+    pairs[0][0], pairs[0][1] = (a, c), (b, d)
+    return ColoredGraph(4, 10, pairs)
+
+
+def test_single_swap_control_still_fails():
+    assert not verify_identities(_swapped_fig2()).passed
+
+
+@pytest.mark.parametrize("kernel", ["_embedding", "_via_double", "_via_census"])
+def test_each_genus_formula_is_cross_checked(monkeypatch, kernel):
+    """Shifting any one formula kernel by 1 makes `regular_genus` raise
+    and fails every genus-formula-agreement row: no two sides of the
+    comparison come from one evaluation."""
+    original = getattr(gemkit.genus, kernel)
+
+    def shifted(*args):
+        value = original(*args)
+        if kernel == "_embedding":
+            return value._replace(rho=value.rho + 1)
+        return value + 1
+
+    monkeypatch.setattr(gemkit.genus, kernel, shifted)
+    g = parse_gem(export_gem(catalog_get("fig3_d3xs1").graph))
+    with pytest.raises(GemError, match="genus formulas disagree"):
+        regular_genus(g)
+    failures = verify_identities(g).failures()
+    assert [c.name for c in failures] == ["genus-formula-agreement"] * 12
