@@ -397,20 +397,6 @@ def test_scheme_table_matches_per_scheme_formulas(g):
         )
 
 
-def _swapped_fig2():
-    """The negative control of the acceptance gate: fig2 with two color-0
-    edges swapped."""
-    fig2 = catalog_get("fig2_s3xI").graph
-    pairs = [list(fig2.edges(c)) for c in fig2.colors]
-    (a, b), (c, d) = pairs[0][0], pairs[0][1]
-    pairs[0][0], pairs[0][1] = (a, c), (b, d)
-    return ColoredGraph(4, 10, pairs)
-
-
-def test_single_swap_control_still_fails():
-    assert not verify_identities(_swapped_fig2()).passed
-
-
 @pytest.mark.parametrize("kernel", ["_embedding", "_via_double", "_via_census"])
 def test_each_genus_formula_is_cross_checked(monkeypatch, kernel):
     """Shifting any one formula kernel by 1 makes `regular_genus` raise
