@@ -166,6 +166,11 @@ def _write_graph(g: ColoredGraph, out: str | None) -> None:
 
 
 def _meta_from_args(g: ColoredGraph, args) -> ManifoldMeta:
+    """The metadata given by the meta flags.  Every subcommand that reads
+    them needs boundary whatever flags are given, so a closed gem is
+    reported before a missing --rank."""
+    if g.is_closed():
+        raise GemError("input is closed; this subcommand needs boundary")
     if args.rank is None:
         raise GemError("this subcommand needs --rank (fundamental group "
                        "rank of the represented manifold)")
@@ -173,17 +178,9 @@ def _meta_from_args(g: ColoredGraph, args) -> ManifoldMeta:
         g,
         m=args.rank,
         boundary_genus=args.boundary_genus,
-        double_rank=args.double_rank,
+        # `recognize` has no --double-rank
+        double_rank=getattr(args, "double_rank", None),
     )
-
-
-def _bounds_meta_from_args(g: ColoredGraph, args) -> ManifoldMeta:
-    """`_meta_from_args` for the bounds ledger.  That ledger rejects a
-    closed gem whatever flags are given, so this is reported before a
-    missing --rank."""
-    if g.is_closed():
-        raise GemError("bounds assume at least one boundary component")
-    return _meta_from_args(g, args)
 
 
 def _ledger(report) -> dict:
@@ -290,7 +287,7 @@ def _genus_lines(r: dict) -> list[str]:
 
 def _cmd_bounds(args) -> int:
     g = _load_input(args.input)
-    meta = _bounds_meta_from_args(g, args)
+    meta = _meta_from_args(g, args)
     report = verify_bounds(g, meta, k_boundary=args.boundary_complexity)
     record = {"command": "bounds", **_ledger(report)}
     _emit(record, args.json,
@@ -351,7 +348,7 @@ def _cmd_verify(args) -> int:
         for value in (args.rank, args.boundary_genus, args.double_rank,
                       args.boundary_complexity)
     ):
-        meta = _bounds_meta_from_args(g, args)
+        meta = _meta_from_args(g, args)
         ledgers["bounds"] = _ledger(
             verify_bounds(g, meta, k_boundary=args.boundary_complexity)
         )
@@ -438,16 +435,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
-    def add_meta_flags(p, boundary_complexity=True):
+    def add_meta_flags(p):
         p.add_argument("--rank", type=int, default=None,
                        help="fundamental group rank m of the manifold")
         p.add_argument("--boundary-genus", type=int, default=None,
                        help="summed regular genus of the boundary")
+
+    def add_bounds_flags(p):
+        add_meta_flags(p)
         p.add_argument("--double-rank", type=int, default=None,
                        help="fundamental group rank of the double")
-        if boundary_complexity:
-            p.add_argument("--boundary-complexity", type=int, default=None,
-                           help="gem-complexity of the boundary manifold")
+        p.add_argument("--boundary-complexity", type=int, default=None,
+                       help="gem-complexity of the boundary manifold")
 
     def add_common(p, output=False):
         p.add_argument("input", help="GEM v1 file or catalog entry name")
@@ -469,7 +468,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bounds", help="lower bounds vs attained values")
     add_common(p)
-    add_meta_flags(p)
+    add_bounds_flags(p)
     p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("double", help="double along the boundary")
@@ -502,14 +501,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="identity and bound ledger")
     add_common(p)
-    add_meta_flags(p)
+    add_bounds_flags(p)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("recognize",
                        help="weak semi-simplicity and combinatorial caps")
     add_common(p)
-    # the recognizers read no boundary gem-complexity
-    add_meta_flags(p, boundary_complexity=False)
+    # the recognizers read only m and the boundary genus
+    add_meta_flags(p)
     p.set_defaults(handler=_cmd_recognize)
 
     p = sub.add_parser("catalog", help="built-in gem catalog")

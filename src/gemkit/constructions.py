@@ -5,16 +5,16 @@ immutable graphs, so any of them may run concurrently on shared inputs.
 `double` is computed once per graph object and shared, like the
 analyses in `core`; those memo writes are idempotent, so concurrent
 first calls are safe too.
-After vertex deletions, indices are compacted to 1..n preserving
-relative order, which keeps file exports stable.
 
-`crystallize_double` cancels its 1-dipoles on private mutable copies of
-the double's involution arrays: one residue labeling per color, one
-label merge and one edge weld per cancellation, and a single compaction
-into a new graph at the end, so its cost is linear in the size of the
-double.  The public moves `find_one_dipoles` and `remove_one_dipole`
-relabel and rebuild the whole graph at every step; they cancel the same
-dipoles in the same order and serve as its test oracle.
+The constructions write involution arrays, not pair lists.  A
+connected sum is one weld (`_weld`) of the disjoint union at the two
+summing vertices, the same splice that cancels a 1-dipole in
+`crystallize_double`; the welded vertices become fixed points, and one
+compaction (`_compact`) renumbers the rest to 1..n in vertex order,
+which keeps file exports stable.  Only the public moves
+`find_one_dipoles` and `remove_one_dipole` work on pairs, rebuilding
+the whole graph at every step; they are the test oracle of
+`crystallize_double`.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .core import (
     _array_labels,
     _labels,
     _per_graph,
+    _renumbered,
     census,
     validate,
 )
@@ -44,15 +45,40 @@ def double(g: ColoredGraph) -> ColoredGraph:
     if g.is_closed():
         raise GemError("double requires a gem with nonempty boundary")
     n = g.vertex_count
-    d = g.dimension
-    pairs_by_color = []
-    for c in g.colors:
-        pairs = list(g.edges(c))
-        pairs.extend((a + n, b + n) for a, b in g.edges(c))
-        pairs_by_color.append(pairs)
+    mates = _disjoint_union(g, g)
+    last = mates[g.dimension]
     for v in g.boundary_vertices():
-        pairs_by_color[d].append((v, v + n))
-    return ColoredGraph(d, 2 * n, pairs_by_color)
+        last[v], last[v + n] = v + n, v
+    return ColoredGraph._from_mates(g.dimension, mates)
+
+
+def _disjoint_union(first: ColoredGraph, second: ColoredGraph) -> list:
+    """Mutable involution arrays of two graphs of one dimension side by
+    side, the second graph's vertex v renumbered n + v for the first
+    graph's n vertices; an unmatched vertex keeps mate 0."""
+    n = first.vertex_count
+    return [
+        [*mate, *(w and w + n for w in other[1:])]
+        for mate, other in zip(first._mates, second._mates)
+    ]
+
+
+def _weld(mates, u: int, v: int) -> None:
+    """Delete u and v, matched in every color, and join their loose
+    ends: in each color the mates of u and v become mates, and u and v
+    become fixed points."""
+    for mate in mates:
+        a, b = mate[u], mate[v]
+        mate[a], mate[b] = b, a
+        mate[u], mate[v] = u, v
+
+
+def _compact(dimension: int, mates) -> ColoredGraph:
+    """The graph on the vertices that `_weld` left in place, renumbered
+    1..n in vertex order."""
+    color0 = mates[0]
+    keep = [w for w in range(1, len(color0)) if color0[w] != w]
+    return _renumbered(dimension, mates, keep)
 
 
 class Dipole(NamedTuple):
@@ -156,20 +182,8 @@ def _cancel_dipoles(doubled: ColoredGraph, h: int) -> ColoredGraph:
                     + (f" at step {step}" if color < d else "")
                 )
             parent[find(labels[v])] = find(labels[u])
-            for other in mates:
-                a, b = other[u], other[v]
-                other[a], other[b] = b, a
-                other[u], other[v] = u, v
-    # deleted vertices are fixed points; compaction keeps vertex order
-    keep = [w for w in doubled.vertices if mates[0][w] != w]
-    relabel = [0] * size
-    for i, w in enumerate(keep, 1):
-        relabel[w] = i
-    pairs_by_color = [
-        [(relabel[w], relabel[mate[w]]) for w in keep if w < mate[w]]
-        for mate in mates
-    ]
-    return ColoredGraph(d, len(keep), pairs_by_color)
+            _weld(mates, u, v)
+    return _compact(d, mates)
 
 
 def crystallize_double(g: ColoredGraph) -> ColoredGraph:
@@ -262,29 +276,9 @@ def connected_sum(
     d = g1.dimension
     if g1.mate(v1, d) is None or g2.mate(v2, d) is None:
         raise GemError("summing vertices must be internal")
-    n1 = g1.vertex_count
-    relabel1 = {w: (w if w < v1 else w - 1) for w in g1.vertices if w != v1}
-    relabel2 = {
-        w: n1 - 1 + (w if w < v2 else w - 1)
-        for w in g2.vertices
-        if w != v2
-    }
-    pairs_by_color = []
-    for c in g1.colors:
-        pairs = [
-            (relabel1[a], relabel1[b])
-            for a, b in g1.edges(c)
-            if v1 not in (a, b)
-        ]
-        pairs.extend(
-            (relabel2[a], relabel2[b])
-            for a, b in g2.edges(c)
-            if v2 not in (a, b)
-        )
-        # both summing vertices are internal, so matched in every color
-        pairs.append((relabel1[g1.mate(v1, c)], relabel2[g2.mate(v2, c)]))
-        pairs_by_color.append(pairs)
-    return ColoredGraph(g1.dimension, n1 + g2.vertex_count - 2, pairs_by_color)
+    mates = _disjoint_union(g1, g2)
+    _weld(mates, v1, g1.vertex_count + v2)
+    return _compact(d, mates)
 
 
 def sphere_connector_sum(
@@ -341,7 +335,7 @@ def interval_product(g3: ColoredGraph) -> ColoredGraph:
             "(complementary pair counts equal and summing to 2 + n/2)"
         )
     copies = 5
-    pairs_by_color: list[list[tuple[int, int]]] = [[] for _ in range(5)]
+    mates = [[0] * (copies * n + 1) for _ in range(5)]
     for m in range(copies):
         dropped_own = {(m - 1) % copies, m}
         own_colors = [c for c in range(5) if c not in dropped_own]
@@ -349,15 +343,14 @@ def interval_product(g3: ColoredGraph) -> ColoredGraph:
         kept_original = [c for c in range(4) if c != dropped_original]
         offset = m * n
         for original_color, target_color in zip(kept_original, own_colors):
-            pairs_by_color[target_color].extend(
-                (a + offset, b + offset)
-                for a, b in g3.edges(original_color)
+            mates[target_color][offset + 1 : offset + n + 1] = map(
+                offset.__add__, g3._mates[original_color][1:]
             )
     for c in range(4):
-        pairs_by_color[c].extend(
-            (c * n + r, (c + 1) * n + r) for r in range(1, n + 1)
-        )
-    product = ColoredGraph(4, copies * n, pairs_by_color)
+        lo, hi = c * n, (c + 1) * n
+        mates[c][lo + 1 : hi + 1] = range(hi + 1, hi + n + 1)
+        mates[c][hi + 1 : hi + n + 1] = range(lo + 1, lo + n + 1)
+    product = ColoredGraph._from_mates(4, mates)
     # the construction promises a genus realization of twice the sum of
     # two complementary pair counts minus four; check it
     from .genus import rho_epsilon

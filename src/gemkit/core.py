@@ -20,6 +20,10 @@ set.  `constructions.crystallize_double` labels its own mutable arrays
 with the same walk and joins (`_array_labels`) and then only merges
 labels; no other component algorithm runs on vertices.
 
+Files and the catalog build graphs from pairs; constructions and the
+boundary graph build them from involution arrays (`_from_mates`),
+checked as strictly; both end in one store step.
+
 Graphs are immutable, so each per-graph analysis (`census`,
 `boundary_graph`, `face_vector`, `validate`, `constructions.double`
 and the scheme-genus table `genus._scheme_table`) is computed at most
@@ -67,6 +71,21 @@ def _per_graph(analysis):
 MAX_DIMENSION = 10
 
 
+def _check_shape(dimension, vertex_count, color_count) -> None:
+    if dimension < 1:
+        raise GemError("dimension must be a positive integer")
+    if dimension > MAX_DIMENSION:
+        raise GemError(
+            f"dimension {dimension} exceeds the supported maximum "
+            f"{MAX_DIMENSION}: the residue census enumerates all "
+            f"2^(d+1) - 1 color sets"
+        )
+    if vertex_count < 1:
+        raise GemError("vertex count must be positive")
+    if color_count != dimension + 1:
+        raise GemError(f"expected {dimension + 1} colors, got {color_count}")
+
+
 class ColoredGraph:
     """Immutable (d+1)-edge-colored multigraph, regular w.r.t. color d.
 
@@ -80,21 +99,8 @@ class ColoredGraph:
     __slots__ = ("dimension", "vertex_count", "_mates", "_memo")
 
     def __init__(self, dimension, vertex_count, pairs_by_color):
-        if dimension < 1:
-            raise GemError("dimension must be a positive integer")
-        if dimension > MAX_DIMENSION:
-            raise GemError(
-                f"dimension {dimension} exceeds the supported maximum "
-                f"{MAX_DIMENSION}: the residue census enumerates all "
-                f"2^(d+1) - 1 color sets"
-            )
-        if vertex_count < 1:
-            raise GemError("vertex count must be positive")
         pairs_by_color = [list(p) for p in pairs_by_color]
-        if len(pairs_by_color) != dimension + 1:
-            raise GemError(
-                f"expected {dimension + 1} colors, got {len(pairs_by_color)}"
-            )
+        _check_shape(dimension, vertex_count, len(pairs_by_color))
         n = vertex_count
         mates = []
         for color, pairs in enumerate(pairs_by_color):
@@ -117,9 +123,40 @@ class ColoredGraph:
                     )
                 mate[a], mate[b] = b, a
             mates.append(tuple(mate))
+        self._store(dimension, mates)
+
+    @classmethod
+    def _from_mates(cls, dimension, mates) -> "ColoredGraph":
+        """A graph from one involution array per color, indexed 0..n with
+        0 for an unmatched vertex, checked as strictly as pairs are."""
+        n = len(mates[0]) - 1 if mates else 0
+        _check_shape(dimension, n, len(mates))
+        vertices = list(range(1, n + 1))
+        for color, mate in enumerate(mates):
+            # applied twice, the array must take each vertex back to
+            # itself: an unmatched vertex stands for itself, a fixed
+            # point drops out of the list, an entry above n raises and
+            # a negative one never maps back
+            try:
+                back = [
+                    mate[w] if w else v for v, w in enumerate(mate) if w != v
+                ]
+            except IndexError:
+                back = None
+            if (
+                len(mate) != n + 1 or mate[0] or back != vertices
+                or color < dimension and mate.count(0) != 1
+            ):
+                raise GemError(f"color {color}: mate array is no pairing")
+        graph = cls.__new__(cls)
+        graph._store(dimension, mates)
+        return graph
+
+    def _store(self, dimension, mates):
+        """Freeze checked involution arrays; both constructors end here."""
         object.__setattr__(self, "dimension", dimension)
-        object.__setattr__(self, "vertex_count", vertex_count)
-        object.__setattr__(self, "_mates", tuple(mates))
+        object.__setattr__(self, "vertex_count", len(mates[0]) - 1)
+        object.__setattr__(self, "_mates", tuple(map(tuple, mates)))
         object.__setattr__(self, "_memo", {})
 
     def __setattr__(self, name, value):
@@ -286,18 +323,24 @@ class BoundaryGraph(NamedTuple):
 
     def component_subgraph(self, index: int) -> ColoredGraph:
         """A component as a standalone closed gem of dimension d-1."""
-        comp = self.components[index]
-        relabel = {v: i + 1 for i, v in enumerate(comp)}
         bg = self.graph
-        pairs = [
-            [
-                (relabel[a], relabel[b])
-                for (a, b) in bg.edges(c)
-                if a in relabel
-            ]
-            for c in bg.colors
-        ]
-        return ColoredGraph(bg.dimension, len(comp), pairs)
+        return _renumbered(bg.dimension, bg._mates, self.components[index])
+
+
+def _renumbered(dimension, mates, keep) -> ColoredGraph:
+    """The graph that involution arrays `mates` induce on the vertices
+    `keep`, given ascending and closed under every color, renumbered
+    1..len(keep) in that order."""
+    renumber = [0] * len(mates[0])
+    for i, v in enumerate(keep, 1):
+        renumber[v] = i
+    return ColoredGraph._from_mates(
+        dimension,
+        [
+            [0, *map(renumber.__getitem__, map(mate.__getitem__, keep))]
+            for mate in mates
+        ],
+    )
 
 
 @_per_graph
@@ -307,40 +350,24 @@ def boundary_graph(g: ColoredGraph) -> BoundaryGraph:
     if not boundary:
         return BoundaryGraph(graph=None, parent_vertices=(), components=())
     d = g.dimension
-    index = {v: i + 1 for i, v in enumerate(boundary)}
-    pairs_by_color: list[list[tuple[int, int]]] = [[] for _ in range(d)]
+    if d < 2:
+        raise GemError("a gem with boundary needs dimension at least 2")
     last = g._mates[d]
+    mates = []
     for j in range(d):
         mate = g._mates[j]
-        # far ends of paths already walked from their smaller end
-        reached = set()
+        far = [0] * (g.vertex_count + 1)
+        # an alternating (j,d)-path from a boundary vertex ends at
+        # another one; its far end is skipped once it has been reached
         for v in boundary:
-            if v in reached:
-                continue
-            cur = mate[v]
-            steps = 0
-            while last[cur]:
-                cur = mate[last[cur]]
-                steps += 1
-                if steps > g.vertex_count:
-                    raise GemError(
-                        f"alternating ({j},{d})-path from vertex {v} "
-                        "does not reach a boundary vertex"
-                    )
-            if v == cur:
-                raise GemError(
-                    f"alternating ({j},{d})-path from vertex {v} returns "
-                    "to its start"
-                )
-            reached.add(cur)
-            pairs_by_color[j].append((index[v], index[cur]))
-    bg = ColoredGraph(d - 1, len(boundary), pairs_by_color)
-    labels, _ = _labels(bg, bg.colors)
-    # labels first seen in vertex order, so smallest vertex first
-    groups: dict[int, list[int]] = {}
-    for v in bg.vertices:
-        groups.setdefault(labels[v], []).append(v)
-    comps = tuple(tuple(comp) for comp in groups.values())
+            if not far[v]:
+                cur = mate[v]
+                while last[cur]:
+                    cur = mate[last[cur]]
+                far[v], far[cur] = cur, v
+        mates.append(far)
+    bg = _renumbered(d - 1, mates, boundary)
+    comps = tuple(c.vertices for c in residue_components(bg, bg.colors))
     return BoundaryGraph(
         graph=bg, parent_vertices=tuple(boundary), components=comps
     )

@@ -12,6 +12,10 @@ pass of label merges.  `regular_genus_reference` evaluates the public
 single-scheme formulas scheme by scheme, against the library's shared
 scheme table.  `json_reference` renders a CLI record with the standard
 library's `json.dumps`, against the CLI's own writer.
+`colored_graph_reference` keeps the pair checks of `ColoredGraph` as
+they stood before the constructions began to build involution arrays,
+against the constructor that now shares its store step with them, and
+`pair_rebuild` rebuilds a construction's output from its edge lists.
 """
 
 from __future__ import annotations
@@ -35,6 +39,55 @@ from gemkit import (
     rho_epsilon_via_double,
     validate,
 )
+from gemkit.core import MAX_DIMENSION
+
+
+def colored_graph_reference(dimension, vertex_count, pairs_by_color):
+    """The involution arrays that `ColoredGraph(dimension, vertex_count,
+    pairs_by_color)` stores, or its `GemError`, checked pair by pair."""
+    if dimension < 1:
+        raise GemError("dimension must be a positive integer")
+    if dimension > MAX_DIMENSION:
+        raise GemError(
+            f"dimension {dimension} exceeds the supported maximum "
+            f"{MAX_DIMENSION}: the residue census enumerates all "
+            f"2^(d+1) - 1 color sets"
+        )
+    if vertex_count < 1:
+        raise GemError("vertex count must be positive")
+    pairs_by_color = [list(p) for p in pairs_by_color]
+    if len(pairs_by_color) != dimension + 1:
+        raise GemError(
+            f"expected {dimension + 1} colors, got {len(pairs_by_color)}"
+        )
+    n = vertex_count
+    mates = []
+    for color, pairs in enumerate(pairs_by_color):
+        if color < dimension and len(pairs) * 2 != n:
+            raise GemError(f"color {color} not a total pairing")
+        mate = [0] * (n + 1)
+        for a, b in pairs:
+            if not (1 <= a <= n and 1 <= b <= n):
+                raise GemError(
+                    f"color {color}: vertex out of range in pair {a}-{b}"
+                )
+            if a == b:
+                raise GemError(f"color {color}: loop at vertex {a}")
+            if mate[a] or mate[b]:
+                dup = a if mate[a] else b
+                raise GemError(
+                    f"color {color}: vertex {dup} paired more than once"
+                )
+            mate[a], mate[b] = b, a
+        mates.append(tuple(mate))
+    return tuple(mates)
+
+
+def pair_rebuild(g: ColoredGraph) -> ColoredGraph:
+    """`g` built again by the pair constructor from its edge lists."""
+    return ColoredGraph(
+        g.dimension, g.vertex_count, [g.edges(c) for c in g.colors]
+    )
 
 
 def adjacency(g: ColoredGraph, colors) -> dict[int, list[int]]:

@@ -76,6 +76,30 @@ class TestInfo:
         assert "dimension 20 exceeds the supported maximum 10" in err
         assert peak < 1_000_000
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ("info",),
+            ("boundary",),
+            ("crystallize-double",),
+            ("bounds", "--rank", "0"),
+            ("recognize", "--rank", "0"),
+        ],
+    )
+    def test_bounded_one_gem_names_the_dimension_contract(
+        self, capsys, tmp_path, command
+    ):
+        # a 1-gem with boundary would have a boundary graph of dimension 0
+        path = tmp_path / "one.gem"
+        path.write_text(
+            "gem-format 1\ndim 1\nvertices 2\ncolor 0: 1-2\ncolor 1:\nend\n"
+        )
+        code, out, err = run(capsys, command[0], str(path), *command[1:])
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: a gem with boundary needs dimension at least 2\n"
+        )
+
     def test_closed_stdout_is_not_bad_input(self):
         # the read end is closed before the child starts, so its first
         # write to stdout fails with a broken pipe
@@ -160,9 +184,9 @@ class TestBoundsVerifyRecognize:
                 ("--double-rank", "-4", "double_rank"),
                 ("--boundary-complexity", "-5", "k_boundary"),
             )
-            # recognize reads no boundary complexity
-            if (subcommand, negative[0])
-            != ("recognize", "--boundary-complexity")
+            # recognize reads only --rank and --boundary-genus
+            if subcommand != "recognize"
+            or negative[0] in ("--rank", "--boundary-genus")
         ],
     )
     def test_negative_metadata_exits_2(
@@ -218,25 +242,27 @@ class TestBoundsVerifyRecognize:
                     ("--rank", "1", "--boundary-genus", "1"),
                 )
             ),
+            ("recognize", "s4_order2"),
+            ("recognize", "s4_order2", "--boundary-genus", "1"),
+            ("recognize", "fig1_s4", "--rank", "1"),
         ],
     )
     def test_closed_input_reported_before_missing_rank(self, capsys, argv):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == (
-            "error: bounds assume at least one boundary component\n"
+            "error: input is closed; this subcommand needs boundary\n"
         )
 
-    def test_recognize_rejects_boundary_complexity(self, capsys):
+    @pytest.mark.parametrize("flag", ["--double-rank", "--boundary-complexity"])
+    def test_recognize_rejects_bounds_flags(self, capsys, flag):
+        # weak semi-simplicity reads only m and the boundary genus
         with pytest.raises(SystemExit) as exc:
-            main(["recognize", "fig3_d3xs1", "--rank", "1",
-                  "--boundary-complexity", "-5"])
+            main(["recognize", "fig3_d3xs1", "--rank", "1", flag, "5"])
         assert exc.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "unrecognized arguments: --boundary-complexity -5" in (
-            captured.err
-        )
+        assert f"unrecognized arguments: {flag} 5" in captured.err
 
     def test_verify_fig2(self, capsys):
         code, out, _ = run(capsys, "verify", "fig2_s3xI",

@@ -33,7 +33,9 @@ from oracles import (
     bfs_component_count,
     bfs_components,
     bfs_regular_component_count,
+    colored_graph_reference,
     oracle_face_vector,
+    pair_rebuild,
     regular_genus_reference,
 )
 
@@ -416,3 +418,120 @@ def test_each_genus_formula_is_cross_checked(monkeypatch, kernel):
         regular_genus(g)
     failures = verify_identities(g).failures()
     assert [c.name for c in failures] == ["genus-formula-agreement"] * 12
+
+
+@st.composite
+def near_gem_pair_lists(draw):
+    """(d, n, pairs) for the pair constructor: random matchings, total
+    below d and partial in d (n is sometimes odd), then up to three
+    edits in any color: a loop, a repeated pair, a reversed repeat or a
+    vertex out of range, each replacing a pair (always below d) or
+    appending one, or the deletion of a pair."""
+    d = draw(st.integers(min_value=1, max_value=3))
+    n = draw(st.sampled_from([1, 2, 2, 3, 4, 4, 6, 6]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    vertices = list(range(1, n + 1))
+    pairs = [_matching(vertices, rng) for _ in range(d)]
+    pairs.append(_matching(vertices, rng)[: draw(st.integers(0, n // 2))])
+    for _ in range(draw(st.integers(min_value=0, max_value=3))):
+        color = draw(st.integers(min_value=0, max_value=d))
+        row = pairs[color]
+        edit = draw(st.sampled_from(
+            ["loop", "repeat", "reverse", "range", "delete"]
+        ))
+        if edit == "delete" or edit in ("repeat", "reverse") and not row:
+            if row:
+                row.pop(rng.randrange(len(row)))
+            continue
+        if edit == "loop":
+            v = draw(st.integers(min_value=1, max_value=n))
+            pair = (v, v)
+        elif edit == "range":
+            far = draw(st.sampled_from([-1, 0, n + 1]))
+            near = draw(st.integers(min_value=1, max_value=n))
+            pair = draw(st.sampled_from([(far, near), (near, far)]))
+        else:
+            a, b = rng.choice(row)
+            pair = (a, b) if edit == "repeat" else (b, a)
+        if row and (color < d or draw(st.booleans())):
+            row[rng.randrange(len(row))] = pair
+        else:
+            row.append(pair)
+    return d, n, pairs
+
+
+@given(near_gem_pair_lists())
+@settings(max_examples=300, deadline=None)
+def test_pair_constructor_matches_reference(case):
+    """The pair constructor raises exactly when the reference checks do,
+    with the same message, and otherwise stores the same arrays, which
+    `_from_mates` accepts as the same graph."""
+    d, n, pairs = case
+    try:
+        expected = colored_graph_reference(d, n, pairs)
+    except GemError as exc:
+        with pytest.raises(GemError) as raised:
+            ColoredGraph(d, n, pairs)
+        assert str(raised.value) == str(exc)
+        return
+    g = ColoredGraph(d, n, pairs)
+    assert g._mates == expected
+    assert ColoredGraph._from_mates(d, expected) == g
+
+
+@given(random_gems(), st.data())
+@settings(max_examples=200, deadline=None)
+def test_from_mates_rejects_arrays_that_are_no_pairing(g, data):
+    """One edit to one array of a gem: a fixed point, an unmatched
+    vertex below the last color, a mate that does not map back, an
+    entry out of range or a wrong length."""
+    mates = [list(mate) for mate in g._mates]
+    assert ColoredGraph._from_mates(g.dimension, mates) == g
+    n = g.vertex_count
+    color = data.draw(st.sampled_from(g.colors))
+    mate = mates[color]
+    v = data.draw(st.integers(min_value=1, max_value=n))
+    edits = ["fixed", "range"]
+    if color < g.dimension:
+        edits.append("unmatched")
+    if color > 0:
+        # color 0 sets the vertex count the others are measured by
+        edits.append("length")
+    if n > 2:
+        edits.append("one-way")
+    edit = data.draw(st.sampled_from(edits))
+    if edit == "fixed":
+        mate[v] = v
+    elif edit == "unmatched":
+        mate[mate[v]] = mate[v] = 0
+    elif edit == "one-way":
+        others = [x for x in g.vertices if x not in (v, mate[v])]
+        mate[v] = data.draw(st.sampled_from(others))
+    elif edit == "range":
+        mate[v] = data.draw(st.sampled_from([-1, n + 1]))
+    else:
+        mate.append(0)
+    message = f"^color {color}: mate array is no pairing$"
+    with pytest.raises(GemError, match=message):
+        ColoredGraph._from_mates(g.dimension, mates)
+
+
+@given(random_gems(), random_gems(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_constructions_equal_their_pair_rebuild(g1, g2, data):
+    """Graphs built from involution arrays equal the pair constructor's
+    graphs on their edge lists."""
+    outputs = []
+    if not g1.is_closed():
+        bg = boundary_graph(g1)
+        outputs += [double(g1), bg.graph]
+        outputs += [bg.component_subgraph(q)
+                    for q in range(bg.component_count())]
+    internal1, internal2 = _internal_vertices(g1), _internal_vertices(g2)
+    if internal1 and internal2:
+        outputs.append(connected_sum(
+            g1, data.draw(st.sampled_from(internal1)),
+            g2, data.draw(st.sampled_from(internal2)),
+        ))
+    for out in outputs:
+        assert out == pair_rebuild(out)
