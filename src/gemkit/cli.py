@@ -18,7 +18,7 @@ encoder whenever `indent` is set, and it needs a converted copy of the
 record.
 
 Exit codes: 0 success, 1 at least one verification check failed,
-2 bad input (unknown file/name, malformed gem, wrong dimension),
+2 bad input (unknown file/name, malformed gem, broken input contract),
 141 (128 + SIGPIPE) stdout closed by its reader before all was written.
 """
 
@@ -44,6 +44,7 @@ from .constructions import (
 from .core import (
     ColoredGraph,
     GemError,
+    _require,
     boundary_graph,
     census,
     face_vector,
@@ -169,8 +170,7 @@ def _meta_from_args(g: ColoredGraph, args) -> ManifoldMeta:
     """The metadata given by the meta flags.  Every subcommand that reads
     them needs boundary whatever flags are given, so a closed gem is
     reported before a missing --rank."""
-    if g.is_closed():
-        raise GemError("input is closed; this subcommand needs boundary")
+    _require(g, boundary=True)
     if args.rank is None:
         raise GemError("this subcommand needs --rank (fundamental group "
                        "rank of the represented manifold)")
@@ -324,9 +324,8 @@ def _cmd_connect(args) -> int:
 
 def _cmd_boundary(args) -> int:
     g = _load_input(args.input)
+    _require(g, boundary=True)
     bg = boundary_graph(g)
-    if bg.is_empty():
-        raise GemError("gem is closed: empty boundary")
     for q in range(bg.component_count()):
         sub = bg.component_subgraph(q)
         if args.output:

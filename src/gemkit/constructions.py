@@ -29,6 +29,7 @@ from .core import (
     _labels,
     _per_graph,
     _renumbered,
+    _require,
     census,
     validate,
 )
@@ -42,8 +43,7 @@ def double(g: ColoredGraph) -> ColoredGraph:
     Each boundary vertex gains one new edge of the last color to its
     twin, so the result is closed with 2n vertices.
     """
-    if g.is_closed():
-        raise GemError("double requires a gem with nonempty boundary")
+    _require(g, boundary=True)
     n = g.vertex_count
     mates = _disjoint_union(g, g)
     last = mates[g.dimension]
@@ -91,7 +91,8 @@ class Dipole(NamedTuple):
     color: int
 
     def verify(self, g: ColoredGraph) -> bool:
-        if not (1 <= self.u <= g.vertex_count and 1 <= self.v <= g.vertex_count):
+        n = g.vertex_count
+        if not (1 <= self.u <= n and 1 <= self.v <= n and self.color in g.colors):
             return False
         if self.u == self.v or g.mate(self.u, self.color) != self.v:
             return False
@@ -224,12 +225,8 @@ def crystallize_double(g: ColoredGraph) -> ColoredGraph:
     order, so the output equals that of repeated public dipole moves.
     The cost is O(d n) label work per color.
     """
-    report = validate(g)
-    if not report.is_crystallization or report.h < 1:
-        raise GemError(
-            "crystallize_double requires a crystallization with boundary"
-        )
-    h = report.h
+    _require(g, boundary=True, crystallization=True)
+    h = validate(g).h
     d = g.dimension
     doubled = double(g)
     doubled_census = census(doubled)
@@ -311,11 +308,7 @@ def interval_product(g3: ColoredGraph) -> ColoredGraph:
     matching while copies 0 and 4 stay unmatched in color 4, so they
     carry the two boundary components.
     """
-    if g3.dimension != 3:
-        raise GemError("interval product is defined for 3-dimensional gems")
-    report = validate(g3)
-    if not (report.closed and report.is_crystallization):
-        raise GemError("interval product requires a closed crystallization")
+    _require(g3, dimension=3, boundary=False, crystallization=True)
     c3 = census(g3)
     n = g3.vertex_count
     pair_counts = {

@@ -31,6 +31,10 @@ once per graph object and the result is shared by every later caller.
 Shared results are read-only: the census mappings are
 `MappingProxyType` views and every other result is a tuple or a
 `typing.NamedTuple` record.
+
+Input contracts (a dimension, a nonempty or an empty boundary, a
+crystallization) are worded only in the gate `_require`, which every
+module calls instead of checking them by hand.
 """
 
 from __future__ import annotations
@@ -709,3 +713,19 @@ def validate(g: ColoredGraph) -> ValidationReport:
         is_crystallization=crystal,
         f0=f0,
     )
+
+
+def _require(g, dimension=None, boundary=None, crystallization=False):
+    """Raise a `GemError` naming the first input contract `g` breaks:
+    exactly `dimension`; a nonempty boundary if `boundary` is True, an
+    empty one if it is False; a crystallization.  Checked in that order."""
+    if dimension is not None and g.dimension != dimension:
+        raise GemError(
+            f"input has dimension {g.dimension}; needs dimension {dimension}"
+        )
+    if boundary and g.is_closed():
+        raise GemError("input is closed; needs a gem with nonempty boundary")
+    if boundary is False and not g.is_closed():
+        raise GemError("input has boundary; needs a closed gem")
+    if crystallization and not validate(g).is_crystallization:
+        raise GemError("input is not a crystallization")

@@ -25,6 +25,7 @@ from .core import (
     ColoredGraph,
     GemError,
     _per_graph,
+    _require,
     census,
     face_vector,
     validate,
@@ -160,17 +161,6 @@ def rho_epsilon(g: ColoredGraph, scheme: Scheme) -> SchemeProfile:
     return _embedding(census(g), g.dimension, scheme)
 
 
-def _require_bounded_crystallization(g: ColoredGraph) -> int:
-    if g.dimension != 4:
-        raise GemError("this genus formula is specific to dimension 4")
-    report = validate(g)
-    if not report.is_crystallization:
-        raise GemError("input is not a crystallization")
-    if report.h < 1:
-        raise GemError("input is closed; this formula needs boundary")
-    return report.h
-
-
 def rho_epsilon_via_double(g: ColoredGraph, scheme: Scheme) -> Fraction:
     """Scheme genus from the census of the doubled graph.
 
@@ -178,12 +168,12 @@ def rho_epsilon_via_double(g: ColoredGraph, scheme: Scheme) -> Fraction:
     doubled graph's triple counts at cyclic distance-2 steps, minus half
     the boundary cycle count of the (first, fourth) color pair.
     """
-    h = _require_bounded_crystallization(g)
+    _require(g, dimension=4, boundary=True, crystallization=True)
     _check_scheme(g, scheme)
     return _via_double(
         census(double(g)),
         census(g),
-        h,
+        validate(g).h,
         face_vector(g).euler_characteristic,
         scheme,
     )
@@ -192,10 +182,10 @@ def rho_epsilon_via_double(g: ColoredGraph, scheme: Scheme) -> Fraction:
 def rho_epsilon_census(g: ColoredGraph, scheme: Scheme) -> Fraction:
     """Scheme genus straight from the input's own residue census,
     without building the double."""
-    h = _require_bounded_crystallization(g)
+    _require(g, dimension=4, boundary=True, crystallization=True)
     _check_scheme(g, scheme)
     return _via_census(
-        census(g), h, face_vector(g).euler_characteristic, scheme
+        census(g), validate(g).h, face_vector(g).euler_characteristic, scheme
     )
 
 
@@ -213,7 +203,9 @@ def _scheme_table(
     d = g.dimension
     schemes = enumerate_schemes(d)
     counts = census(g)
-    if d != 4 or g.is_closed() or not validate(g).is_crystallization:
+    try:
+        _require(g, dimension=4, boundary=True, crystallization=True)
+    except GemError:
         return tuple(
             (_embedding(counts, d, scheme), None, None) for scheme in schemes
         )
@@ -269,8 +261,7 @@ def gem_complexity(g: ColoredGraph) -> int:
     bounds the manifold's gem-complexity, with equality whenever a
     matching lower bound certifies minimality.
     """
-    if not validate(g).is_crystallization:
-        raise GemError("gem complexity is defined for crystallizations")
+    _require(g, crystallization=True)
     return g.vertex_count // 2 - 1
 
 
@@ -321,12 +312,28 @@ def _require_nonnegative(**values: int | None) -> None:
 def _require_boundary_meta(meta: ManifoldMeta) -> None:
     if meta.h < 1:
         raise GemError("this bound assumes at least one boundary component")
+    if meta.m is None:
+        raise GemError("this bound needs the rank m in meta")
     # a record built directly skips the check in `for_graph`
     _require_nonnegative(
         m=meta.m,
         boundary_genus=meta.boundary_genus,
         double_rank=meta.double_rank,
     )
+
+
+def _require_meta(g: ColoredGraph, meta: ManifoldMeta) -> None:
+    """The contract of every call that reads a gem with its metadata: a
+    bounded 4-crystallization whose h and chi are the ones `meta` states,
+    and metadata the bounds accept."""
+    _require(g, dimension=4, boundary=True, crystallization=True)
+    own = (validate(g).h, face_vector(g).euler_characteristic)
+    if (meta.h, meta.chi) != own:
+        raise GemError(
+            f"metadata (h, chi) = ({meta.h}, {meta.chi}) contradicts the "
+            f"gem's (h, chi) = ({own[0]}, {own[1]})"
+        )
+    _require_boundary_meta(meta)
 
 
 def complexity_lower_bounds(
@@ -389,8 +396,10 @@ def rank_upper_bound(g: ColoredGraph) -> int:
     Minimum over unordered color pairs {a, b} of
     g(drop a and b) - g(drop a) - g(drop b) + 1.
     """
-    if not validate(g).is_crystallization:
-        raise GemError("rank bound is defined for crystallizations")
+    if g.dimension < 2:
+        # a 1-gem has no residue with two colors dropped
+        raise GemError("rank bound needs dimension at least 2")
+    _require(g, crystallization=True)
     counts = census(g)
     full = set(g.colors)
     best = None
@@ -408,9 +417,8 @@ def rank_upper_bound(g: ColoredGraph) -> int:
 def boundary_genus_cap(g: ColoredGraph) -> int:
     """Upper bound on the summed boundary genus: min over color pairs of
     the boundary cycle count minus the number of boundary components."""
+    _require(g, boundary=True)
     counts = census(g)
-    if counts.tally.boundary == 0:
-        raise GemError("boundary genus cap needs a nonempty boundary")
     h = len(counts.component_boundary_g)
     return min(
         counts.boundary_g_of(i, j) - h
@@ -433,9 +441,8 @@ def weak_semi_simple(g: ColoredGraph, meta: ManifoldMeta) -> WeakSemiSimpleRepor
     0..3 with the last color fixed.  Type I needs the boundary genus in
     `meta`; when it is absent the type I verdict is None.
     """
-    h = _require_bounded_crystallization(g)
-    if meta.m is None:
-        raise GemError("weak semi-simplicity needs the rank m in meta")
+    _require_meta(g, meta)
+    h = meta.h
     counts = census(g)
     # g_{s0 s1 4} of every relabeling that meets the common equalities
     g014 = {
@@ -470,7 +477,11 @@ class MinimalityReport(NamedTuple):
 
 
 def certify_minimal(g: ColoredGraph, meta: ManifoldMeta) -> MinimalityReport:
-    """Certify minimality by matching attained values against bounds."""
+    """Certify minimality by matching attained values against bounds.
+
+    `g` must be a bounded 4-crystallization whose h and chi `meta`
+    states."""
+    _require_meta(g, meta)
     complexity = gem_complexity(g)
     bound, _ = complexity_lower_bounds(meta)
     tally = g.vertex_tally()

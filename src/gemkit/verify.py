@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 from .core import (
     ColoredGraph,
-    GemError,
+    _require,
     boundary_graph,
     census,
     face_vector,
@@ -27,6 +27,7 @@ from .core import (
 from .constructions import double
 from .genus import (
     ManifoldMeta,
+    _require_meta,
     _scheme_table,
     complexity_lower_bounds,
     gem_complexity,
@@ -144,8 +145,7 @@ def verify_identities(g: ColoredGraph) -> IdentityReport:
     gems.  A bounded input that is not a crystallization skips the
     crystallization-only families.  The identities are metadata-free.
     """
-    if g.dimension != 4:
-        raise GemError("the identity harness is specific to dimension 4")
+    _require(g, dimension=4)
     counts = census(g)
     tally = g.vertex_tally()
     if g.is_closed():
@@ -327,14 +327,11 @@ def verify_bounds(
     meta: ManifoldMeta,
     k_boundary: int | None = None,
 ) -> IdentityReport:
-    """Evaluate every bound; equality is flagged as sharp on this gem."""
-    if g.dimension != 4:
-        raise GemError("the bound harness is specific to dimension 4")
-    if meta.h < 1:
-        raise GemError("bounds assume at least one boundary component")
-    report = validate(g)
-    if not report.is_crystallization:
-        raise GemError("bounds are stated for crystallizations")
+    """Evaluate every bound; equality is flagged as sharp on this gem.
+
+    `g` must be a bounded 4-crystallization whose h and chi `meta`
+    states."""
+    _require_meta(g, meta)
     tally = g.vertex_tally()
     checks: list[Check] = []
     skipped: list[Skip] = []

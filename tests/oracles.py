@@ -242,11 +242,11 @@ def cancel_dipoles_reference(doubled: ColoredGraph, h: int) -> ColoredGraph:
 def crystallize_double_reference(g: ColoredGraph) -> ColoredGraph:
     """`crystallize_double` by repeated public dipole moves, with the same
     checks and error messages."""
+    if g.is_closed():
+        raise GemError("input is closed; needs a gem with nonempty boundary")
     report = validate(g)
-    if not report.is_crystallization or report.h < 1:
-        raise GemError(
-            "crystallize_double requires a crystallization with boundary"
-        )
+    if not report.is_crystallization:
+        raise GemError("input is not a crystallization")
     h = report.h
     d = g.dimension
     doubled = double(g)

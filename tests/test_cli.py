@@ -251,7 +251,7 @@ class TestBoundsVerifyRecognize:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (2, "")
         assert err == (
-            "error: input is closed; this subcommand needs boundary\n"
+            "error: input is closed; needs a gem with nonempty boundary\n"
         )
 
     @pytest.mark.parametrize("flag", ["--double-rank", "--boundary-complexity"])

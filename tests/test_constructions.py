@@ -101,6 +101,14 @@ class TestDipoles:
         with pytest.raises(GemError):
             remove_one_dipole(doubled, Dipole(u=a, v=b, color=1))
 
+    @pytest.mark.parametrize("color", [5, 9, -1])
+    def test_dipole_of_a_color_out_of_range_is_stale(self, fig3, color):
+        doubled = double(fig3)
+        dipole = Dipole(1, 2, color)
+        assert not dipole.verify(doubled)
+        with pytest.raises(GemError, match="stale dipole"):
+            remove_one_dipole(doubled, dipole)
+
 
 class TestCrystallizeDouble:
     def test_fig3_pipeline(self, crystallized_double_fig3, fig3):
@@ -138,7 +146,8 @@ class TestCrystallizeDouble:
         assert face_vector(out).euler_characteristic == 0
 
     def test_closed_input_rejected(self, fig1):
-        with pytest.raises(GemError, match="with boundary"):
+        message = "^input is closed; needs a gem with nonempty boundary$"
+        with pytest.raises(GemError, match=message):
             crystallize_double(fig1)
 
 
@@ -334,7 +343,9 @@ class TestIntervalProduct:
         assert face_vector(out).euler_characteristic == 0
 
     def test_wrong_dimension_rejected(self, fig3):
-        with pytest.raises(GemError, match="3-dimensional"):
+        with pytest.raises(
+            GemError, match="^input has dimension 4; needs dimension 3$"
+        ):
             interval_product(fig3)
 
     def test_non_crystallization_rejected(self):

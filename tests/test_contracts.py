@@ -1,0 +1,200 @@
+"""Input contracts: every entry point that states one names the first
+contract its input breaks, in the wording of the gate `core._require`."""
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from gemkit import (
+    ColoredGraph,
+    Dipole,
+    GemError,
+    ManifoldMeta,
+    boundary_genus_cap,
+    boundary_graph,
+    catalog_get,
+    census,
+    certify_minimal,
+    connected_sum,
+    crystallize_double,
+    double,
+    export_gem,
+    face_vector,
+    find_one_dipoles,
+    gem_complexity,
+    interval_product,
+    rank_upper_bound,
+    regular_genus,
+    remove_one_dipole,
+    residue_components,
+    rho_epsilon,
+    rho_epsilon_census,
+    rho_epsilon_via_double,
+    save_gem,
+    sphere_connector_sum,
+    validate,
+    verify_bounds,
+    verify_identities,
+    weak_semi_simple,
+)
+from gemkit.cli import main
+from test_properties import random_gems
+
+CLOSED = "input is closed; needs a gem with nonempty boundary"
+BOUNDED = "input has boundary; needs a closed gem"
+NOT_CRYSTAL = "input is not a crystallization"
+
+
+def _dimension(d, needed):
+    return f"input has dimension {d}; needs dimension {needed}"
+
+
+# the closed 4-sphere of order 2, two disjoint 4-disks of order 2 (a
+# bounded 4-gem that is no crystallization), the 3-disk of order 2 and
+# the closed 1-sphere of order 2
+INPUTS = {
+    "closed-4": catalog_get("s4_order2").graph,
+    "bounded-4-not-crystal": ColoredGraph(4, 4, [[(1, 2), (3, 4)]] * 4 + [[]]),
+    "disk-3": ColoredGraph(3, 2, [[(1, 2)]] * 3 + [[]]),
+    "one-gem": ColoredGraph(1, 2, [[(1, 2)]] * 2),
+}
+
+# metadata that the gate rejects before it is read
+_META = ManifoldMeta(h=1, chi=1, m=0)
+
+
+def _identity_scheme(g):
+    return tuple(g.colors)
+
+
+# entry point -> expected error on each input of INPUTS, None for a value
+MATRIX = {
+    "double": (double, (CLOSED, None, None, CLOSED)),
+    "crystallize_double": (
+        crystallize_double, (CLOSED, NOT_CRYSTAL, None, CLOSED)
+    ),
+    "interval_product": (
+        interval_product,
+        (_dimension(4, 3), _dimension(4, 3), BOUNDED, _dimension(1, 3)),
+    ),
+    "rho_epsilon_via_double": (
+        lambda g: rho_epsilon_via_double(g, _identity_scheme(g)),
+        (CLOSED, NOT_CRYSTAL, _dimension(3, 4), _dimension(1, 4)),
+    ),
+    "rho_epsilon_census": (
+        lambda g: rho_epsilon_census(g, _identity_scheme(g)),
+        (CLOSED, NOT_CRYSTAL, _dimension(3, 4), _dimension(1, 4)),
+    ),
+    "gem_complexity": (gem_complexity, (None, NOT_CRYSTAL, None, None)),
+    "rank_upper_bound": (
+        rank_upper_bound,
+        (None, NOT_CRYSTAL, None, "rank bound needs dimension at least 2"),
+    ),
+    "boundary_genus_cap": (boundary_genus_cap, (CLOSED, None, None, CLOSED)),
+    "weak_semi_simple": (
+        lambda g: weak_semi_simple(g, _META),
+        (CLOSED, NOT_CRYSTAL, _dimension(3, 4), _dimension(1, 4)),
+    ),
+    "certify_minimal": (
+        lambda g: certify_minimal(g, _META),
+        (CLOSED, NOT_CRYSTAL, _dimension(3, 4), _dimension(1, 4)),
+    ),
+    "verify_identities": (
+        verify_identities, (None, None, _dimension(3, 4), _dimension(1, 4))
+    ),
+    "verify_bounds": (
+        lambda g: verify_bounds(g, _META),
+        (CLOSED, NOT_CRYSTAL, _dimension(3, 4), _dimension(1, 4)),
+    ),
+}
+
+# CLI subcommand -> expected stderr message on each input, None for exit 0
+CLI_MATRIX = {
+    ("boundary",): (CLOSED, None, None, CLOSED),
+    ("bounds", "--rank", "0"): (
+        CLOSED, NOT_CRYSTAL, _dimension(3, 4), CLOSED
+    ),
+}
+
+
+@pytest.mark.parametrize("entry", MATRIX)
+@pytest.mark.parametrize("name", INPUTS)
+def test_contract_matrix(entry, name):
+    call, row = MATRIX[entry]
+    g = INPUTS[name]
+    expected = row[list(INPUTS).index(name)]
+    if expected is None:
+        call(g)
+    else:
+        with pytest.raises(GemError) as raised:
+            call(g)
+        assert str(raised.value) == expected
+
+
+@pytest.mark.parametrize("command", CLI_MATRIX, ids=" ".join)
+@pytest.mark.parametrize("name", INPUTS)
+def test_cli_contract_matrix(capsys, tmp_path, command, name):
+    expected = CLI_MATRIX[command][list(INPUTS).index(name)]
+    path = tmp_path / f"{name}.gem"
+    save_gem(INPUTS[name], path)
+    code = main([command[0], str(path), *command[1:]])
+    out, err = capsys.readouterr()
+    if expected is None:
+        assert (code, err) == (0, "")
+    else:
+        assert (code, out, err) == (2, "", f"error: {expected}\n")
+
+
+def test_metadata_contradicting_the_gem_is_rejected(fig3):
+    # fig3 has h = 1 and chi = 0
+    meta = ManifoldMeta(h=3, chi=-10, m=1)
+    message = (
+        r"^metadata \(h, chi\) = \(3, -10\) contradicts the gem's "
+        r"\(h, chi\) = \(1, 0\)$"
+    )
+    for call in (verify_bounds, certify_minimal, weak_semi_simple):
+        with pytest.raises(GemError, match=message):
+            call(fig3, meta)
+
+
+def _every_entry_point(g):
+    """Call each public graph-taking entry point once on `g`."""
+    def meta():
+        return ManifoldMeta.for_graph(g, m=1)
+
+    scheme = _identity_scheme(g)
+    return (
+        lambda: census(g),
+        lambda: validate(g),
+        lambda: face_vector(g),
+        lambda: boundary_graph(g),
+        lambda: residue_components(g, g.colors),
+        lambda: export_gem(g),
+        lambda: [find_one_dipoles(g, c) for c in g.colors],
+        lambda: [
+            remove_one_dipole(g, dipole)
+            for c in g.colors
+            for dipole in find_one_dipoles(g, c)[:1]
+        ],
+        lambda: remove_one_dipole(g, Dipole(1, 2, g.dimension + 1)),
+        lambda: connected_sum(g, 1, g, 1),
+        lambda: sphere_connector_sum(g, 1, g, 1),
+        *(lambda call=call: call(g) for call, _ in MATRIX.values()),
+        lambda: regular_genus(g),
+        lambda: rho_epsilon(g, scheme),
+        meta,
+        lambda: weak_semi_simple(g, meta()),
+        lambda: certify_minimal(g, meta()),
+        lambda: verify_bounds(g, meta()),
+    )
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(random_gems))
+@settings(max_examples=300, deadline=None)
+def test_every_entry_point_returns_or_raises_gem_error(g):
+    """Any well-formed gem of dimension 1..5, closed or not, manifold or
+    not: each entry point returns a value or raises a `GemError`."""
+    for call in _every_entry_point(g):
+        try:
+            call()
+        except GemError:
+            pass

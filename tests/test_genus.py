@@ -1,5 +1,6 @@
 """Regular genus, gem-complexity, bounds and recognition."""
 
+import functools
 import itertools
 import random
 from fractions import Fraction
@@ -155,6 +156,26 @@ class TestComplexityAndBounds:
     def test_bounds_reject_negative_metadata(self, bound):
         with pytest.raises(GemError, match="^m must be nonnegative, got -2$"):
             bound(ManifoldMeta(h=1, chi=0, m=-2))
+
+    @pytest.mark.parametrize(
+        "bound",
+        [
+            complexity_lower_bounds,
+            vertex_lower_bounds,
+            genus_lower_bounds,
+            pytest.param(
+                functools.partial(
+                    weak_semi_simple, catalog_get("fig3_d3xs1").graph
+                ),
+                id="weak_semi_simple",
+            ),
+        ],
+    )
+    def test_bounds_reject_missing_rank(self, bound):
+        # fig3 has h = 1 and chi = 0
+        message = "^this bound needs the rank m in meta$"
+        with pytest.raises(GemError, match=message):
+            bound(ManifoldMeta(h=1, chi=0, m=None))
 
     def test_negative_boundary_complexity_rejected(self):
         meta = ManifoldMeta(h=1, chi=0, m=1)
