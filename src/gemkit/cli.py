@@ -1,14 +1,17 @@
 """Command-line front end.
 
 Every subcommand reads gems either from GEM v1 files or from the
-built-in catalog (file paths win when a name is both).  A report
-subcommand builds one record of the library's own values
-(`typing.NamedTuple` records, tuples, exact rationals).  With --json the
-record is printed as a versioned JSON object ("schema": 1) with
-deterministically ordered keys;
-otherwise the subcommand's renderer turns the same record into plain
-text lines.  Either way identical inputs produce byte-identical output.
-Construction subcommands write GEM v1 text instead.
+built-in catalog (file paths win when a name is both), and takes
+exactly the flags it reads: any other is a usage error (exit 2).  A
+report subcommand (`info`, `genus`, `bounds`, `verify`, `recognize`,
+`catalog list`, `catalog show`) builds one record of the library's own
+values (`typing.NamedTuple` records, tuples, exact rationals).  With
+--json the record is printed as a versioned JSON object ("schema": 1)
+with deterministically ordered keys; otherwise the subcommand's
+renderer turns the same record into plain text lines.  Either way
+identical inputs produce byte-identical output.  Construction
+subcommands (`double`, `crystallize-double`, `connect`, `product`,
+`boundary`, `catalog export`) write GEM v1 text instead, to -o if given.
 
 The JSON text is written by `_dump` in one walk over the record.  It
 matches `json.dumps(..., sort_keys=True, indent=2)` of the record's JSON
@@ -447,13 +450,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--boundary-complexity", type=int, default=None,
                        help="gem-complexity of the boundary manifold")
 
-    def add_common(p, output=False):
-        p.add_argument("input", help="GEM v1 file or catalog entry name")
+    def add_json(p):
         p.add_argument("--json", action="store_true",
                        help="emit a versioned JSON record")
-        if output:
-            p.add_argument("-o", "--output", default=None,
-                           help="write the resulting gem to this file")
+
+    def add_output(p):
+        p.add_argument("-o", "--output", default=None,
+                       help="write the resulting gem to this file")
+
+    def add_common(p, output=False):
+        p.add_argument("input", help="GEM v1 file or catalog entry name")
+        (add_output if output else add_json)(p)
 
     p = sub.add_parser("info", help="validation flags, tallies, censuses")
     add_common(p)
@@ -511,11 +518,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_recognize)
 
     p = sub.add_parser("catalog", help="built-in gem catalog")
-    p.add_argument("action", choices=["list", "show", "export"])
-    p.add_argument("name", nargs="?", default=None)
-    p.add_argument("--json", action="store_true")
-    p.add_argument("-o", "--output", default=None)
     p.set_defaults(handler=_cmd_catalog)
+    actions = p.add_subparsers(dest="action", required=True)
+    add_json(actions.add_parser("list", help="entry names"))
+    p = actions.add_parser("show", help="an entry's note and metadata")
+    p.add_argument("name")
+    add_json(p)
+    p = actions.add_parser("export", help="an entry's gem")
+    p.add_argument("name")
+    add_output(p)
 
     return parser
 
@@ -529,10 +540,7 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _parser()
-    args = parser.parse_args(argv)
-    if args.subcommand == "catalog" and args.action != "list" and not args.name:
-        parser.error("catalog show/export need an entry name")
+    args = _parser().parse_args(argv)
     try:
         code = args.handler(args)
         sys.stdout.flush()

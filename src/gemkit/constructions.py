@@ -265,11 +265,6 @@ def connected_sum(
         raise GemError("connected sum requires equal dimensions")
     if not (1 <= v1 <= g1.vertex_count) or not (1 <= v2 <= g2.vertex_count):
         raise GemError("summing vertex out of range")
-    for c in g1.colors:
-        if (g1.mate(v1, c) is None) != (g2.mate(v2, c) is None):
-            raise GemError(
-                f"color-degree mismatch at summing vertices for color {c}"
-            )
     d = g1.dimension
     if g1.mate(v1, d) is None or g2.mate(v2, d) is None:
         raise GemError("summing vertices must be internal")
@@ -284,11 +279,14 @@ def sphere_connector_sum(
     """Connected sum of two gems routed through the built-in 10-vertex
     4-sphere connector at its two designated vertices.
 
-    The two summing vertices must be internal.  The result has
+    Both inputs must have dimension 4, the connector's, and the two
+    summing vertices must be internal.  The result has
     |V(g1)| + |V(g2)| + 6 vertices.
     """
     from .catalog import catalog_get
 
+    _require(g1, dimension=4)
+    _require(g2, dimension=4)
     connector = catalog_get("fig1_s4")
     left = connected_sum(g1, u, connector.graph, connector.connector_vertices[0])
     # after compaction, the connector's second designated vertex sits at

@@ -681,7 +681,10 @@ def validate(g: ColoredGraph) -> ValidationReport:
     components when the complement of each color c < d has exactly h
     components, the complement of color d is connected, and the induced
     complex has d*h + 1 labeled vertices; a closed graph qualifies with
-    d + 1 labeled vertices (equivalently: it is contracted).  All
+    d + 1 labeled vertices.  The labeled vertices number f0, the sum of
+    the complement counts, each at least 1, and any connected complement
+    makes the graph connected; so the complement counts alone decide,
+    and a closed graph qualifies exactly when it is contracted.  All
     component counts are read from the census.
     """
     d = g.dimension
@@ -690,28 +693,19 @@ def validate(g: ColoredGraph) -> ValidationReport:
     # hat[c]: components left after dropping color c
     hat = [counts[full - {c}] for c in g.colors]
     per_color = tuple(count == 1 for count in hat)
-    connected = counts[full] == 1
     h = boundary_graph(g).component_count()
-    f0 = face_vector(g).f[0]
     closed = g.is_closed()
-    if closed:
-        crystal = connected and f0 == d + 1
-    else:
-        crystal = (
-            connected
-            and hat[d] == 1
-            and all(hat[c] == h for c in range(d))
-            and f0 == d * h + 1
-        )
     return ValidationReport(
-        connected=connected,
+        connected=counts[full] == 1,
         bipartite=g.is_bipartite(),
         contracted=all(per_color),
         contracted_per_color=per_color,
         closed=closed,
         h=h,
-        is_crystallization=crystal,
-        f0=f0,
+        is_crystallization=all(per_color) if closed else (
+            hat[d] == 1 and all(hat[c] == h for c in range(d))
+        ),
+        f0=sum(hat),
     )
 
 

@@ -16,6 +16,10 @@ library's `json.dumps`, against the CLI's own writer.
 they stood before the constructions began to build involution arrays,
 against the constructor that now shares its store step with them, and
 `pair_rebuild` rebuilds a construction's output from its edge lists.
+`is_crystallization_reference` states the crystallization predicate
+with every one of its conditions, on BFS counts and the oracle face
+vector, against `validate`, which reads it from fewer counts; only its
+boundary component count h comes from the library's `boundary_graph`.
 """
 
 from __future__ import annotations
@@ -29,6 +33,7 @@ from gemkit import (
     ColoredGraph,
     GemError,
     GenusProfile,
+    boundary_graph,
     census,
     double,
     enumerate_schemes,
@@ -166,6 +171,26 @@ def oracle_face_vector(g: ColoredGraph) -> tuple[int, ...]:
                 total += g.vertex_count
         f.append(total)
     return tuple(f)
+
+
+def is_crystallization_reference(g: ColoredGraph) -> bool:
+    """The crystallization predicate with all of its conditions: connected,
+    and either closed with d + 1 labeled vertices (f0), or with h >= 1
+    boundary components, exactly h components after dropping each color
+    c < d, one after dropping color d, and d*h + 1 labeled vertices."""
+    d = g.dimension
+    full = set(g.colors)
+    connected = bfs_component_count(g, full) == 1
+    f0 = oracle_face_vector(g)[0]
+    if g.is_closed():
+        return connected and f0 == d + 1
+    h = boundary_graph(g).component_count()
+    return (
+        connected
+        and bfs_component_count(g, full - {d}) == 1
+        and all(bfs_component_count(g, full - {c}) == h for c in range(d))
+        and f0 == d * h + 1
+    )
 
 
 def oracle_euler_characteristic(g: ColoredGraph) -> int:

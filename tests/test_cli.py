@@ -254,16 +254,6 @@ class TestBoundsVerifyRecognize:
             "error: input is closed; needs a gem with nonempty boundary\n"
         )
 
-    @pytest.mark.parametrize("flag", ["--double-rank", "--boundary-complexity"])
-    def test_recognize_rejects_bounds_flags(self, capsys, flag):
-        # weak semi-simplicity reads only m and the boundary genus
-        with pytest.raises(SystemExit) as exc:
-            main(["recognize", "fig3_d3xs1", "--rank", "1", flag, "5"])
-        assert exc.value.code == 2
-        captured = capsys.readouterr()
-        assert captured.out == ""
-        assert f"unrecognized arguments: {flag} 5" in captured.err
-
     def test_verify_fig2(self, capsys):
         code, out, _ = run(capsys, "verify", "fig2_s3xI",
                            "--rank", "0", "--boundary-genus", "0")
@@ -371,9 +361,44 @@ class TestCatalogCli:
         assert out == export_gem(fig4)
 
     def test_show_needs_name(self, capsys):
-        with pytest.raises(SystemExit) as exc:
-            main(["catalog", "show"])
-        assert exc.value.code == 2
+        for action in ("show", "export"):
+            with pytest.raises(SystemExit) as exc:
+                main(["catalog", action])
+            assert exc.value.code == 2
+
+
+# (argv, the unrecognized arguments): each subcommand takes only the
+# flags it reads; a report takes no -o, a construction no --json
+UNREAD_FLAGS = [
+    # weak semi-simplicity reads only m and the boundary genus
+    ("recognize fig3_d3xs1 --rank 1 --double-rank 5", "--double-rank 5"),
+    ("recognize fig3_d3xs1 --rank 1 --boundary-complexity 5",
+     "--boundary-complexity 5"),
+    ("double fig3_d3xs1 --json", "--json"),
+    ("crystallize-double fig3_d3xs1 --json", "--json"),
+    ("connect fig3_d3xs1 fig3_d3xs1 --json", "--json"),
+    ("product s2xs1_8 --json", "--json"),
+    ("boundary fig3_d3xs1 --json", "--json"),
+    ("catalog export fig3_d3xs1 --json", "--json"),
+    ("catalog list -o list.txt", "-o list.txt"),
+    ("catalog show fig3_d3xs1 -o show.txt", "-o show.txt"),
+    ("catalog list fig3_d3xs1", "fig3_d3xs1"),
+]
+
+
+@pytest.mark.parametrize(
+    "argv, unread", UNREAD_FLAGS, ids=[argv for argv, _ in UNREAD_FLAGS]
+)
+def test_unread_flag_is_a_usage_error(capsys, tmp_path, monkeypatch, argv,
+                                      unread):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(SystemExit) as exc:
+        main(argv.split())
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"unrecognized arguments: {unread}\n" in captured.err
+    assert not any(tmp_path.iterdir())
 
 
 class TestParserReuse:

@@ -1,6 +1,6 @@
 """Golden CLI outputs: stdout and exit code of every subcommand, in text
-form and with --json, over every catalog entry and a few seeded random
-gems.
+form and, where the subcommand takes it, with --json, over every catalog
+entry and a few seeded random gems.
 
 `cli_golden.json` holds one sha256 of "exit CODE" plus stdout per argv.
 After a deliberate change of output, re-record it with
@@ -79,22 +79,35 @@ def corpus() -> list[tuple[str, ...]]:
             ("verify", x, *meta),
             ("recognize", x, *meta[:2]),
             ("recognize", x, *recognized),
+        ):
+            argvs += [command, command + ("--json",)]
+        argvs += [
             ("double", x),
             ("crystallize-double", x),
             ("product", x),
             ("boundary", x),
             ("connect", x, x),
             ("connect", x, x, "--via-sphere"),
-        ):
-            argvs += [command, command + ("--json",)]
+        ]
     for name in catalog_list():
-        for command in (("catalog", "show", name), ("catalog", "export", name)):
-            argvs += [command, command + ("--json",)]
+        command = ("catalog", "show", name)
+        argvs += [command, command + ("--json",), ("catalog", "export", name)]
     argvs += [("catalog", "list"), ("catalog", "list", "--json")]
-    # a flag the subcommand does not take is a usage error
-    argvs.append(
-        ("recognize", "fig3_d3xs1", "--rank", "1", "--double-rank", "5")
-    )
+    # a flag the subcommand does not take is a usage error: one probe per
+    # subcommand and such flag, the --json ones with it ahead of the input
+    x = "fig3_d3xs1"
+    argvs += [
+        ("recognize", x, "--rank", "1", "--double-rank", "5"),
+        ("double", "--json", x),
+        ("crystallize-double", "--json", x),
+        ("connect", "--json", x, x),
+        ("product", "--json", "s2xs1_8"),
+        ("boundary", "--json", x),
+        ("catalog", "export", "--json", x),
+        ("catalog", "list", "-o", "list.txt"),
+        ("catalog", "show", x, "-o", "show.txt"),
+        ("catalog", "list", x),
+    ]
     return list(dict.fromkeys(argvs))
 
 

@@ -280,7 +280,7 @@ class TestConnectedSum:
         boundary_vertex = fig3.boundary_vertices()[0]
         with pytest.raises(GemError, match="internal"):
             connected_sum(fig3, boundary_vertex, fig3, boundary_vertex)
-        with pytest.raises(GemError, match="color-degree mismatch"):
+        with pytest.raises(GemError, match="^summing vertices must be internal$"):
             connected_sum(fig3, boundary_vertex, fig3, 1)
 
     def test_dimension_mismatch_rejected(self, fig3, s2xs1):

@@ -1,5 +1,6 @@
 """Input contracts: every entry point that states one names the first
-contract its input breaks, in the wording of the gate `core._require`."""
+contract its input breaks, in the wording of the gate `core._require`
+or, for the summing vertices of a connected sum, of its own check."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -42,6 +43,7 @@ from test_properties import random_gems
 CLOSED = "input is closed; needs a gem with nonempty boundary"
 BOUNDED = "input has boundary; needs a closed gem"
 NOT_CRYSTAL = "input is not a crystallization"
+INTERNAL = "summing vertices must be internal"
 
 
 def _dimension(d, needed):
@@ -71,6 +73,13 @@ MATRIX = {
     "double": (double, (CLOSED, None, None, CLOSED)),
     "crystallize_double": (
         crystallize_double, (CLOSED, NOT_CRYSTAL, None, CLOSED)
+    ),
+    "connected_sum": (
+        lambda g: connected_sum(g, 1, g, 1), (None, INTERNAL, INTERNAL, None)
+    ),
+    "sphere_connector_sum": (
+        lambda g: sphere_connector_sum(g, 1, g, 1),
+        (None, INTERNAL, _dimension(3, 4), _dimension(1, 4)),
     ),
     "interval_product": (
         interval_product,
@@ -176,8 +185,6 @@ def _every_entry_point(g):
             for dipole in find_one_dipoles(g, c)[:1]
         ],
         lambda: remove_one_dipole(g, Dipole(1, 2, g.dimension + 1)),
-        lambda: connected_sum(g, 1, g, 1),
-        lambda: sphere_connector_sum(g, 1, g, 1),
         *(lambda call=call: call(g) for call, _ in MATRIX.values()),
         lambda: regular_genus(g),
         lambda: rho_epsilon(g, scheme),

@@ -34,6 +34,7 @@ from oracles import (
     bfs_components,
     bfs_regular_component_count,
     colored_graph_reference,
+    is_crystallization_reference,
     oracle_face_vector,
     pair_rebuild,
     regular_genus_reference,
@@ -231,6 +232,18 @@ def test_face_vector_and_validate_match_oracle(g):
         bfs_component_count(g, full - {c}) == 1 for c in g.colors
     )
     assert report.f0 == f[0]
+
+
+@given(st.integers(min_value=1, max_value=5).flatmap(random_gems))
+@settings(max_examples=300, deadline=None)
+def test_validate_reads_f0_and_crystallization_from_hat_counts(g):
+    # validate drops the conditions that follow from the others: f0 is
+    # the sum of the counts after dropping one color, and the gem is
+    # connected when one of them is 1
+    assume(g.is_closed() or g.dimension >= 2)  # else no boundary graph
+    report = validate(g)
+    assert report.f0 == face_vector(g).f[0]
+    assert report.is_crystallization == is_crystallization_reference(g)
 
 
 @given(random_gems())
