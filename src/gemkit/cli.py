@@ -502,7 +502,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_construct, construction=interval_product)
 
     p = sub.add_parser("boundary", help="export each boundary component")
-    add_common(p, output=True)
+    p.add_argument("input", help="GEM v1 file or catalog entry name")
+    p.add_argument("-o", "--output", metavar="PREFIX",
+                   help="write component q to PREFIX.q.gem")
     p.set_defaults(handler=_cmd_boundary)
 
     p = sub.add_parser("verify", help="identity and bound ledger")

@@ -12,6 +12,10 @@ once, as a kernel over already computed census data.  The scheme table
 census, it is a per-graph analysis, computed at most once per graph
 object.  `regular_genus` and the `verify` ledger read it, and the
 public single-scheme functions call the same kernels.
+
+Likewise `_floors` is the one evaluation of the paper's lower bounds,
+each an attained value read from the gem against a bound read from its
+metadata; the `verify` bounds ledger and `certify_minimal` read it.
 """
 
 from __future__ import annotations
@@ -476,33 +480,52 @@ class MinimalityReport(NamedTuple):
     genus_bound_attained: bool
 
 
+def _floors(g: ColoredGraph, meta: ManifoldMeta,
+            k_boundary: int | None = None) -> tuple[tuple, ...]:
+    """One (family, statement, attained, bound, skipped as, reason) row
+    per bound on `g`, in ledger order; a bound of None is one whose
+    metadata was not supplied."""
+    _require_meta(g, meta)
+    tally = g.vertex_tally()
+    vb1, vb2, vb3 = vertex_lower_bounds(meta)
+    kb1, kb2 = complexity_lower_bounds(meta, k_boundary)
+    k = gem_complexity(g)
+    gb1, gb2, gb3 = genus_lower_bounds(meta)
+    rho = regular_genus(g).rho
+    return (
+        ("vertex-floor", "2p >= bound", tally.total, vb1, None, None),
+        ("vertex-floor", "2p + 2p_bar >= bound",
+         tally.total + tally.boundary, vb2, None, None),
+        ("vertex-floor", "2p - 2p_bar >= bound",
+         tally.total - tally.boundary, vb3, None, None),
+        ("complexity-floor", "k >= 3 chi + 7m + 7h - 10", k, kb1, None, None),
+        ("complexity-floor", "k >= k(boundary) + 3 chi + 4m + 6h - 9", k, kb2,
+         "complexity-floor-with-boundary",
+         "boundary gem-complexity not supplied"),
+        ("genus-floor", "rho >= 2 chi + 3m + 2h - 4", rho, gb2, None, None),
+        ("genus-floor", "rho >= 2 chi + 2 (double rank) - 2", rho, gb1,
+         "genus-floor-via-double-rank", "double rank not supplied"),
+        ("genus-floor", "rho >= boundary genus + 2 chi + 2m + 2h - 4", rho,
+         gb3, "genus-floor-with-boundary", "boundary genus not supplied"),
+    )
+
+
 def certify_minimal(g: ColoredGraph, meta: ManifoldMeta) -> MinimalityReport:
     """Certify minimality by matching attained values against bounds.
 
     `g` must be a bounded 4-crystallization whose h and chi `meta`
     states."""
-    _require_meta(g, meta)
-    complexity = gem_complexity(g)
-    bound, _ = complexity_lower_bounds(meta)
-    tally = g.vertex_tally()
-    attained = (
-        tally.total,
-        tally.total + tally.boundary,
-        tally.total - tally.boundary,
-    )
-    vbounds = vertex_lower_bounds(meta)
-    profile = regular_genus(g)
-    _, genus_bound, _ = genus_lower_bounds(meta)
+    pairs = [row[2:4] for row in _floors(g, meta)]  # (attained, bound)
+    (complexity, bound), (rho, genus_bound) = pairs[3], pairs[5]
+    vertex_counts, vertex_bounds = zip(*pairs[:3])
     return MinimalityReport(
         complexity=complexity,
         complexity_bound=bound,
         complexity_certified=complexity == bound,
-        vertex_counts=attained,
-        vertex_bounds=vbounds,
-        vertex_bounds_attained=tuple(
-            a == b for a, b in zip(attained, vbounds)
-        ),
-        rho=profile.rho,
+        vertex_counts=vertex_counts,
+        vertex_bounds=vertex_bounds,
+        vertex_bounds_attained=tuple(a == b for a, b in pairs[:3]),
+        rho=rho,
         genus_bound=genus_bound,
-        genus_bound_attained=profile.rho == genus_bound,
+        genus_bound_attained=rho == genus_bound,
     )

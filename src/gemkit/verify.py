@@ -8,7 +8,9 @@ as a `Skip` with its reason instead.  Every check computes its two sides
 from independent sources (for instance boundary cycle counts from the
 extracted boundary graph versus regular-component counts on the parent),
 so a passing report is a genuine cross-validation and a mistranscribed
-gem reliably fails.
+gem reliably fails.  `verify_bounds` turns each row of `genus._floors`,
+the one evaluation of the bounds that `certify_minimal` reads too, into
+a `Check` or a `Skip`.
 """
 
 from __future__ import annotations
@@ -25,17 +27,7 @@ from .core import (
     validate,
 )
 from .constructions import double
-from .genus import (
-    ManifoldMeta,
-    _require_meta,
-    _scheme_table,
-    complexity_lower_bounds,
-    gem_complexity,
-    genus_lower_bounds,
-    rank_upper_bound,
-    regular_genus,
-    vertex_lower_bounds,
-)
+from .genus import ManifoldMeta, _floors, _scheme_table, rank_upper_bound
 
 
 class Check(NamedTuple):
@@ -331,46 +323,14 @@ def verify_bounds(
 
     `g` must be a bounded 4-crystallization whose h and chi `meta`
     states."""
-    _require_meta(g, meta)
-    tally = g.vertex_tally()
     checks: list[Check] = []
     skipped: list[Skip] = []
-
-    vb = vertex_lower_bounds(meta)
-    attained = (
-        tally.total,
-        tally.total + tally.boundary,
-        tally.total - tally.boundary,
-    )
-    names = ("2p", "2p + 2p_bar", "2p - 2p_bar")
-    for label, got, bound in zip(names, attained, vb):
-        checks.append(
-            _check("vertex-floor", f"{label} >= bound", got, bound, ">=")
-        )
-
-    kb1, kb2 = complexity_lower_bounds(meta, k_boundary)
-    k = gem_complexity(g)
-    gb1, gb2, gb3 = genus_lower_bounds(meta)
-    rho = regular_genus(g).rho
-    # (family, statement, attained, bound, skipped as, reason); a bound
-    # of None is one whose metadata was not supplied
-    floors = (
-        ("complexity-floor", "k >= 3 chi + 7m + 7h - 10", k, kb1, None, None),
-        ("complexity-floor", "k >= k(boundary) + 3 chi + 4m + 6h - 9", k, kb2,
-         "complexity-floor-with-boundary",
-         "boundary gem-complexity not supplied"),
-        ("genus-floor", "rho >= 2 chi + 3m + 2h - 4", rho, gb2, None, None),
-        ("genus-floor", "rho >= 2 chi + 2 (double rank) - 2", rho, gb1,
-         "genus-floor-via-double-rank", "double rank not supplied"),
-        ("genus-floor", "rho >= boundary genus + 2 chi + 2m + 2h - 4", rho,
-         gb3, "genus-floor-with-boundary", "boundary genus not supplied"),
-    )
-    for family, statement, got, bound, skip_name, reason in floors:
+    rows = _floors(g, meta, k_boundary)
+    for family, statement, got, bound, skip_name, reason in rows:
         if bound is None:
             skipped.append(Skip(name=skip_name, reason=reason))
         else:
             checks.append(_check(family, statement, got, bound, ">="))
-
     checks.append(
         _check(
             "rank-cap",

@@ -401,6 +401,21 @@ def test_unread_flag_is_a_usage_error(capsys, tmp_path, monkeypatch, argv,
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize(
+    "argv, help_text",
+    [
+        (["boundary", "-h"], "write component q to PREFIX.q.gem"),
+        (["catalog", "export", "-h"], "write the resulting gem to this file"),
+    ],
+)
+def test_output_help_says_what_is_written(capsys, argv, help_text):
+    # `boundary` reads -o as a prefix of one file per component
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 0
+    assert help_text in " ".join(capsys.readouterr().out.split())
+
+
 class TestParserReuse:
     def test_parser_is_built_once(self, capsys, monkeypatch):
         run(capsys, "catalog", "list")

@@ -6,6 +6,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gemkit import (
     GemError,
@@ -24,11 +25,32 @@ from gemkit import (
     rho_epsilon_census,
     rho_epsilon_via_double,
     sphere_connector_sum,
+    verify_bounds,
     vertex_lower_bounds,
     weak_semi_simple,
 )
 from gemkit.genus import MAX_SCHEME_DIMENSION
 from oracles import weak_semi_simple_reference
+
+
+@functools.cache
+def _minimality_gems():
+    """The bounded catalog crystallizations, both interval products and
+    the sphere-connector chains of fig3_d3xs1 with h = 2..4, by name."""
+    gems = {
+        name: catalog_get(name).graph
+        for name in ("d4_order2", "fig2_s3xI", "fig3_d3xs1",
+                     "fig4_boundary16")
+    }
+    for name in ("s2xs1_8", "rp3_8"):
+        gems[f"product-{name}"] = interval_product(catalog_get(name).graph)
+    fig3 = gems["fig3_d3xs1"]
+    chain = fig3
+    for h in (2, 3, 4):
+        internal = next(v for v in chain.vertices if chain.mate(v, 4))
+        chain = sphere_connector_sum(chain, internal, fig3, 1)
+        gems[f"chain-h{h}"] = chain
+    return gems
 
 
 class TestSchemes:
@@ -268,6 +290,49 @@ class TestRecognition:
         assert report.complexity_certified
         assert report.rho == 2
         assert report.genus_bound_attained
+
+    def test_interval_products_attain_no_bound(
+        self, product_s2xs1, product_rp3
+    ):
+        # every other certify case is sharp, where attained and bound
+        # could be swapped unseen
+        for g in (product_s2xs1, product_rp3):
+            report = certify_minimal(g, ManifoldMeta.for_graph(g, m=1))
+            assert report == (
+                19, 11, False,
+                (40, 56, 24), (24, 34, 14), (False, False, False),
+                4, 3, False,
+            )
+
+    @given(
+        name=st.sampled_from(sorted(_minimality_gems())),
+        m=st.integers(0, 4),
+        boundary_genus=st.one_of(st.none(), st.integers(0, 3)),
+        double_rank=st.one_of(st.none(), st.integers(0, 4)),
+        k_boundary=st.one_of(st.none(), st.integers(0, 20)),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_certify_minimal_projects_the_bounds_ledger(
+        self, name, m, boundary_genus, double_rank, k_boundary
+    ):
+        g = _minimality_gems()[name]
+        meta = ManifoldMeta.for_graph(
+            g, m=m, boundary_genus=boundary_genus, double_rank=double_rank
+        )
+        report = certify_minimal(g, meta)
+        checks = verify_bounds(g, meta, k_boundary=k_boundary).checks
+        vertex = [c for c in checks if c.name == "vertex-floor"]
+        complexity = next(c for c in checks if c.name == "complexity-floor")
+        genus = next(
+            c for c in checks
+            if c.statement == "rho >= 2 chi + 3m + 2h - 4"
+        )
+        assert report == (
+            complexity.left, complexity.right, complexity.sharp,
+            tuple(c.left for c in vertex), tuple(c.right for c in vertex),
+            tuple(c.sharp for c in vertex),
+            genus.left, genus.right, genus.sharp,
+        )
 
 
 class TestCrossFormulaAgreement:
