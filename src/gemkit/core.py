@@ -10,15 +10,20 @@ derived from this data by exact integer arithmetic.
 The residue census labels residues instead of listing them.  Each
 bicolored residue is walked once along its two involution arrays (a
 cycle, or a path between two boundary vertices when color d is one of
-the two); the residues of every larger color set come from the labels
-of a smaller one, joined along one more color by a union-find over
-labels rather than vertices.  A residue with color d fails to be
-regular exactly when its label holds a boundary vertex.
-`residue_components`, the components of the boundary graph and the
-1-dipole search of `constructions` read the same labels for one color
-set.  `constructions.crystallize_double` labels its own mutable arrays
-with the same walk and joins (`_array_labels`) and then only merges
-labels; no other component algorithm runs on vertices.
+the two).  Every larger color set grows from the pair of its two
+smallest colors: right after that pair's walk, the edges of each
+further color are read once into distinct label-level edges (label,
+label), and every set over the pair joins those edges, sent through
+its own map of the pair's labels, by a union-find over labels.  So the
+census reads each vertex once per pair and further color, never once
+per larger set.  A residue with color d fails to be regular exactly
+when its label holds a boundary vertex.  `residue_components`, the
+components of the boundary graph and the 1-dipole search of
+`constructions` label one color set at a time (`_labels`), joining
+label-level edges color by color.  `constructions.crystallize_double`
+labels its own mutable arrays with the same walk and joins
+(`_array_labels`) and then only merges labels; no other component
+algorithm runs on vertices.
 
 Files and the catalog build graphs from pairs; constructions and the
 boundary graph build them from involution arrays (`_from_mates`),
@@ -443,18 +448,17 @@ def _pair_labels(first, second, ends) -> tuple[list[int], list[int]]:
     return labels, starts
 
 
-def _join(labels, count, mate) -> tuple[list[int], int]:
-    """Merge residue labels along one more color.
+def _join(edges, count) -> tuple[list[int], int]:
+    """Merge residue labels along the label-level edges of one more color.
 
-    `labels` labels the residues of a color set B with 1..count and
-    `mate` is the involution array of a color c, with unmatched vertices
-    mapped to themselves.  Union-find runs over the distinct
-    (label, label of c-mate) pairs, so it works on labels rather than
-    vertices.  Returns the map from B's labels to the labels 1..k of the
-    residues of B with c, and k.
+    The residues of a color set B are labeled 1..count, and `edges` holds
+    the (label, label) pairs that an edge of a further color c joins,
+    each pair once.  Union-find runs over these pairs, so it works on
+    labels rather than vertices.  Returns the map from B's labels to the
+    labels 1..k of the residues of B with c, and k.
     """
     parent = list(range(count + 1))
-    for a, b in set(zip(labels, map(labels.__getitem__, mate))):
+    for a, b in edges:
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
@@ -479,7 +483,7 @@ def _join(labels, count, mate) -> tuple[list[int], int]:
 
 def _padded_last(g: ColoredGraph) -> tuple[int, ...]:
     """Color d's involution array with boundary vertices as fixed points,
-    the form `_join` takes."""
+    the form `_array_labels` takes."""
     return tuple(m or v for v, m in enumerate(g._mates[g.dimension]))
 
 
@@ -501,7 +505,9 @@ def _array_labels(arrays, ends=()) -> tuple[list[int], int]:
         count = len(starts)
         arrays = arrays[2:]
     for mate in arrays:
-        renumber, count = _join(labels, count, mate)
+        renumber, count = _join(
+            set(zip(labels, map(labels.__getitem__, mate))), count
+        )
         labels = list(map(renumber.__getitem__, labels))
     return labels, count
 
@@ -525,18 +531,29 @@ def _labels(g: ColoredGraph, colors) -> tuple[list[int], int]:
 def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
     """Component and regular-component counts of every residue.
 
-    Singletons are counted from the matchings.  Each pair is labeled by
-    a walk (`_pair_labels`); larger color sets extend a set B by a color
-    c above max(B) with `_join`, walking the subset lattice depth-first
-    so at most d label arrays are alive at once.  Colors 0..d-1 pair
-    every vertex, so a residue without color d is regular; with color d,
-    the components that are not regular are exactly the labels holding
-    a boundary vertex.
+    Singletons are counted from the matchings.  Each pair {i, j} is
+    labeled by a walk (`_pair_labels`).  Every larger color set grows
+    from its root, the pair {i, j} of its two smallest colors, so j < d.
+    Right after the root's walk each further color c > j is read once:
+    its edges v-w, each listed once up front by its two ends, give the
+    distinct label-level edges (L(v), L(w)), L the root's pair labels.
+    These d - j passes, and one over the boundary vertices, are the
+    root's only reads of vertices; at d = 4 that is 10 passes for the
+    16 joins over all roots.  Each set B over the root holds a map from
+    the root's labels to its own labels 1..k, and B with a further color
+    c above max(B) is joined (`_join`) from the edges of c sent through
+    that map; a triple's map is its join's renumbering.  The lattice
+    over a root is walked depth-first, so at most d - 1 such maps are
+    alive at once.  Colors 0..d-1 pair every vertex, so a residue
+    without color d is regular; with color d, the components that are
+    not regular are exactly the labels holding a boundary vertex, found
+    by sending the root's labels of boundary vertices through the map.
+    Boundary vertices have no color-d edge, so they add no label-level
+    edge.
     """
     n, d = g.vertex_count, g.dimension
     last = g._mates[d]
-    boundary = [v for v in range(1, n + 1) if not last[v]]
-    joins = g._mates[:d] + (_padded_last(g),)
+    boundary = g.boundary_vertices()
     counts: dict[frozenset, int] = {}
     regular: dict[frozenset, int] = {}
     for c in range(d):
@@ -544,32 +561,51 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
     last_edges = (n - len(boundary)) // 2
     counts[frozenset((d,))] = last_edges + len(boundary)
     regular[frozenset((d,))] = last_edges
+    # any color above 1 is a further color of some root
+    ends = {}
+    for c in range(2, d + 1):
+        mate = g._mates[c]
+        lows = [v for v, w in enumerate(mate) if v < w]
+        ends[c] = lows, list(map(mate.__getitem__, lows))
 
-    def extend(colors, labels, count):
+    def record(colors, to_set, k, edges, held):
+        """Count the set `colors`, whose labels 1..k the root's labels
+        map to by `to_set`, and extend it by every color above its top."""
+        key = frozenset(colors)
+        counts[key] = k
+        if colors[-1] == d:
+            regular[key] = k - len(set(map(to_set.__getitem__, held)))
+            return
+        regular[key] = k
         for c in range(colors[-1] + 1, d + 1):
-            renumber, k = _join(labels, count, joins[c])
-            key = frozenset(colors) | {c}
-            counts[key] = k
-            if c == d:
-                held = {renumber[labels[v]] for v in boundary}
-                regular[key] = k - len(held)
-            else:
-                regular[key] = k
-                extend(
-                    colors + (c,), list(map(renumber.__getitem__, labels)), k
-                )
+            renumber, joined = _join(
+                {(to_set[a], to_set[b]) for a, b in edges[c]}, k
+            )
+            record(
+                colors + (c,), list(map(renumber.__getitem__, to_set)),
+                joined, edges, held,
+            )
 
     for i, j in itertools.combinations(range(d + 1), 2):
         key = frozenset((i, j))
         if j == d:
             labels, starts = _pair_labels(g._mates[i], last, boundary)
-            held = {labels[v] for v in boundary}
+            held = set(map(labels.__getitem__, boundary))
             counts[key] = len(starts)
             regular[key] = len(starts) - len(held)
-        else:
-            labels, starts = _pair_labels(g._mates[i], g._mates[j], ())
-            counts[key] = regular[key] = len(starts)
-            extend((i, j), labels, len(starts))
+            continue
+        labels, starts = _pair_labels(g._mates[i], g._mates[j], ())
+        count = len(starts)
+        counts[key] = regular[key] = count
+        held = set(map(labels.__getitem__, boundary))
+        edges = {
+            c: set(zip(map(labels.__getitem__, lows),
+                       map(labels.__getitem__, highs)))
+            for c, (lows, highs) in ends.items() if c > j
+        }
+        for c in range(j + 1, d + 1):
+            renumber, k = _join(edges[c], count)
+            record((i, j, c), renumber, k, edges, held)
     return counts, regular
 
 

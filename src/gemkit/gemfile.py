@@ -78,9 +78,10 @@ def export_gem(g: ColoredGraph) -> str:
         f"dim {g.dimension}",
         f"vertices {g.vertex_count}",
     ]
-    for c in g.colors:
-        pairs = " ".join(f"{a}-{b}" for a, b in g.edges(c))
-        lines.append(f"color {c}:" + (f" {pairs}" if pairs else ""))
+    for c, mate in enumerate(g._mates):
+        # each edge once, from its smaller end, in vertex order
+        pairs = [f"{v}-{w}" for v, w in enumerate(mate) if v < w]
+        lines.append(" ".join([f"color {c}:", *pairs]))
     lines.append("end")
     return "\n".join(lines) + "\n"
 

@@ -16,6 +16,9 @@ library's `json.dumps`, against the CLI's own writer.
 they stood before the constructions began to build involution arrays,
 against the constructor that now shares its store step with them, and
 `pair_rebuild` rebuilds a construction's output from its edge lists.
+`export_reference` writes GEM text from the sorted edge lists that
+`ColoredGraph.edges` returns, against the writer's own pass over the
+involution arrays.
 `is_crystallization_reference` states the crystallization predicate
 with every one of its conditions, on BFS counts and the oracle face
 vector, against `validate`, which reads it from fewer counts; only its
@@ -93,6 +96,20 @@ def pair_rebuild(g: ColoredGraph) -> ColoredGraph:
     return ColoredGraph(
         g.dimension, g.vertex_count, [g.edges(c) for c in g.colors]
     )
+
+
+def export_reference(g: ColoredGraph) -> str:
+    """GEM v1 text of `g`, color by color from `g.edges(c)`."""
+    lines = [
+        "gem-format 1",
+        f"dim {g.dimension}",
+        f"vertices {g.vertex_count}",
+    ]
+    for c in g.colors:
+        pairs = " ".join(f"{a}-{b}" for a, b in g.edges(c))
+        lines.append(f"color {c}:" + (f" {pairs}" if pairs else ""))
+    lines.append("end")
+    return "\n".join(lines) + "\n"
 
 
 def adjacency(g: ColoredGraph, colors) -> dict[int, list[int]]:

@@ -2,7 +2,16 @@
 
 import pytest
 
-from gemkit import GemError, export_gem, load_gem, parse_gem, save_gem
+from gemkit import (
+    GemError,
+    boundary_graph,
+    double,
+    export_gem,
+    load_gem,
+    parse_gem,
+    save_gem,
+)
+from oracles import export_reference
 
 
 def test_round_trip_byte_stable_on_catalog(all_entries):
@@ -14,6 +23,20 @@ def test_round_trip_byte_stable_on_catalog(all_entries):
 def test_round_trip_preserves_graph(all_entries):
     for entry in all_entries:
         assert parse_gem(export_gem(entry.graph)) == entry.graph
+
+
+def test_export_matches_reference_writer(
+    all_entries, bounded_construction_outputs, crystallized_double_fig3,
+    fig2, fig3
+):
+    gems = [e.graph for e in all_entries]
+    gems.extend(bounded_construction_outputs.values())
+    gems.append(crystallized_double_fig3)
+    for bounded in (fig2, fig3):
+        bg = boundary_graph(bounded)
+        gems += [double(bounded), bg.graph, bg.component_subgraph(0)]
+    for g in gems:
+        assert export_gem(g) == export_reference(g)
 
 
 def test_comments_and_blank_lines_ignored(fig3):

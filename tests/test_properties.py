@@ -34,6 +34,7 @@ from oracles import (
     bfs_components,
     bfs_regular_component_count,
     colored_graph_reference,
+    export_reference,
     is_crystallization_reference,
     oracle_face_vector,
     pair_rebuild,
@@ -64,7 +65,7 @@ def random_gems(draw, dimension: int = 4):
 
 def _assert_census_matches_oracle(g):
     counts = census(g)
-    for size in (1, 2, 3, 4, 5):
+    for size in range(1, g.dimension + 2):
         for subset in itertools.combinations(g.colors, size):
             key = frozenset(subset)
             assert counts.g[key] == bfs_component_count(g, subset)
@@ -72,23 +73,27 @@ def _assert_census_matches_oracle(g):
             assert counts.g[key] >= counts.g_dot[key]
 
 
-@given(random_gems())
-@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=6).flatmap(random_gems))
+@settings(max_examples=150, deadline=None)
 def test_census_matches_oracle(g):
+    # the lattice over each pair is as deep as d - 1 colors; a bounded
+    # gem of dimension 1 has no boundary graph, so no census
+    assume(g.is_closed() or g.dimension >= 2)
     _assert_census_matches_oracle(g)
 
 
 @st.composite
-def boundary_heavy_gems(draw):
-    """Gems of up to 60 vertices where at most a quarter of the color-4
-    edges exist, so most {i,4}-residues are paths rather than cycles."""
+def boundary_heavy_gems(draw, dimension: int = 4):
+    """Gems of up to 60 vertices where at most a quarter of the last
+    color's edges exist, so most {i,d}-residues are paths rather than
+    cycles."""
     p = draw(st.integers(min_value=1, max_value=30))
     n = 2 * p
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
-    pairs = [_matching(list(range(1, n + 1)), rng) for _ in range(4)]
+    pairs = [_matching(list(range(1, n + 1)), rng) for _ in range(dimension)]
     matched = draw(st.integers(min_value=0, max_value=p // 4))
     pairs.append(_matching(list(range(1, n + 1)), rng)[:matched])
-    return ColoredGraph(4, n, pairs)
+    return ColoredGraph(dimension, n, pairs)
 
 
 def _assert_boundary_counts_match_subgraphs(g):
@@ -106,11 +111,54 @@ def _assert_boundary_counts_match_subgraphs(g):
             assert per_q[frozenset((i, j))] == bfs_component_count(sub, (i, j))
 
 
-@given(boundary_heavy_gems())
-@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=2, max_value=6).flatmap(boundary_heavy_gems))
+@settings(max_examples=120, deadline=None)
 def test_census_matches_oracle_on_boundary_heavy_gems(g):
     _assert_census_matches_oracle(g)
     _assert_boundary_counts_match_subgraphs(g)
+
+
+def _perfect_matchings(vertices):
+    if not vertices:
+        yield []
+        return
+    first, rest = vertices[0], vertices[1:]
+    for i, other in enumerate(rest):
+        for matching in _perfect_matchings(rest[:i] + rest[i + 1:]):
+            yield [(first, other), *matching]
+
+
+def _tiny_gems(dimension=4, max_vertices=4):
+    """Every gem of the dimension on at most `max_vertices` vertices,
+    once for each choice of a perfect matching per color below the last
+    and a partial matching, possibly empty, on the last."""
+    for n in range(2, max_vertices + 1, 2):
+        perfect = list(_perfect_matchings(list(range(1, n + 1))))
+        partial = sorted({
+            part
+            for matching in perfect
+            for size in range(len(matching) + 1)
+            for part in itertools.combinations(matching, size)
+        })
+        for below in itertools.product(perfect, repeat=dimension):
+            for last in partial:
+                yield ColoredGraph(dimension, n, [*below, last])
+
+
+def test_every_tiny_gem_census_and_round_trip():
+    """All 4-gems on 2 and 4 vertices: 2 on two vertices, and 3 perfect
+    matchings for each of colors 0..3 times 10 partial ones for color 4
+    on four."""
+    gems = list(_tiny_gems())
+    assert len(gems) == 2 + 3**4 * 10
+    assert len(set(gems)) == len(gems)
+    for g in gems:
+        _assert_census_matches_oracle(g)
+        if not g.is_closed():
+            _assert_boundary_counts_match_subgraphs(g)
+        text = export_gem(g)
+        assert text == export_reference(g)
+        assert parse_gem(text) == g
 
 
 def _assert_components_match_oracle(g):
@@ -187,17 +235,28 @@ def test_dipoles_match_brute_force_on_doubles():
         _assert_dipoles_match_brute_force(doubled)
 
 
-def test_census_matches_oracle_at_scale():
-    # far beyond the sizes hypothesis draws: residues merge many labels
-    # and the {i,4}-residues include long paths
+def _scale_gem():
+    """A random bounded 4-gem far beyond the sizes hypothesis draws:
+    residues merge many labels and the {i,4}-residues include long
+    paths."""
     n = 2000
     rng = random.Random(2024)
     pairs = [_matching(list(range(1, n + 1)), rng) for _ in range(5)]
     pairs[4] = pairs[4][:800]
     g = ColoredGraph(4, n, pairs)
     assert len(g.boundary_vertices()) == 400
+    return g
+
+
+def test_census_matches_oracle_at_scale():
+    g = _scale_gem()
     _assert_census_matches_oracle(g)
     _assert_boundary_counts_match_subgraphs(g)
+
+
+def test_export_matches_reference_writer_at_scale():
+    g = _scale_gem()
+    assert export_gem(g) == export_reference(g)
 
 
 def test_census_matches_oracle_on_catalog_and_constructions(
@@ -246,10 +305,11 @@ def test_validate_reads_f0_and_crystallization_from_hat_counts(g):
     assert report.is_crystallization == is_crystallization_reference(g)
 
 
-@given(random_gems())
-@settings(max_examples=60, deadline=None)
+@given(st.integers(min_value=1, max_value=5).flatmap(random_gems))
+@settings(max_examples=100, deadline=None)
 def test_round_trip_identity(g):
     text = export_gem(g)
+    assert text == export_reference(g)
     assert parse_gem(text) == g
     assert export_gem(parse_gem(text)) == text
 
