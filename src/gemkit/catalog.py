@@ -15,8 +15,7 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .core import ColoredGraph, GemError
-from .genus import ManifoldMeta
+from .core import ColoredGraph, GemError, ManifoldMeta
 
 
 class CatalogEntry(NamedTuple):

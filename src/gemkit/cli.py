@@ -13,6 +13,10 @@ identical inputs produce byte-identical output.  Construction
 subcommands (`double`, `crystallize-double`, `connect`, `product`,
 `boundary`, `catalog export`) write GEM v1 text instead, to -o if given.
 
+Only `core` and `gemfile` are imported by name.  The other layers are
+held as modules and a handler looks up what it calls when it runs, so a
+subcommand runs only the layers it reads (see the package docstring).
+
 The JSON text is written by `_dump` in one walk over the record.  It
 matches `json.dumps(..., sort_keys=True, indent=2)` of the record's JSON
 form byte for byte, and that call stays the test oracle.  `json.dumps`
@@ -36,17 +40,11 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
-from .catalog import catalog_get, catalog_list
-from .constructions import (
-    connected_sum,
-    crystallize_double,
-    double,
-    interval_product,
-    sphere_connector_sum,
-)
+from . import catalog, constructions, genus, verify
 from .core import (
     ColoredGraph,
     GemError,
+    ManifoldMeta,
     _require,
     boundary_graph,
     census,
@@ -54,14 +52,6 @@ from .core import (
     validate,
 )
 from .gemfile import export_gem, load_gem
-from .genus import (
-    ManifoldMeta,
-    boundary_genus_cap,
-    rank_upper_bound,
-    regular_genus,
-    weak_semi_simple,
-)
-from .verify import verify_bounds, verify_identities
 
 
 def _load_input(token: str) -> ColoredGraph:
@@ -69,7 +59,7 @@ def _load_input(token: str) -> ColoredGraph:
     if path.is_file():
         return load_gem(path)
     try:
-        return catalog_get(token).graph
+        return catalog.catalog_get(token).graph
     except GemError:
         raise GemError(
             f"{token!r} is neither a readable file nor a catalog entry"
@@ -263,7 +253,7 @@ def _info_lines(r: dict) -> list[str]:
 
 
 def _cmd_genus(args) -> int:
-    profile = regular_genus(_load_input(args.input))
+    profile = genus.regular_genus(_load_input(args.input))
     record = {
         "command": "genus",
         "rho": profile.rho,
@@ -291,7 +281,7 @@ def _genus_lines(r: dict) -> list[str]:
 def _cmd_bounds(args) -> int:
     g = _load_input(args.input)
     meta = _meta_from_args(g, args)
-    report = verify_bounds(g, meta, k_boundary=args.boundary_complexity)
+    report = verify.verify_bounds(g, meta, k_boundary=args.boundary_complexity)
     record = {"command": "bounds", **_ledger(report)}
     _emit(record, args.json,
           lambda r: _ledger_lines("bounds vs attained values:", r))
@@ -301,7 +291,8 @@ def _cmd_bounds(args) -> int:
 def _cmd_construct(args) -> int:
     """`double`, `crystallize-double` and `product`: one construction
     applied to one input."""
-    _write_graph(args.construction(_load_input(args.input)), args.output)
+    construction = getattr(constructions, args.construction)
+    _write_graph(construction(_load_input(args.input)), args.output)
     return 0
 
 
@@ -318,9 +309,9 @@ def _cmd_connect(args) -> int:
     v1 = args.at[0] if args.at else _first_internal_vertex(g1)
     v2 = args.at[1] if args.at else _first_internal_vertex(g2)
     if args.via_sphere:
-        out = sphere_connector_sum(g1, v1, g2, v2)
+        out = constructions.sphere_connector_sum(g1, v1, g2, v2)
     else:
-        out = connected_sum(g1, v1, g2, v2)
+        out = constructions.connected_sum(g1, v1, g2, v2)
     _write_graph(out, args.output)
     return 0
 
@@ -342,7 +333,7 @@ def _cmd_boundary(args) -> int:
 
 def _cmd_verify(args) -> int:
     g = _load_input(args.input)
-    ledgers = {"identities": _ledger(verify_identities(g))}
+    ledgers = {"identities": _ledger(verify.verify_identities(g))}
     # any meta flag asks for the bounds ledger, so a flag that ledger
     # cannot use (one without --rank, any on a closed gem) is bad input
     if any(
@@ -352,7 +343,7 @@ def _cmd_verify(args) -> int:
     ):
         meta = _meta_from_args(g, args)
         ledgers["bounds"] = _ledger(
-            verify_bounds(g, meta, k_boundary=args.boundary_complexity)
+            verify.verify_bounds(g, meta, k_boundary=args.boundary_complexity)
         )
     passed = all(ledger["passed"] for ledger in ledgers.values())
     record = {"command": "verify", "passed": passed, "reports": ledgers}
@@ -369,13 +360,13 @@ def _verify_lines(r: dict) -> list[str]:
 
 def _cmd_recognize(args) -> int:
     g = _load_input(args.input)
-    report = weak_semi_simple(g, _meta_from_args(g, args))
+    report = genus.weak_semi_simple(g, _meta_from_args(g, args))
     record = {
         "command": "recognize",
         "weak_semi_simple_type_one": report.type_one,
         "weak_semi_simple_type_two": report.type_two,
-        "rank_upper_bound": rank_upper_bound(g),
-        "boundary_genus_cap": boundary_genus_cap(g),
+        "rank_upper_bound": genus.rank_upper_bound(g),
+        "boundary_genus_cap": genus.boundary_genus_cap(g),
     }
     _emit(record, args.json, _recognize_lines)
     return 0
@@ -394,10 +385,10 @@ def _recognize_lines(r: dict) -> list[str]:
 
 def _cmd_catalog(args) -> int:
     if args.action == "list":
-        record = {"command": "catalog-list", "entries": catalog_list()}
+        record = {"command": "catalog-list", "entries": catalog.catalog_list()}
         _emit(record, args.json, lambda r: r["entries"])
         return 0
-    entry = catalog_get(args.name)
+    entry = catalog.catalog_get(args.name)
     if args.action == "export":
         _write_graph(entry.graph, args.output)
         return 0
@@ -479,12 +470,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("double", help="double along the boundary")
     add_common(p, output=True)
-    p.set_defaults(handler=_cmd_construct, construction=double)
+    p.set_defaults(handler=_cmd_construct, construction="double")
 
     p = sub.add_parser("crystallize-double",
                        help="double, then contract to a crystallization")
     add_common(p, output=True)
-    p.set_defaults(handler=_cmd_construct, construction=crystallize_double)
+    p.set_defaults(handler=_cmd_construct, construction="crystallize_double")
 
     p = sub.add_parser("connect", help="connected sum of two gems")
     add_common(p, output=True)
@@ -499,7 +490,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("product",
                        help="interval product of a closed 3-manifold gem")
     add_common(p, output=True)
-    p.set_defaults(handler=_cmd_construct, construction=interval_product)
+    p.set_defaults(handler=_cmd_construct, construction="interval_product")
 
     p = sub.add_parser("boundary", help="export each boundary component")
     p.add_argument("input", help="GEM v1 file or catalog entry name")

@@ -39,7 +39,9 @@ Shared results are read-only: the census mappings are
 
 Input contracts (a dimension, a nonempty or an empty boundary, a
 crystallization) are worded only in the gate `_require`, which every
-module calls instead of checking them by hand.
+module calls instead of checking them by hand.  The manifold metadata
+record `ManifoldMeta` is defined here too, so that the catalog needs no
+layer but this one.
 """
 
 from __future__ import annotations
@@ -192,14 +194,13 @@ class ColoredGraph:
         return [(v, mate[v]) for v in self.vertices if v < mate[v]]
 
     def boundary_vertices(self) -> list[int]:
-        mate = self._mates[self.dimension]
-        return [v for v in self.vertices if not mate[v]]
+        return list(_boundary(self))
 
     def is_closed(self) -> bool:
-        return not self.boundary_vertices()
+        return not _boundary(self)
 
     def vertex_tally(self) -> "VertexTally":
-        boundary = len(self.boundary_vertices())
+        boundary = len(_boundary(self))
         return VertexTally(
             total=self.vertex_count,
             boundary=boundary,
@@ -250,6 +251,15 @@ class ColoredGraph:
                     elif side[w] == side[v]:
                         return False
         return True
+
+
+@_per_graph
+def _boundary(g: ColoredGraph) -> tuple[int, ...]:
+    """The vertices unmatched in color d, ascending: one pass over the
+    vertices per graph, shared by the census, the boundary graph and the
+    tally."""
+    mate = g._mates[g.dimension]
+    return tuple(v for v in g.vertices if not mate[v])
 
 
 class VertexTally(NamedTuple):
@@ -303,7 +313,7 @@ def residue_components(g: ColoredGraph, colors) -> list[ResidueComponent]:
         groups.setdefault(labels[v], []).append(v)
     held = set()
     if g.dimension in colorset:
-        held = {labels[v] for v in g.boundary_vertices()}
+        held = {labels[v] for v in _boundary(g)}
     return [
         ResidueComponent(vertices=tuple(comp), regular=label not in held)
         for label, comp in groups.items()
@@ -355,7 +365,7 @@ def _renumbered(dimension, mates, keep) -> ColoredGraph:
 @_per_graph
 def boundary_graph(g: ColoredGraph) -> BoundaryGraph:
     """Extract the boundary graph; empty result for closed gems."""
-    boundary = g.boundary_vertices()
+    boundary = _boundary(g)
     if not boundary:
         return BoundaryGraph(graph=None, parent_vertices=(), components=())
     d = g.dimension
@@ -378,7 +388,7 @@ def boundary_graph(g: ColoredGraph) -> BoundaryGraph:
     bg = _renumbered(d - 1, mates, boundary)
     comps = tuple(c.vertices for c in residue_components(bg, bg.colors))
     return BoundaryGraph(
-        graph=bg, parent_vertices=tuple(boundary), components=comps
+        graph=bg, parent_vertices=boundary, components=comps
     )
 
 
@@ -521,7 +531,7 @@ def _labels(g: ColoredGraph, colors) -> tuple[list[int], int]:
     # a pair; joined, it maps them to themselves
     if len(ordered) == 2 and ordered[1] == d:
         return _array_labels(
-            [g._mates[ordered[0]], g._mates[d]], g.boundary_vertices()
+            [g._mates[ordered[0]], g._mates[d]], _boundary(g)
         )
     return _array_labels(
         [_padded_last(g) if c == d else g._mates[c] for c in ordered]
@@ -553,7 +563,7 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
     """
     n, d = g.vertex_count, g.dimension
     last = g._mates[d]
-    boundary = g.boundary_vertices()
+    boundary = _boundary(g)
     counts: dict[frozenset, int] = {}
     regular: dict[frozenset, int] = {}
     for c in range(d):
@@ -743,6 +753,50 @@ def validate(g: ColoredGraph) -> ValidationReport:
         ),
         f0=sum(hat),
     )
+
+
+class ManifoldMeta(NamedTuple):
+    """Manifold facts used by the bound formulas.
+
+    `h` and `chi` are derivable from a gem; the fundamental-group rank
+    `m` must be supplied by the user (only an upper bound is computable
+    combinatorially), as must the boundary genus and the rank of the
+    double's fundamental group when the corresponding bounds are wanted.
+    """
+
+    h: int
+    chi: int
+    m: int
+    boundary_genus: int | None = None
+    double_rank: int | None = None
+
+    @classmethod
+    def for_graph(
+        cls,
+        g: ColoredGraph,
+        m: int,
+        boundary_genus: int | None = None,
+        double_rank: int | None = None,
+    ) -> "ManifoldMeta":
+        """The metadata of `g`, with h and chi read from the gem.  The
+        supplied values are ranks and genera, so none may be negative."""
+        _require_nonnegative(
+            m=m, boundary_genus=boundary_genus, double_rank=double_rank
+        )
+        report = validate(g)
+        return cls(
+            h=report.h,
+            chi=face_vector(g).euler_characteristic,
+            m=m,
+            boundary_genus=boundary_genus,
+            double_rank=double_rank,
+        )
+
+
+def _require_nonnegative(**values: int | None) -> None:
+    for name, value in values.items():
+        if value is not None and value < 0:
+            raise GemError(f"{name} must be nonnegative, got {value}")
 
 
 def _require(g, dimension=None, boundary=None, crystallization=False):

@@ -25,11 +25,15 @@ import math
 from fractions import Fraction
 from typing import NamedTuple
 
+# `ManifoldMeta` is defined in `core`, so that the catalog needs no
+# layer but `core`; it stays importable from here
 from .core import (
     ColoredGraph,
     GemError,
+    ManifoldMeta,
     _per_graph,
     _require,
+    _require_nonnegative,
     census,
     face_vector,
     validate,
@@ -267,50 +271,6 @@ def gem_complexity(g: ColoredGraph) -> int:
     """
     _require(g, crystallization=True)
     return g.vertex_count // 2 - 1
-
-
-class ManifoldMeta(NamedTuple):
-    """Manifold facts used by the bound formulas.
-
-    `h` and `chi` are derivable from a gem; the fundamental-group rank
-    `m` must be supplied by the user (only an upper bound is computable
-    combinatorially), as must the boundary genus and the rank of the
-    double's fundamental group when the corresponding bounds are wanted.
-    """
-
-    h: int
-    chi: int
-    m: int
-    boundary_genus: int | None = None
-    double_rank: int | None = None
-
-    @classmethod
-    def for_graph(
-        cls,
-        g: ColoredGraph,
-        m: int,
-        boundary_genus: int | None = None,
-        double_rank: int | None = None,
-    ) -> "ManifoldMeta":
-        """The metadata of `g`, with h and chi read from the gem.  The
-        supplied values are ranks and genera, so none may be negative."""
-        _require_nonnegative(
-            m=m, boundary_genus=boundary_genus, double_rank=double_rank
-        )
-        report = validate(g)
-        return cls(
-            h=report.h,
-            chi=face_vector(g).euler_characteristic,
-            m=m,
-            boundary_genus=boundary_genus,
-            double_rank=double_rank,
-        )
-
-
-def _require_nonnegative(**values: int | None) -> None:
-    for name, value in values.items():
-        if value is not None and value < 0:
-            raise GemError(f"{name} must be nonnegative, got {value}")
 
 
 def _require_boundary_meta(meta: ManifoldMeta) -> None:

@@ -20,6 +20,7 @@ from typing import NamedTuple
 
 from .core import (
     ColoredGraph,
+    ManifoldMeta,
     _require,
     boundary_graph,
     census,
@@ -27,7 +28,7 @@ from .core import (
     validate,
 )
 from .constructions import double
-from .genus import ManifoldMeta, _floors, _scheme_table, rank_upper_bound
+from .genus import _floors, _scheme_table, rank_upper_bound
 
 
 class Check(NamedTuple):

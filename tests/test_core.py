@@ -92,6 +92,17 @@ class TestBasicAccessors:
         assert fig2.vertex_tally().boundary == 4
         assert fig2.vertex_tally().p_bar == 2
 
+    def test_boundary_vertices_is_a_fresh_list(self):
+        # the census keeps one boundary tuple per graph; the public list
+        # is a copy, so changing it changes nothing the census reads
+        g = _fresh("fig2_s3xI")
+        census(g)
+        listed = g.boundary_vertices()
+        listed.clear()
+        assert g.boundary_vertices() == [1, 2, 3, 10]
+        assert boundary_graph(g).parent_vertices == (1, 2, 3, 10)
+        assert g.vertex_tally().boundary == 4
+
     def test_edges_sorted_canonical(self, fig3):
         for c in fig3.colors:
             edges = fig3.edges(c)

@@ -1,5 +1,6 @@
 """Record types: `typing.NamedTuple` classes with pinned field order,
-immutable, and imported without `dataclasses` or `inspect`."""
+immutable, and imported without `dataclasses` or `inspect`; and the
+layers that an import or a CLI call runs in a fresh interpreter."""
 
 import os
 import subprocess
@@ -77,15 +78,70 @@ def test_default_expectations_are_read_only(fig3):
         entry.expected["rho"] = 1
 
 
-def test_cold_import_loads_neither_dataclasses_nor_inspect():
+def _fresh(code, *argv):
+    """stdout of `code` run in a fresh interpreter, which must exit 0
+    and write nothing to stderr."""
     src = str(Path(gemkit.__file__).resolve().parent.parent)
-    code = (
-        "import gemkit, gemkit.cli, sys; "
-        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
-    )
     child = subprocess.run(
-        [sys.executable, "-W", "error", "-c", code],
+        [sys.executable, "-W", "error", "-c", code, *argv],
         capture_output=True, text=True,
         env=dict(os.environ, PYTHONPATH=src), timeout=120,
     )
-    assert (child.returncode, child.stdout, child.stderr) == (0, "[]\n", "")
+    assert (child.returncode, child.stderr) == (0, "")
+    return child.stdout
+
+
+def test_cold_import_loads_neither_dataclasses_nor_inspect():
+    # looking up every public name runs every layer
+    code = (
+        "import gemkit, gemkit.cli, sys; "
+        "[getattr(gemkit, name) for name in gemkit.__all__]; "
+        "print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    )
+    assert _fresh(code) == "[]\n"
+
+
+# A layer has run once its module is a plain module again; `type()` reads
+# that without a lookup, which would run the layer.
+_PRINT_LAYERS = (
+    "\nimport sys, types\n"
+    "print(*sorted(name.removeprefix('gemkit.')\n"
+    "              for name, module in sys.modules.items()\n"
+    "              if name.startswith('gemkit.')\n"
+    "              and type(module) is types.ModuleType))\n"
+)
+_CLI_CALL = (
+    "import contextlib, io, sys, gemkit.cli\n"
+    "with contextlib.redirect_stdout(io.StringIO()):\n"
+    "    code = gemkit.cli.main(sys.argv[1:])\n"
+    "print(code, end=' ')\n"
+)
+_CLI_LAYERS = ["cli", "core", "gemfile"]
+
+
+@pytest.mark.parametrize("code, layers", [
+    ("import gemkit", []),
+    ("import gemkit.cli", _CLI_LAYERS),
+])
+def test_import_runs_only_what_it_needs(code, layers):
+    assert _fresh(code + _PRINT_LAYERS).split() == layers
+
+
+@pytest.mark.parametrize("argv, layers", [
+    (["info"], []),
+    (["genus"], ["constructions", "genus"]),
+    (["verify", "--rank", "1"], ["constructions", "genus", "verify"]),
+    (["crystallize-double"], ["constructions"]),
+])
+@pytest.mark.parametrize("source", ["file", "catalog"])
+def test_subcommand_runs_only_the_layers_it_reads(
+    tmp_path, fig3, argv, layers, source
+):
+    if source == "file":
+        token = str(tmp_path / "fig3.gem")
+        gemkit.save_gem(fig3, token)
+    else:
+        token = "fig3_d3xs1"
+        layers = layers + ["catalog"]
+    out = _fresh(_CLI_CALL + _PRINT_LAYERS, argv[0], token, *argv[1:])
+    assert out.split() == ["0"] + sorted(_CLI_LAYERS + layers)
