@@ -22,7 +22,9 @@ matches `json.dumps(..., sort_keys=True, indent=2)` of the record's JSON
 form byte for byte, and that call stays the test oracle.  `json.dumps`
 itself is not used: before Python 3.13 it falls back to its pure-Python
 encoder whenever `indent` is set, and it needs a converted copy of the
-record.
+record.  Only the string quoting comes from `json`, imported when the
+first string is written, so a subcommand that writes no JSON never
+loads `json`.
 
 Exit codes: 0 success, 1 at least one verification check failed,
 2 bad input (unknown file/name, malformed gem, broken input contract),
@@ -37,7 +39,6 @@ import itertools
 import os
 import sys
 from fractions import Fraction
-from json.encoder import encode_basestring_ascii as _quote
 from pathlib import Path
 
 from . import catalog, constructions, genus, verify
@@ -64,6 +65,16 @@ def _load_input(token: str) -> ColoredGraph:
         raise GemError(
             f"{token!r} is neither a readable file nor a catalog entry"
         )
+
+
+def _quote(text: str) -> str:
+    """`text` as an ASCII JSON string literal, quoted as `json.dumps`
+    quotes it.  The first call imports the C quoting function and
+    rebinds this name to it, so later calls go to it directly."""
+    global _quote
+    from json.encoder import encode_basestring_ascii as _quote
+
+    return _quote(text)
 
 
 # sorted field names of each record type `_dump` has met

@@ -26,10 +26,12 @@ from .core import (
     ColoredGraph,
     GemError,
     _array_labels,
+    _ids,
     _labels,
     _per_graph,
     _renumbered,
     _require,
+    _vertex_ids,
     census,
     validate,
 )
@@ -46,19 +48,24 @@ def double(g: ColoredGraph) -> ColoredGraph:
     _require(g, boundary=True)
     n = g.vertex_count
     mates = _disjoint_union(g, g)
+    ids = _ids(2 * n + 1)
     last = mates[g.dimension]
     for v in g.boundary_vertices():
-        last[v], last[v + n] = v + n, v
+        last[v], last[v + n] = ids[v + n], ids[v]
     return ColoredGraph._from_mates(g.dimension, mates)
 
 
 def _disjoint_union(first: ColoredGraph, second: ColoredGraph) -> list:
     """Mutable involution arrays of two graphs of one dimension side by
     side, the second graph's vertex v renumbered n + v for the first
-    graph's n vertices; an unmatched vertex keeps mate 0."""
-    n = first.vertex_count
+    graph's n vertices; an unmatched vertex keeps mate 0.  Every vertex
+    number is read from the vertex-id table."""
+    n, size = first.vertex_count, second.vertex_count + 1
+    ids = _ids(n + size)
+    # shifted[w] is the id n + w, and shifted[0] stays 0
+    shifted = (0, *itertools.islice(ids, n + 1, n + size))
     return [
-        [*mate, *(w and w + n for w in other[1:])]
+        [*map(ids.__getitem__, mate), *map(shifted.__getitem__, other[1:])]
         for mate, other in zip(first._mates, second._mates)
     ]
 
@@ -77,7 +84,7 @@ def _compact(dimension: int, mates) -> ColoredGraph:
     """The graph on the vertices that `_weld` left in place, renumbered
     1..n in vertex order."""
     color0 = mates[0]
-    keep = [w for w in range(1, len(color0)) if color0[w] != w]
+    keep = [w for w in _vertex_ids(len(color0) - 1) if color0[w] != w]
     return _renumbered(dimension, mates, keep)
 
 
@@ -326,6 +333,7 @@ def interval_product(g3: ColoredGraph) -> ColoredGraph:
             "(complementary pair counts equal and summing to 2 + n/2)"
         )
     copies = 5
+    ids = _ids(copies * n + 1)
     mates = [[0] * (copies * n + 1) for _ in range(5)]
     for m in range(copies):
         dropped_own = {(m - 1) % copies, m}
@@ -333,14 +341,17 @@ def interval_product(g3: ColoredGraph) -> ColoredGraph:
         dropped_original = (m - 1) % 4
         kept_original = [c for c in range(4) if c != dropped_original]
         offset = m * n
+        # shifted[w] is the id offset + w; the input is closed, so every
+        # copied entry is a vertex
+        shifted = ids[offset : offset + n + 1]
         for original_color, target_color in zip(kept_original, own_colors):
             mates[target_color][offset + 1 : offset + n + 1] = map(
-                offset.__add__, g3._mates[original_color][1:]
+                shifted.__getitem__, g3._mates[original_color][1:]
             )
     for c in range(4):
         lo, hi = c * n, (c + 1) * n
-        mates[c][lo + 1 : hi + 1] = range(hi + 1, hi + n + 1)
-        mates[c][hi + 1 : hi + n + 1] = range(lo + 1, lo + n + 1)
+        mates[c][lo + 1 : hi + 1] = ids[hi + 1 : hi + n + 1]
+        mates[c][hi + 1 : hi + n + 1] = ids[lo + 1 : lo + n + 1]
     product = ColoredGraph._from_mates(4, mates)
     # the construction promises a genus realization of twice the sum of
     # two complementary pair counts minus four; check it

@@ -27,7 +27,12 @@ algorithm runs on vertices.
 
 Files and the catalog build graphs from pairs; constructions and the
 boundary graph build them from involution arrays (`_from_mates`),
-checked as strictly; both end in one store step.
+checked as strictly; both end in one store step.  Every vertex number
+written into an involution array is read from one shared vertex-id
+table (`_ids`), whose entry v is the int v.  Fresh ints would cost a
+28-byte object per (color, vertex) entry next to its 8-byte pointer;
+with the table the arrays of every graph point at one object per
+vertex number.
 
 Graphs are immutable, so each per-graph analysis (`census`,
 `boundary_graph`, `face_vector`, `validate`, `constructions.double`
@@ -97,11 +102,39 @@ def _check_shape(dimension, vertex_count, color_count) -> None:
         raise GemError(f"expected {dimension + 1} colors, got {color_count}")
 
 
+# entry v is the int v; see `_ids`
+_ID_TABLE: tuple[int, ...] = (0,)
+
+
+def _ids(size: int) -> tuple[int, ...]:
+    """The vertex-id table, at least `size` entries long: entry v is the
+    int v, the one object that every involution array holds for v.
+
+    A longer request replaces the table with `tuple(range(size))`, so it
+    grows to the largest graph seen.  It needs no lock: a replaced table
+    is still correct, and threads that grow it at once each get a table
+    long enough for their request.
+    """
+    global _ID_TABLE
+    table = _ID_TABLE
+    if len(table) < size:
+        table = _ID_TABLE = tuple(range(size))
+    return table
+
+
+def _vertex_ids(n: int):
+    """The vertex numbers 1..n as an iterator over the vertex-id table."""
+    return itertools.islice(_ids(n + 1), 1, n + 1)
+
+
 class ColoredGraph:
     """Immutable (d+1)-edge-colored multigraph, regular w.r.t. color d.
 
     Vertices are 1..n.  Each color is a fixed-point-free partial pairing
     stored as an involution array; colors 0..d-1 must pair every vertex.
+    The arrays point at the int objects of the shared vertex-id table
+    (`_ids`) instead of each holding ints of its own, so an entry costs
+    an 8-byte pointer and no 28-byte int.
     Parallel edges between the same two vertices are allowed as long as
     their colors differ (which the matching representation guarantees).
     The dimension is at most `MAX_DIMENSION`.
@@ -119,6 +152,9 @@ class ColoredGraph:
             # pairs cannot cover costs no memory
             if color < dimension and len(pairs) * 2 != n:
                 raise GemError(f"color {color} not a total pairing")
+            if not color:
+                # color 0 passed the check, so the pairs cover n
+                ids = _ids(n + 1)
             mate = [0] * (n + 1)
             for a, b in pairs:
                 if not (1 <= a <= n and 1 <= b <= n):
@@ -132,7 +168,7 @@ class ColoredGraph:
                     raise GemError(
                         f"color {color}: vertex {dup} paired more than once"
                     )
-                mate[a], mate[b] = b, a
+                mate[a], mate[b] = ids[b], ids[a]
             mates.append(tuple(mate))
         self._store(dimension, mates)
 
@@ -142,7 +178,7 @@ class ColoredGraph:
         0 for an unmatched vertex, checked as strictly as pairs are."""
         n = len(mates[0]) - 1 if mates else 0
         _check_shape(dimension, n, len(mates))
-        vertices = list(range(1, n + 1))
+        vertices = list(_vertex_ids(n))
         for color, mate in enumerate(mates):
             # applied twice, the array must take each vertex back to
             # itself: an unmatched vertex stands for itself, a fixed
@@ -259,7 +295,7 @@ def _boundary(g: ColoredGraph) -> tuple[int, ...]:
     vertices per graph, shared by the census, the boundary graph and the
     tally."""
     mate = g._mates[g.dimension]
-    return tuple(v for v in g.vertices if not mate[v])
+    return tuple(v for v in _vertex_ids(g.vertex_count) if not mate[v])
 
 
 class VertexTally(NamedTuple):
@@ -309,7 +345,7 @@ def residue_components(g: ColoredGraph, colors) -> list[ResidueComponent]:
     labels, _ = _labels(g, colorset)
     # labels first seen in vertex order, so smallest vertex first
     groups: dict[int, list[int]] = {}
-    for v in g.vertices:
+    for v in _vertex_ids(g.vertex_count):
         groups.setdefault(labels[v], []).append(v)
     held = set()
     if g.dimension in colorset:
@@ -351,12 +387,13 @@ def _renumbered(dimension, mates, keep) -> ColoredGraph:
     `keep`, given ascending and closed under every color, renumbered
     1..len(keep) in that order."""
     renumber = [0] * len(mates[0])
-    for i, v in enumerate(keep, 1):
+    for v, i in zip(keep, _vertex_ids(len(keep))):
         renumber[v] = i
+    # built as tuples, which the store step keeps without a copy
     return ColoredGraph._from_mates(
         dimension,
         [
-            [0, *map(renumber.__getitem__, map(mate.__getitem__, keep))]
+            (0, *map(renumber.__getitem__, map(mate.__getitem__, keep)))
             for mate in mates
         ],
     )

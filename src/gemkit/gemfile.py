@@ -22,36 +22,44 @@ from __future__ import annotations
 from .core import ColoredGraph, GemError
 
 
-def _tokens(text: str) -> list[list[str]]:
-    rows = []
+def _lines(text: str) -> list[str]:
+    """The lines of `text` that hold more than a comment, stripped."""
+    lines = []
     for line in text.splitlines():
         line = line.split("#", 1)[0].strip()
         if line:
-            rows.append(line.split())
-    return rows
+            lines.append(line)
+    return lines
 
 
 def parse_gem(text: str) -> ColoredGraph:
-    """Parse GEM v1 content into a ColoredGraph."""
-    rows = _tokens(text)
-    if not rows or rows[0] != ["gem-format", "1"]:
+    """Parse GEM v1 content into a ColoredGraph.
+
+    A color line is split into tokens only when its pairs are read, so
+    the tokens of one line at a time are alive.
+    """
+    lines = _lines(text)
+    if not lines or lines[0].split() != ["gem-format", "1"]:
         raise GemError("malformed header: expected 'gem-format 1'")
-    if len(rows) < 3:
+    if len(lines) < 3:
         raise GemError("truncated file: missing 'dim'/'vertices' lines")
-    if rows[1][0] != "dim" or len(rows[1]) != 2:
+    dim_row, vertices_row = lines[1].split(), lines[2].split()
+    if dim_row[0] != "dim" or len(dim_row) != 2:
         raise GemError("malformed header: expected 'dim D'")
-    if rows[2][0] != "vertices" or len(rows[2]) != 2:
+    if vertices_row[0] != "vertices" or len(vertices_row) != 2:
         raise GemError("malformed header: expected 'vertices N'")
     try:
-        d = int(rows[1][1])
-        n = int(rows[2][1])
+        d = int(dim_row[1])
+        n = int(vertices_row[1])
     except ValueError as exc:
         raise GemError(f"malformed header: {exc}") from None
-    body = rows[3:]
-    if len(body) != d + 2 or body[-1] != ["end"]:
+    body = lines[3:]
+    # a stripped line splits into ["end"] exactly when it is "end"
+    if len(body) != d + 2 or body[-1] != "end":
         raise GemError(f"expected {d + 1} color lines followed by 'end'")
     pairs_by_color = []
-    for expected_color, row in enumerate(body[:-1]):
+    for expected_color, line in enumerate(body[:-1]):
+        row = line.split()
         if (
             len(row) < 2
             or row[0] != "color"

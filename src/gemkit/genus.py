@@ -49,18 +49,13 @@ Scheme = tuple[int, ...]
 MAX_SCHEME_DIMENSION = 9
 
 
-def canonical_scheme(scheme: Scheme) -> Scheme:
-    """Reversal-canonical form: the cycle read in whichever direction is
-    lexicographically smaller, keeping the last color fixed at the end."""
-    head = scheme[:-1]
-    return min(head, head[::-1]) + scheme[-1:]
-
-
 def enumerate_schemes(d: int) -> list[Scheme]:
     """All cyclic color orderings ending in d, deduplicated by reversal.
 
-    For d = 4 there are 4!/2 = 12 of them, in lexicographic order.
-    The dimension is at most `MAX_SCHEME_DIMENSION`.
+    Each reversal pair keeps its lexicographically smaller head, and the
+    permutations come in lexicographic order, so the result is sorted:
+    for d = 4 there are 4!/2 = 12 of them.  The dimension is at most
+    `MAX_SCHEME_DIMENSION`.
     """
     if d < 2:
         raise GemError("schemes need dimension >= 2")
@@ -70,14 +65,9 @@ def enumerate_schemes(d: int) -> list[Scheme]:
             f"{MAX_SCHEME_DIMENSION}: it has {math.factorial(d) // 2} "
             "schemes (d!/2)"
         )
-    seen = set()
-    out = []
-    for head in itertools.permutations(range(d)):
-        scheme = canonical_scheme(head + (d,))
-        if scheme not in seen:
-            seen.add(scheme)
-            out.append(scheme)
-    return sorted(out)
+    return [
+        p + (d,) for p in itertools.permutations(range(d)) if p < p[::-1]
+    ]
 
 
 def _check_scheme(g: ColoredGraph, scheme: Scheme) -> None:

@@ -63,6 +63,15 @@ class TestSchemes:
     def test_three_schemes_for_dimension_three(self):
         assert len(enumerate_schemes(3)) == 3
 
+    @pytest.mark.parametrize("d", range(2, 8))
+    def test_schemes_are_the_sorted_reversal_canonical_orderings(self, d):
+        # every ordering of 0..d-1 read in its smaller direction
+        canonical = {
+            min(head, head[::-1]) + (d,)
+            for head in itertools.permutations(range(d))
+        }
+        assert enumerate_schemes(d) == sorted(canonical)
+
     def test_bad_scheme_rejected(self, fig2):
         with pytest.raises(GemError, match="not a color cycle"):
             rho_epsilon(fig2, (0, 1, 2, 4, 3))

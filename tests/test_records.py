@@ -145,3 +145,23 @@ def test_subcommand_runs_only_the_layers_it_reads(
         layers = layers + ["catalog"]
     out = _fresh(_CLI_CALL + _PRINT_LAYERS, argv[0], token, *argv[1:])
     assert out.split() == ["0"] + sorted(_CLI_LAYERS + layers)
+
+
+_PRINT_JSON = (
+    "print(sorted(name for name in sys.modules\n"
+    "             if name.partition('.')[0] == 'json'))\n"
+)
+
+
+@pytest.mark.parametrize("argv", [
+    ["genus", "fig4_boundary16"],
+    ["verify", "fig4_boundary16", "--rank", "1"],
+    ["crystallize-double", "fig3_d3xs1"],
+])
+def test_subcommand_without_json_output_leaves_json_unloaded(argv):
+    assert _fresh(_CLI_CALL + _PRINT_JSON, *argv) == "0 []\n"
+
+
+def test_json_output_loads_the_encoder():
+    out = _fresh(_CLI_CALL + _PRINT_JSON, "info", "fig4_boundary16", "--json")
+    assert "'json.encoder'" in out
