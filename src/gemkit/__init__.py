@@ -13,9 +13,11 @@ and a lookup on a layer that has not finished running waits for it, so
 no other thread sees a half-run layer; a lookup that re-enters a layer
 while it runs fails as in a circular import.
 
-The public names are those of `__all__`, unchanged.  Each is looked up
-in its home layer on every access and never copied into this package,
-so a name replaced on its home module is the one `gemkit.<name>` gives.
+The public names are listed once, each with its home layer, in
+`_HOME`: `__all__` is its keys, sorted, and the layers registered
+below are its values in first-seen order.  Each name is looked up in
+its home layer on every access and never copied into this package, so
+a name replaced on its home module is the one `gemkit.<name>` gives.
 """
 
 import importlib.util
@@ -58,59 +60,7 @@ _HOME = {
     for name in names
 }
 
-__all__ = [
-    "BoundaryGraph",
-    "CatalogEntry",
-    "Check",
-    "ColoredGraph",
-    "Dipole",
-    "FaceVector",
-    "GemError",
-    "GenusProfile",
-    "IdentityReport",
-    "ManifoldMeta",
-    "MinimalityReport",
-    "ResidueCensus",
-    "ResidueComponent",
-    "SchemeProfile",
-    "Skip",
-    "ValidationReport",
-    "VertexTally",
-    "WeakSemiSimpleReport",
-    "boundary_genus_cap",
-    "boundary_graph",
-    "catalog_get",
-    "catalog_list",
-    "census",
-    "certify_minimal",
-    "complexity_lower_bounds",
-    "connected_sum",
-    "crystallize_double",
-    "double",
-    "enumerate_schemes",
-    "export_gem",
-    "face_vector",
-    "find_one_dipoles",
-    "gem_complexity",
-    "genus_lower_bounds",
-    "interval_product",
-    "load_gem",
-    "parse_gem",
-    "rank_upper_bound",
-    "regular_genus",
-    "remove_one_dipole",
-    "residue_components",
-    "rho_epsilon",
-    "rho_epsilon_census",
-    "rho_epsilon_via_double",
-    "save_gem",
-    "sphere_connector_sum",
-    "validate",
-    "vertex_lower_bounds",
-    "verify_bounds",
-    "verify_identities",
-    "weak_semi_simple",
-]
+__all__ = sorted(_HOME)
 
 # reentrant: running a layer runs the layers it imports
 _lock = threading.RLock()
@@ -145,8 +95,7 @@ class _Layer(types.ModuleType):
             return types.ModuleType.__getattribute__(self, name)
 
 
-for _name in ("core", "gemfile", "constructions", "genus", "verify",
-              "catalog"):
+for _name in dict.fromkeys(_HOME.values()):
     _spec = importlib.util.find_spec(f"{__name__}.{_name}")
     _layer = importlib.util.module_from_spec(_spec)
     _layer.__class__ = _Layer

@@ -26,6 +26,7 @@ from .core import (
     ColoredGraph,
     GemError,
     _array_labels,
+    _boundary,
     _ids,
     _labels,
     _per_graph,
@@ -50,8 +51,13 @@ def double(g: ColoredGraph) -> ColoredGraph:
     mates = _disjoint_union(g, g)
     ids = _ids(2 * n + 1)
     last = mates[g.dimension]
-    for v in g.boundary_vertices():
+    for v in _boundary(g):
         last[v], last[v + n] = ids[v + n], ids[v]
+    del last
+    # each list is freed as soon as its tuple exists, and the store step
+    # keeps the tuples without a second copy
+    for c in range(len(mates)):
+        mates[c] = tuple(mates[c])
     return ColoredGraph._from_mates(g.dimension, mates)
 
 

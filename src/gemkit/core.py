@@ -10,20 +10,20 @@ derived from this data by exact integer arithmetic.
 The residue census labels residues instead of listing them.  Each
 bicolored residue is walked once along its two involution arrays (a
 cycle, or a path between two boundary vertices when color d is one of
-the two).  Every larger color set grows from the pair of its two
-smallest colors: right after that pair's walk, the edges of each
-further color are read once into distinct label-level edges (label,
-label), and every set over the pair joins those edges, sent through
-its own map of the pair's labels, by a union-find over labels.  So the
-census reads each vertex once per pair and further color, never once
-per larger set.  A residue with color d fails to be regular exactly
-when its label holds a boundary vertex.  `residue_components`, the
-components of the boundary graph and the 1-dipole search of
-`constructions` label one color set at a time (`_labels`), joining
-label-level edges color by color.  `constructions.crystallize_double`
-labels its own mutable arrays with the same walk and joins
-(`_array_labels`) and then only merges labels; no other component
-algorithm runs on vertices.
+the two).  Every further color is joined through its edge list, each
+edge listed once by its smaller end, so a boundary vertex adds none.
+A larger color set grows from the pair of its two smallest colors:
+after that pair's walk, each further color's edge list is read once
+into distinct label-level edges (label, label), and every set over the
+pair joins those edges, sent through its own map of the pair's labels,
+by a union-find over labels.  So the census reads each vertex once per
+pair and further color, never once per larger set.  A residue with
+color d fails to be regular exactly when its label holds a boundary
+vertex.  `residue_components`, the boundary graph's components and the
+1-dipole search of `constructions` label one color set at a time
+(`_labels`) with one walk and the same joins; `crystallize_double`
+labels its own mutable arrays likewise (`_array_labels`) and then only
+merges labels.  No other component algorithm runs on vertices.
 
 Files and the catalog build graphs from pairs; constructions and the
 boundary graph build them from involution arrays (`_from_mates`),
@@ -528,10 +528,19 @@ def _join(edges, count) -> tuple[list[int], int]:
     return renumber, k
 
 
-def _padded_last(g: ColoredGraph) -> tuple[int, ...]:
-    """Color d's involution array with boundary vertices as fixed points,
-    the form `_array_labels` takes."""
-    return tuple(m or v for v, m in enumerate(g._mates[g.dimension]))
+def _edge_list(mate) -> tuple[list[int], list[int]]:
+    """The edges of one involution array as two lists of ends, each edge
+    listed once by its smaller end (`v < mate[v]`), so a fixed point or
+    an unmatched vertex lists no edge."""
+    lows = [v for v, w in enumerate(mate) if v < w]
+    return lows, list(map(mate.__getitem__, lows))
+
+
+def _label_edges(labels, edge_list) -> set[tuple[int, int]]:
+    """The distinct label-level edges (L(v), L(w)) of an edge list."""
+    lows, highs = edge_list
+    return set(zip(map(labels.__getitem__, lows),
+                   map(labels.__getitem__, highs)))
 
 
 def _array_labels(arrays, ends=()) -> tuple[list[int], int]:
@@ -540,10 +549,10 @@ def _array_labels(arrays, ends=()) -> tuple[list[int], int]:
 
     The first two arrays are labeled by a walk (`_pair_labels`), so the
     first pairs every vertex and the second may leave the vertices
-    `ends` unmatched; each further array is added by `_join` and maps
-    its unmatched vertices to themselves.  A single array starts from
-    one label per vertex and is joined like a further one.  Index 0
-    keeps label 0.
+    `ends` unmatched; each further array is added by `_join` over the
+    distinct label-level edges of its edge list (`_edge_list`).  A
+    single array starts from one label per vertex and is joined like a
+    further one.  Index 0 keeps label 0.
     """
     if len(arrays) == 1:
         labels, count = list(range(len(arrays[0]))), len(arrays[0]) - 1
@@ -552,26 +561,21 @@ def _array_labels(arrays, ends=()) -> tuple[list[int], int]:
         count = len(starts)
         arrays = arrays[2:]
     for mate in arrays:
-        renumber, count = _join(
-            set(zip(labels, map(labels.__getitem__, mate))), count
-        )
+        renumber, count = _join(_label_edges(labels, _edge_list(mate)), count)
         labels = list(map(renumber.__getitem__, labels))
     return labels, count
 
 
 def _labels(g: ColoredGraph, colors) -> tuple[list[int], int]:
     """Label the residues of one nonempty color set with 1..count, by
-    `_array_labels` over the colors in ascending order."""
-    d = g.dimension
+    `_array_labels` over the colors in ascending order.  Only a pair
+    {i, d} walks the boundary vertices as path ends; in a larger set
+    color d is joined through its edge list."""
     ordered = sorted(colors)
-    # color d is walked with its boundary vertices as path ends only in
-    # a pair; joined, it maps them to themselves
-    if len(ordered) == 2 and ordered[1] == d:
-        return _array_labels(
-            [g._mates[ordered[0]], g._mates[d]], _boundary(g)
-        )
+    pair_with_last = len(ordered) == 2 and ordered[1] == g.dimension
     return _array_labels(
-        [_padded_last(g) if c == d else g._mates[c] for c in ordered]
+        [g._mates[c] for c in ordered],
+        _boundary(g) if pair_with_last else (),
     )
 
 
@@ -579,27 +583,26 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
     """Component and regular-component counts of every residue.
 
     Singletons are counted from the matchings.  Each pair {i, j} is
-    labeled by a walk (`_pair_labels`).  Every larger color set grows
-    from its root, the pair {i, j} of its two smallest colors, so j < d.
-    Right after the root's walk each further color c > j is read once:
-    its edges v-w, each listed once up front by its two ends, give the
-    distinct label-level edges (L(v), L(w)), L the root's pair labels.
-    These d - j passes, and one over the boundary vertices, are the
-    root's only reads of vertices; at d = 4 that is 10 passes for the
-    16 joins over all roots.  Each set B over the root holds a map from
-    the root's labels to its own labels 1..k, and B with a further color
-    c above max(B) is joined (`_join`) from the edges of c sent through
-    that map; a triple's map is its join's renumbering.  The lattice
-    over a root is walked depth-first, so at most d - 1 such maps are
-    alive at once.  Colors 0..d-1 pair every vertex, so a residue
-    without color d is regular; with color d, the components that are
-    not regular are exactly the labels holding a boundary vertex, found
-    by sending the root's labels of boundary vertices through the map.
-    Boundary vertices have no color-d edge, so they add no label-level
-    edge.
+    labeled by a walk (`_pair_labels`), with the boundary vertices as
+    path ends if j = d.  Every larger color set grows from its root, the
+    pair {i, j} of its two smallest colors, so j < d.  Right after the
+    root's walk each further color c > j is read once: its edge list
+    (`_edge_list`), built once up front, gives the distinct label-level
+    edges (L(v), L(w)), L the root's pair labels.  These d - j passes,
+    and one over the boundary vertices, are the root's only reads of
+    vertices; at d = 4 that is 10 passes for the 16 joins over all
+    roots.  Each set B over the root holds a map from the root's labels
+    to its own labels 1..k, and B with a further color c above max(B) is
+    joined (`_join`) from the edges of c sent through that map; a
+    triple's map is its join's renumbering.  The lattice over a root is
+    walked depth-first, so at most d - 1 such maps are alive at once.
+    Colors 0..d-1 pair every vertex, so a residue without color d is
+    regular; with color d, the components that are not regular are
+    exactly the labels holding a boundary vertex, found by sending the
+    root's labels of boundary vertices through the map.  Boundary
+    vertices have no color-d edge, so they add no label-level edge.
     """
     n, d = g.vertex_count, g.dimension
-    last = g._mates[d]
     boundary = _boundary(g)
     counts: dict[frozenset, int] = {}
     regular: dict[frozenset, int] = {}
@@ -609,11 +612,7 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
     counts[frozenset((d,))] = last_edges + len(boundary)
     regular[frozenset((d,))] = last_edges
     # any color above 1 is a further color of some root
-    ends = {}
-    for c in range(2, d + 1):
-        mate = g._mates[c]
-        lows = [v for v, w in enumerate(mate) if v < w]
-        ends[c] = lows, list(map(mate.__getitem__, lows))
+    edge_lists = {c: _edge_list(g._mates[c]) for c in range(2, d + 1)}
 
     def record(colors, to_set, k, edges, held):
         """Count the set `colors`, whose labels 1..k the root's labels
@@ -634,21 +633,17 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
             )
 
     for i, j in itertools.combinations(range(d + 1), 2):
-        key = frozenset((i, j))
-        if j == d:
-            labels, starts = _pair_labels(g._mates[i], last, boundary)
-            held = set(map(labels.__getitem__, boundary))
-            counts[key] = len(starts)
-            regular[key] = len(starts) - len(held)
-            continue
-        labels, starts = _pair_labels(g._mates[i], g._mates[j], ())
+        labels, starts = _pair_labels(
+            g._mates[i], g._mates[j], boundary if j == d else ()
+        )
         count = len(starts)
-        counts[key] = regular[key] = count
         held = set(map(labels.__getitem__, boundary))
+        key = frozenset((i, j))
+        counts[key] = count
+        regular[key] = count - len(held) if j == d else count
         edges = {
-            c: set(zip(map(labels.__getitem__, lows),
-                       map(labels.__getitem__, highs)))
-            for c, (lows, highs) in ends.items() if c > j
+            c: _label_edges(labels, ends)
+            for c, ends in edge_lists.items() if c > j
         }
         for c in range(j + 1, d + 1):
             renumber, k = _join(edges[c], count)

@@ -101,6 +101,16 @@ class TestDipoles:
         with pytest.raises(GemError):
             remove_one_dipole(doubled, Dipole(u=a, v=b, color=1))
 
+    def test_endpoints_not_joined_by_the_color_are_no_dipole(self, fig3):
+        doubled = double(fig3)
+        u = 1
+        w = next(
+            v for v in doubled.vertices
+            if v != u and all(doubled.mate(u, c) != v for c in doubled.colors)
+        )
+        assert not Dipole(u, w, 4).verify(doubled)
+        assert not Dipole(u, u, 4).verify(doubled)
+
     @pytest.mark.parametrize("color", [5, 9, -1])
     def test_dipole_of_a_color_out_of_range_is_stale(self, fig3, color):
         doubled = double(fig3)
@@ -108,6 +118,10 @@ class TestDipoles:
         assert not dipole.verify(doubled)
         with pytest.raises(GemError, match="stale dipole"):
             remove_one_dipole(doubled, dipole)
+        with pytest.raises(
+            GemError, match=rf"^color {color} out of range 0\.\.4$"
+        ):
+            find_one_dipoles(doubled, color)
 
 
 class TestCrystallizeDouble:
@@ -282,6 +296,14 @@ class TestConnectedSum:
             connected_sum(fig3, boundary_vertex, fig3, boundary_vertex)
         with pytest.raises(GemError, match="^summing vertices must be internal$"):
             connected_sum(fig3, boundary_vertex, fig3, 1)
+
+    @pytest.mark.parametrize(
+        "v1,v2", [(0, 1), (-1, 1), (11, 1), (1, 0), (1, 11)]
+    )
+    def test_summing_vertex_out_of_range_rejected(self, fig1, v1, v2):
+        assert fig1.vertex_count == 10
+        with pytest.raises(GemError, match="^summing vertex out of range$"):
+            connected_sum(fig1, v1, fig1, v2)
 
     def test_dimension_mismatch_rejected(self, fig3, s2xs1):
         with pytest.raises(GemError, match="equal dimensions"):

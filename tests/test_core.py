@@ -57,6 +57,12 @@ class TestConstructionErrors:
             ColoredGraph(limit + 1, 2, [[(1, 2)]] * (limit + 2))
         assert ColoredGraph(limit, 2, [[(1, 2)]] * (limit + 1))
 
+    def test_dimension_zero_rejected(self):
+        with pytest.raises(
+            GemError, match="^dimension must be a positive integer$"
+        ):
+            ColoredGraph(0, 2, [[(1, 2)]])
+
     def test_loop_rejected(self):
         with pytest.raises(GemError, match="loop"):
             ColoredGraph(1, 2, [[(1, 1)], []])
@@ -160,6 +166,12 @@ class TestResiduesAgainstOracle:
     def test_empty_color_set_rejected(self, fig2):
         with pytest.raises(GemError):
             residue_components(fig2, ())
+
+    def test_color_out_of_range_rejected(self, fig2):
+        with pytest.raises(
+            GemError, match=r"^colors \[0, 5\] out of range 0\.\.4$"
+        ):
+            residue_components(fig2, (5, 0))
 
 
 class TestFaceVector:

@@ -78,6 +78,18 @@ def test_file_round_trip(tmp_path, fig4):
          "not a total pairing"),
         ("gem-format 1\ndim x\nvertices 2\ncolor 0: 1-2\ncolor 1:\nend\n",
          "malformed header"),
+        ("gem-format 1\ndim 1\n",
+         "^truncated file: missing 'dim'/'vertices' lines$"),
+        ("gem-format 1\ndims 1\nvertices 2\ncolor 0: 1-2\ncolor 1:\nend\n",
+         "^malformed header: expected 'dim D'$"),
+        ("gem-format 1\ndim 1\nvertices 2 4\ncolor 0: 1-2\ncolor 1:\nend\n",
+         "^malformed header: expected 'vertices N'$"),
+        ("gem-format 1\ndim 1\nvertices 2\ncolor 1: 1-2\ncolor 0:\nend\n",
+         "^expected 'color 0:' line$"),
+        ("gem-format 1\ndim 1\nvertices 2\ncolor 0: 1-2\ncolour 1:\nend\n",
+         "^expected 'color 1:' line$"),
+        ("gem-format 1\ndim 1\nvertices 2\ncolor 0: 1-x\ncolor 1:\nend\n",
+         "^malformed pair '1-x'$"),
     ],
 )
 def test_parse_errors(text, message):

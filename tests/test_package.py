@@ -93,6 +93,8 @@ def test_first_use_from_eight_threads_gives_the_sequential_results():
 
 
 def test_every_public_name_is_its_home_modules_object():
+    assert gemkit.__all__ == sorted(set(gemkit.__all__))
+    assert len(gemkit.__all__) == 51
     for name in gemkit.__all__:
         value = getattr(gemkit, name)
         home = value.__module__
