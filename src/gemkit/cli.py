@@ -24,7 +24,10 @@ itself is not used: before Python 3.13 it falls back to its pure-Python
 encoder whenever `indent` is set, and it needs a converted copy of the
 record.  Only the string quoting comes from `json`, imported when the
 first string is written, so a subcommand that writes no JSON never
-loads `json`.
+loads `json`.  Each record type's sorted fields are kept together with
+their quoted `"key": ` text from the first time the type is written;
+the indentation is added per line, so the text holds none.  Records
+and dicts are written inline, without a list of (key, value) pairs.
 
 Exit codes: 0 success, 1 at least one verification check failed,
 2 bad input (unknown file/name, malformed gem, broken input contract),
@@ -77,8 +80,9 @@ def _quote(text: str) -> str:
     return _quote(text)
 
 
-# sorted field names of each record type `_dump` has met
-_FIELD_NAMES: dict[type, tuple[str, ...]] = {}
+# each record type `_dump` has met: its fields in sorted order, each
+# with the quoted key text `"name": ` that opens it
+_FIELDS: dict[type, tuple[tuple[str, str], ...]] = {}
 
 
 def _dump(value, out: list[str], newline: str) -> None:
@@ -91,7 +95,9 @@ def _dump(value, out: list[str], newline: str) -> None:
     lists, and rationals become ints or "p/q" strings.  Keys are sorted
     and must be strings.  Types are matched exactly, so a subclass (an
     `IntEnum` member, say) raises `TypeError` like any other type
-    without a JSON form.
+    without a JSON form.  A record type's sorted fields and key texts
+    are built on first use (`_FIELDS`); the indentation is not part of
+    them, so one type renders alike at every depth.
     """
     kind = type(value)
     if kind is str:
@@ -119,31 +125,37 @@ def _dump(value, out: list[str], newline: str) -> None:
             _dump(item, out, inner)
         out.append(newline + "]")
     elif kind is dict:
-        _dump_object(sorted(value.items()), out, newline)
+        if not value:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for key in sorted(value):
+            out.append(sep + _quote(key) + ": ")
+            sep = "," + inner
+            _dump(value[key], out, inner)
+        out.append(newline + "}")
     else:
-        names = _FIELD_NAMES.get(kind)
-        if names is None:
-            fields = getattr(kind, "_fields", None)
-            if fields is None:
+        fields = _FIELDS.get(kind)
+        if fields is None:
+            names = getattr(kind, "_fields", None)
+            if names is None:
                 raise TypeError(
                     f"Object of type {kind.__name__} is not JSON serializable"
                 )
-            names = _FIELD_NAMES[kind] = tuple(sorted(fields))
-        _dump_object([(n, getattr(value, n)) for n in names], out, newline)
-
-
-def _dump_object(items: list, out: list[str], newline: str) -> None:
-    """`_dump` of a JSON object whose (key, value) items are sorted."""
-    if not items:
-        out.append("{}")
-        return
-    inner = newline + "  "
-    sep = "{" + inner
-    for key, item in items:
-        out.append(sep + _quote(key) + ": ")
-        sep = "," + inner
-        _dump(item, out, inner)
-    out.append(newline + "}")
+            fields = _FIELDS[kind] = tuple(
+                (name, _quote(name) + ": ") for name in sorted(names)
+            )
+        if not fields:
+            out.append("{}")
+            return
+        inner = newline + "  "
+        sep = "{" + inner
+        for name, key in fields:
+            out.append(sep + key)
+            sep = "," + inner
+            _dump(getattr(value, name), out, inner)
+        out.append(newline + "}")
 
 
 def _emit(record: dict, as_json: bool, render) -> None:

@@ -19,11 +19,16 @@ pair joins those edges, sent through its own map of the pair's labels,
 by a union-find over labels.  So the census reads each vertex once per
 pair and further color, never once per larger set.  A residue with
 color d fails to be regular exactly when its label holds a boundary
-vertex.  `residue_components`, the boundary graph's components and the
-1-dipole search of `constructions` label one color set at a time
-(`_labels`) with one walk and the same joins; `crystallize_double`
-labels its own mutable arrays likewise (`_array_labels`) and then only
-merges labels.  No other component algorithm runs on vertices.
+vertex.  What depends only on the dimension d is planned once per d
+(`_census_plan`): the frozenset key of each of the 2^(d+1) - 1 color
+sets, shared by every census of that dimension and by the genus
+formulas, and for each pair the sets above it in depth-first order,
+each with the slot of its parent.  `residue_components`, the boundary
+graph's components and the 1-dipole search of `constructions` label
+one color set at a time (`_labels`) with one walk and the same joins;
+`crystallize_double` labels its own mutable arrays likewise
+(`_array_labels`) and then only merges labels.  No other component
+algorithm runs on vertices.
 
 Files and the catalog build graphs from pairs; constructions and the
 boundary graph build them from involution arrays (`_from_mates`),
@@ -579,6 +584,44 @@ def _labels(g: ColoredGraph, colors) -> tuple[list[int], int]:
     )
 
 
+class _CensusPlan(NamedTuple):
+    """What the census of every gem of one dimension d walks.
+
+    `keys[mask]` is the frozenset of the colors c whose bit 1 << c is
+    set in `mask`, so each color set has one shared key object.  `roots`
+    holds one (i, j, key, above) row per pair i < j; `above` lists every
+    set whose two smallest colors are i and j, in depth-first order, as
+    (key, c, slot): the set is its parent joined with color c, its top
+    color, and the parent is the last set listed at slot - 1 (slot 0 is
+    the pair itself)."""
+
+    keys: tuple[frozenset, ...]
+    roots: tuple[tuple[int, int, frozenset, tuple], ...]
+
+
+@functools.cache
+def _census_plan(d: int) -> _CensusPlan:
+    """The census plan of dimension d, built on first use: 2^(d+1) keys
+    and one lattice walk per pair, the same for every gem of dimension
+    d."""
+    keys = tuple(
+        frozenset(c for c in range(d + 1) if mask >> c & 1)
+        for mask in range(1 << (d + 1))
+    )
+    roots = []
+    for i, j in itertools.combinations(range(d + 1), 2):
+        above: list[tuple[frozenset, int, int]] = []
+
+        def grow(mask, top, slot):
+            for c in range(top + 1, d + 1):
+                above.append((keys[mask | 1 << c], c, slot))
+                grow(mask | 1 << c, c, slot + 1)
+
+        grow(1 << i | 1 << j, j, 1)
+        roots.append((i, j, keys[1 << i | 1 << j], tuple(above)))
+    return _CensusPlan(keys=keys, roots=tuple(roots))
+
+
 def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
     """Component and regular-component counts of every residue.
 
@@ -594,8 +637,10 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
     roots.  Each set B over the root holds a map from the root's labels
     to its own labels 1..k, and B with a further color c above max(B) is
     joined (`_join`) from the edges of c sent through that map; a
-    triple's map is its join's renumbering.  The lattice over a root is
-    walked depth-first, so at most d - 1 such maps are alive at once.
+    triple's map is its join's renumbering.  The sets over each root
+    come in the depth-first order of the dimension's `_census_plan`,
+    which also holds every key, so at most d - 1 such maps are alive at
+    once and no key is built per gem.
     Colors 0..d-1 pair every vertex, so a residue without color d is
     regular; with color d, the components that are not regular are
     exactly the labels holding a boundary vertex, found by sending the
@@ -603,51 +648,46 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
     vertices have no color-d edge, so they add no label-level edge.
     """
     n, d = g.vertex_count, g.dimension
+    keys, roots = _census_plan(d)
     boundary = _boundary(g)
     counts: dict[frozenset, int] = {}
     regular: dict[frozenset, int] = {}
     for c in range(d):
-        counts[frozenset((c,))] = regular[frozenset((c,))] = n // 2
+        counts[keys[1 << c]] = regular[keys[1 << c]] = n // 2
     last_edges = (n - len(boundary)) // 2
-    counts[frozenset((d,))] = last_edges + len(boundary)
-    regular[frozenset((d,))] = last_edges
+    counts[keys[1 << d]] = last_edges + len(boundary)
+    regular[keys[1 << d]] = last_edges
     # any color above 1 is a further color of some root
     edge_lists = {c: _edge_list(g._mates[c]) for c in range(2, d + 1)}
-
-    def record(colors, to_set, k, edges, held):
-        """Count the set `colors`, whose labels 1..k the root's labels
-        map to by `to_set`, and extend it by every color above its top."""
-        key = frozenset(colors)
-        counts[key] = k
-        if colors[-1] == d:
-            regular[key] = k - len(set(map(to_set.__getitem__, held)))
-            return
-        regular[key] = k
-        for c in range(colors[-1] + 1, d + 1):
-            renumber, joined = _join(
-                {(to_set[a], to_set[b]) for a, b in edges[c]}, k
-            )
-            record(
-                colors + (c,), list(map(renumber.__getitem__, to_set)),
-                joined, edges, held,
-            )
-
-    for i, j in itertools.combinations(range(d + 1), 2):
+    # maps[slot]: the map from the root's labels to those of the last set
+    # counted at that slot, and its label count
+    maps = [None] * d
+    for i, j, pair, above in roots:
         labels, starts = _pair_labels(
             g._mates[i], g._mates[j], boundary if j == d else ()
         )
         count = len(starts)
         held = set(map(labels.__getitem__, boundary))
-        key = frozenset((i, j))
-        counts[key] = count
-        regular[key] = count - len(held) if j == d else count
+        counts[pair] = count
+        regular[pair] = count - len(held) if j == d else count
         edges = {
-            c: _label_edges(labels, ends)
-            for c, ends in edge_lists.items() if c > j
+            c: _label_edges(labels, edge_lists[c]) for c in range(j + 1, d + 1)
         }
-        for c in range(j + 1, d + 1):
-            renumber, k = _join(edges[c], count)
-            record((i, j, c), renumber, k, edges, held)
+        for key, c, slot in above:
+            if slot == 1:
+                to_set, k = _join(edges[c], count)
+            else:
+                parent, size = maps[slot - 1]
+                renumber, k = _join(
+                    {(parent[a], parent[b]) for a, b in edges[c]}, size
+                )
+                to_set = list(map(renumber.__getitem__, parent))
+            counts[key] = k
+            if c == d:
+                regular[key] = k - len(set(map(to_set.__getitem__, held)))
+            else:
+                regular[key] = k
+                maps[slot] = to_set, k
     return counts, regular
 
 
@@ -718,17 +758,14 @@ class FaceVector(NamedTuple):
 @_per_graph
 def face_vector(g: ColoredGraph) -> FaceVector:
     """Face counts from the census: f[k] sums g[complement of B] over the
-    (k+1)-color label sets B, where the empty complement counts every
-    vertex."""
-    counts = census(g).g
-    all_colors = frozenset(g.colors)
-    f = []
-    for k in range(g.dimension + 1):
-        total = 0
-        for labels in itertools.combinations(g.colors, k + 1):
-            rest = all_colors.difference(labels)
-            total += counts[rest] if rest else g.vertex_count
-        f.append(total)
+    (k+1)-color label sets B, so each census count g[R] of a color set R
+    of at most d colors adds to f[d - |R|]; the empty complement of all
+    d + 1 labels counts every vertex."""
+    d = g.dimension
+    f = [0] * d + [g.vertex_count]
+    for colors, count in census(g).g.items():
+        if len(colors) <= d:
+            f[d - len(colors)] += count
     chi = sum((-1) ** k * fk for k, fk in enumerate(f))
     return FaceVector(f=tuple(f), euler_characteristic=chi)
 
@@ -767,14 +804,15 @@ def validate(g: ColoredGraph) -> ValidationReport:
     """
     d = g.dimension
     counts = census(g).g
-    full = frozenset(g.colors)
+    keys = _census_plan(d).keys
+    full = len(keys) - 1  # the mask of all colors
     # hat[c]: components left after dropping color c
-    hat = [counts[full - {c}] for c in g.colors]
+    hat = [counts[keys[full ^ 1 << c]] for c in g.colors]
     per_color = tuple(count == 1 for count in hat)
     h = boundary_graph(g).component_count()
     closed = g.is_closed()
     return ValidationReport(
-        connected=counts[full] == 1,
+        connected=counts[keys[full]] == 1,
         bipartite=g.is_bipartite(),
         contracted=all(per_color),
         contracted_per_color=per_color,

@@ -7,11 +7,16 @@ surfaced as a diagnostic rather than rounded away.
 Each scheme genus has three formulas: the embedding surface
 (`rho_epsilon`), the double's census (`rho_epsilon_via_double`) and the
 input's own census (`rho_epsilon_census`).  Each formula is written
-once, as a kernel over already computed census data.  The scheme table
-`_scheme_table` holds all three values for every scheme; like the
-census, it is a per-graph analysis, computed at most once per graph
-object.  `regular_genus` and the `verify` ledger read it, and the
-public single-scheme functions call the same kernels.
+once, as a kernel over already computed census data.  A kernel reads
+its counts through rows of census keys (`map(mapping.__getitem__,
+row)`): each scheme's rows (`_embedding_keys`, `_formula_keys`) are
+taken from the dimension's shared key table (`core._census_plan`) when
+the scheme is evaluated, and nothing per scheme is kept, since there
+are d!/2 schemes.  The scheme table `_scheme_table` holds all three
+values for every scheme; like the census, it is a per-graph analysis,
+computed at most once per graph object.  `regular_genus` and the
+`verify` ledger read it, and the public single-scheme functions call
+the same kernels.
 
 Likewise `_floors` is the one evaluation of the paper's lower bounds,
 each an attained value read from the gem against a bound read from its
@@ -31,6 +36,7 @@ from .core import (
     ColoredGraph,
     GemError,
     ManifoldMeta,
+    _census_plan,
     _per_graph,
     _require,
     _require_nonnegative,
@@ -102,48 +108,62 @@ class GenusProfile(NamedTuple):
     diagnostics: tuple[str, ...] = ()
 
 
-def _embedding(counts, d: int, scheme: Scheme) -> SchemeProfile:
-    """`rho_epsilon` of a gem with census `counts` and dimension `d`."""
-    cycle_sum = sum(
-        counts.g_dot_of(scheme[i], scheme[(i + 1) % (d + 1)])
-        for i in range(d + 1)
+def _embedding_keys(d: int, scheme: Scheme) -> tuple[list, frozenset]:
+    """The census keys `_embedding` reads for one scheme: its cyclically
+    adjacent color pairs, and its hole pair (first color, color before
+    last), taken from the dimension's shared key table."""
+    key = _census_plan(d).keys
+    bits = [1 << c for c in scheme]
+    cycle = [key[bits[i - 1] | bits[i]] for i in range(d + 1)]
+    return cycle, key[bits[0] | bits[d - 1]]
+
+
+def _formula_keys(scheme: Scheme) -> tuple[list, tuple, tuple]:
+    """The census keys of the two 4-dimensional formulas for one scheme:
+    the color triples at cyclic distance-two steps (`_via_double`), and
+    the triples whose g and whose g_dot `_via_census` reads."""
+    key = _census_plan(4).keys
+    b0, b1, b2, b3, b4 = bits = [1 << c for c in scheme]
+    steps = [key[bits[i] | bits[i - 3] | bits[i - 1]] for i in range(5)]
+    return (
+        steps,
+        (key[b0 | b1 | b3], key[b0 | b2 | b3], key[b1 | b3 | b4]),
+        (key[b0 | b2 | b4], key[b1 | b2 | b4]),
     )
+
+
+def _embedding(counts, d: int, scheme: Scheme, cycle, hole) -> SchemeProfile:
+    """`rho_epsilon` of a gem with census `counts` and dimension `d`,
+    read at the keys of `_embedding_keys`."""
+    cycle_sum = sum(map(counts.g_dot.__getitem__, cycle))
     tally = counts.tally
     chi = cycle_sum + (1 - d) * tally.p_dot + (2 - d) * tally.p_bar
-    holes = counts.boundary_g_of(scheme[0], scheme[d - 1]) if tally.p_bar else 0
-    rho = Fraction(2 - chi - holes, 2)
-    return SchemeProfile(scheme=scheme, chi=chi, holes=holes, rho=rho)
+    holes = counts.boundary_g.get(hole, 0) if tally.p_bar else 0
+    return SchemeProfile(scheme, chi, holes, Fraction(2 - chi - holes, 2))
 
 
 def _via_double(
-    doubled_counts, counts, h: int, chi: int, scheme: Scheme
+    doubled_counts, counts, h: int, chi: int, hole, steps
 ) -> Fraction:
     """`rho_epsilon_via_double` of a bounded 4-crystallization with h
     boundary components, Euler characteristic chi and census `counts`,
-    whose double has census `doubled_counts`."""
-    triple_sum = sum(
-        doubled_counts.g_of(
-            scheme[i % 5], scheme[(i + 2) % 5], scheme[(i + 4) % 5]
-        )
-        for i in range(5)
-    )
-    boundary_pairs = counts.boundary_g_of(scheme[0], scheme[3])
+    whose double has census `doubled_counts`; `hole` and `steps` are the
+    keys of `_embedding_keys` and `_formula_keys`."""
+    triple_sum = sum(map(doubled_counts.g.__getitem__, steps))
+    boundary_pairs = counts.boundary_g.get(hole, 0)
     return Fraction(
         2 * (-1 - 4 * h + 2 * chi) + triple_sum - boundary_pairs, 2
     )
 
 
-def _via_census(counts, h: int, chi: int, scheme: Scheme) -> Fraction:
+def _via_census(counts, h: int, chi: int, g_row, g_dot_row) -> Fraction:
     """`rho_epsilon_census` of a bounded 4-crystallization with h
-    boundary components, Euler characteristic chi and census `counts`."""
-    e0, e1, e2, e3, _ = scheme
+    boundary components, Euler characteristic chi and census `counts`;
+    `g_row` and `g_dot_row` are the keys of `_formula_keys`."""
     return Fraction(
         -1 - 4 * h + 2 * chi
-        + counts.g_of(e0, e1, e3)
-        + counts.g_of(e0, e2, e3)
-        + counts.g_of(e1, e3, 4)
-        + counts.g_dot_of(e0, e2, 4)
-        + counts.g_dot_of(e1, e2, 4)
+        + sum(map(counts.g.__getitem__, g_row))
+        + sum(map(counts.g_dot.__getitem__, g_dot_row))
     )
 
 
@@ -156,7 +176,8 @@ def rho_epsilon(g: ColoredGraph, scheme: Scheme) -> SchemeProfile:
     (first color, color before last).
     """
     _check_scheme(g, scheme)
-    return _embedding(census(g), g.dimension, scheme)
+    d = g.dimension
+    return _embedding(census(g), d, scheme, *_embedding_keys(d, scheme))
 
 
 def rho_epsilon_via_double(g: ColoredGraph, scheme: Scheme) -> Fraction:
@@ -168,12 +189,15 @@ def rho_epsilon_via_double(g: ColoredGraph, scheme: Scheme) -> Fraction:
     """
     _require(g, dimension=4, boundary=True, crystallization=True)
     _check_scheme(g, scheme)
+    _, hole = _embedding_keys(4, scheme)
+    steps, _, _ = _formula_keys(scheme)
     return _via_double(
         census(double(g)),
         census(g),
         validate(g).h,
         face_vector(g).euler_characteristic,
-        scheme,
+        hole,
+        steps,
     )
 
 
@@ -182,8 +206,13 @@ def rho_epsilon_census(g: ColoredGraph, scheme: Scheme) -> Fraction:
     without building the double."""
     _require(g, dimension=4, boundary=True, crystallization=True)
     _check_scheme(g, scheme)
+    _, g_row, g_dot_row = _formula_keys(scheme)
     return _via_census(
-        census(g), validate(g).h, face_vector(g).euler_characteristic, scheme
+        census(g),
+        validate(g).h,
+        face_vector(g).euler_characteristic,
+        g_row,
+        g_dot_row,
     )
 
 
@@ -196,7 +225,10 @@ def _scheme_table(
     values, which are None unless g is a 4-dimensional crystallization
     with boundary.
 
-    The rows are evaluated, never compared: the callers compare them.
+    Each scheme's key rows are built from the dimension's shared key
+    table as the scheme is reached and dropped with it, so nothing
+    per scheme outlives its row.  The rows are evaluated, never
+    compared: the callers compare them.
     """
     d = g.dimension
     schemes = enumerate_schemes(d)
@@ -205,19 +237,23 @@ def _scheme_table(
         _require(g, dimension=4, boundary=True, crystallization=True)
     except GemError:
         return tuple(
-            (_embedding(counts, d, scheme), None, None) for scheme in schemes
+            (_embedding(counts, d, scheme, *_embedding_keys(d, scheme)),
+             None, None)
+            for scheme in schemes
         )
     h = validate(g).h
     doubled_counts = census(double(g))
     chi = face_vector(g).euler_characteristic
-    return tuple(
-        (
-            _embedding(counts, d, scheme),
-            _via_double(doubled_counts, counts, h, chi, scheme),
-            _via_census(counts, h, chi, scheme),
-        )
-        for scheme in schemes
-    )
+    rows = []
+    for scheme in schemes:
+        cycle, hole = _embedding_keys(d, scheme)
+        steps, g_row, g_dot_row = _formula_keys(scheme)
+        rows.append((
+            _embedding(counts, d, scheme, cycle, hole),
+            _via_double(doubled_counts, counts, h, chi, hole, steps),
+            _via_census(counts, h, chi, g_row, g_dot_row),
+        ))
+    return tuple(rows)
 
 
 def regular_genus(g: ColoredGraph) -> GenusProfile:

@@ -3,12 +3,13 @@ the record's JSON form (`oracles.json_reference`)."""
 
 import enum
 from fractions import Fraction
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gemkit import Check, GenusProfile, ManifoldMeta, SchemeProfile, Skip
-from gemkit.cli import _dump
+from gemkit.cli import _FIELDS, _dump
 from oracles import json_reference
 
 
@@ -86,6 +87,44 @@ def test_writer_matches_json_dumps(value):
 
 @pytest.mark.parametrize("value", [[], (), {}, {"a": []}, [{}, ()]])
 def test_empty_containers(value):
+    assert dumped(value) == json_reference(value)
+
+
+def test_record_type_first_met_nested_renders_alike_at_top_level():
+    # a type of its own, so that its key text is built at this depth
+    class Nested(NamedTuple):
+        zeta: int
+        alpha: str
+
+    assert Nested not in _FIELDS
+    value = {"outer": [Nested(1, "x")], "after": Nested(2, "y")}
+    assert dumped(value) == json_reference(value)
+    assert Nested in _FIELDS
+    assert dumped(Nested(3, "z")) == json_reference(Nested(3, "z"))
+
+
+def test_record_types_with_fields_in_different_orders():
+    class Forward(NamedTuple):
+        a: int
+        b: str
+        c: None
+
+    class Backward(NamedTuple):
+        c: None
+        b: str
+        a: int
+
+    value = [Forward(1, "x", None), {"k": Backward(None, "x", 1)}]
+    assert dumped(value) == json_reference(value)
+    assert dumped(Forward(1, "x", None)) == dumped(Backward(None, "x", 1))
+
+
+def test_record_without_fields():
+    class Bare(NamedTuple):
+        pass
+
+    assert dumped(Bare()) == "{}" == json_reference(Bare())
+    value = [Bare(), {"k": Bare()}, (Bare(),)]
     assert dumped(value) == json_reference(value)
 
 

@@ -1,14 +1,17 @@
 """Regular genus, gem-complexity, bounds and recognition."""
 
 import functools
+import gc
 import itertools
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gemkit import (
+    ColoredGraph,
     GemError,
     ManifoldMeta,
     boundary_genus_cap,
@@ -131,6 +134,24 @@ class TestGenusValues:
         first = regular_genus(fig4)
         second = regular_genus(fig4)
         assert first == second
+
+    def test_scheme_table_keeps_nothing_per_scheme(self):
+        """Once a gem of dimension 8 and its 20 160-row genus profile
+        are gone, less than 1 MB stays: the dimension's key table and
+        census plan, and no key row of any scheme."""
+        g = ColoredGraph(8, 2, [[(1, 2)]] * 8 + [[]])
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            profile = regular_genus(g)
+            assert len(profile.entries) == 20160
+            del g, profile
+            gc.collect()
+            retained = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        assert retained < 1_000_000
 
 
 class TestComplexityAndBounds:

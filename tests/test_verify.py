@@ -2,6 +2,7 @@
 
 import pytest
 
+import gemkit.core
 from gemkit import (
     ColoredGraph,
     GemError,
@@ -74,6 +75,35 @@ class TestIdentities:
                 continue
             corrupted = _swap_one_pair(fig2, color)
             assert not verify_identities(corrupted).passed, color
+
+    def test_negative_control_boundary_paths_sharing_a_label(
+        self, monkeypatch
+    ):
+        """gdot of a pair {i, 4} counts the labels free of boundary
+        vertices, never g - p_bar: a walk that gives two boundary paths
+        one label lowers g_i4 by one and leaves gdot_i4, so every
+        facet-count-split check fails."""
+        original = gemkit.core._pair_labels
+        merged = []
+
+        def sharing(first, second, ends):
+            labels, starts = original(first, second, ends)
+            if not ends:
+                return labels, starts
+            # labels 1 and 2 are the first two paths; 2 joins 1
+            assert len(starts) >= 2 and starts[1] in ends
+            merged.append(starts.pop(1))
+            return [x - (x >= 2) for x in labels], starts
+
+        monkeypatch.setattr(gemkit.core, "_pair_labels", sharing)
+        g = parse_gem(export_gem(catalog_get("fig3_d3xs1").graph))
+        report = verify_identities(g)
+        assert len(merged) == 4
+        split = [c for c in report.checks if c.name == "facet-count-split"]
+        assert len(split) == 4
+        for check in split:
+            assert not check.passed
+            assert check.left == check.right - 1
 
     def test_report_deterministic(self, fig3):
         assert verify_identities(fig3) == verify_identities(fig3)
