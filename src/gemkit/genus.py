@@ -7,16 +7,14 @@ surfaced as a diagnostic rather than rounded away.
 Each scheme genus has three formulas: the embedding surface
 (`rho_epsilon`), the double's census (`rho_epsilon_via_double`) and the
 input's own census (`rho_epsilon_census`).  Each formula is written
-once, as a kernel over already computed census data.  A kernel reads
-its counts through rows of census keys (`map(mapping.__getitem__,
-row)`): each scheme's rows (`_embedding_keys`, `_formula_keys`) are
-taken from the dimension's shared key table (`core._census_plan`) when
-the scheme is evaluated, and nothing per scheme is kept, since there
-are d!/2 schemes.  The scheme table `_scheme_table` holds all three
-values for every scheme; like the census, it is a per-graph analysis,
-computed at most once per graph object.  `regular_genus` and the
-`verify` ledger read it, and the public single-scheme functions call
-the same kernels.
+once, as a kernel over already computed census data that reads its own
+census sets: it looks them up by the bit masks of the scheme's colors
+in the dimension's shared key table (`core._census_plan`).  Nothing per
+scheme is kept, since there are d!/2 schemes.  The scheme table
+`_scheme_table` holds all three values for every scheme; like the
+census, it is a per-graph analysis, computed at most once per graph
+object.  `regular_genus` and the `verify` ledger read it, and the
+public single-scheme functions call the same kernels.
 
 Likewise `_floors` is the one evaluation of the paper's lower bounds,
 each an attained value read from the gem against a bound read from its
@@ -50,9 +48,11 @@ from .constructions import double
 Scheme = tuple[int, ...]
 
 # `regular_genus` evaluates all d!/2 schemes: at d = 9 (181 440 of
-# them) `gemkit genus` on a 2-vertex gem takes about 4 s and 70 MB, and
-# d = 10 would take ten times that.
+# them) `gemkit genus` on a 2-vertex gem took 1.9-3.5 s with 76-77 MB
+# max RSS (eight runs, Python 3.11.7, shared 2-vCPU host), and d = 10
+# would take ten times that.
 MAX_SCHEME_DIMENSION = 9
+_SCHEMES_NEED_TWO = "schemes need dimension >= 2"
 
 
 def enumerate_schemes(d: int) -> list[Scheme]:
@@ -64,7 +64,7 @@ def enumerate_schemes(d: int) -> list[Scheme]:
     `MAX_SCHEME_DIMENSION`.
     """
     if d < 2:
-        raise GemError("schemes need dimension >= 2")
+        raise GemError(_SCHEMES_NEED_TWO)
     if d > MAX_SCHEME_DIMENSION:
         raise GemError(
             f"dimension {d} exceeds the scheme maximum "
@@ -78,8 +78,12 @@ def enumerate_schemes(d: int) -> list[Scheme]:
 
 def _check_scheme(g: ColoredGraph, scheme: Scheme) -> None:
     d = g.dimension
-    if len(scheme) != d + 1 or scheme[-1] != d or sorted(scheme) != list(
-        range(d + 1)
+    if d < 2:
+        raise GemError(_SCHEMES_NEED_TWO)
+    if (
+        tuple(map(type, scheme)) != (int,) * (d + 1)
+        or sorted(scheme) != list(range(d + 1))
+        or scheme[-1] != d
     ):
         raise GemError(f"scheme {scheme} is not a color cycle for d={d}")
 
@@ -108,62 +112,48 @@ class GenusProfile(NamedTuple):
     diagnostics: tuple[str, ...] = ()
 
 
-def _embedding_keys(d: int, scheme: Scheme) -> tuple[list, frozenset]:
-    """The census keys `_embedding` reads for one scheme: its cyclically
-    adjacent color pairs, and its hole pair (first color, color before
-    last), taken from the dimension's shared key table."""
+def _embedding(counts, scheme: Scheme) -> SchemeProfile:
+    """`rho_epsilon` of a gem with census `counts`."""
+    d = counts.dimension
     key = _census_plan(d).keys
     bits = [1 << c for c in scheme]
-    cycle = [key[bits[i - 1] | bits[i]] for i in range(d + 1)]
-    return cycle, key[bits[0] | bits[d - 1]]
-
-
-def _formula_keys(scheme: Scheme) -> tuple[list, tuple, tuple]:
-    """The census keys of the two 4-dimensional formulas for one scheme:
-    the color triples at cyclic distance-two steps (`_via_double`), and
-    the triples whose g and whose g_dot `_via_census` reads."""
-    key = _census_plan(4).keys
-    b0, b1, b2, b3, b4 = bits = [1 << c for c in scheme]
-    steps = [key[bits[i] | bits[i - 3] | bits[i - 1]] for i in range(5)]
-    return (
-        steps,
-        (key[b0 | b1 | b3], key[b0 | b2 | b3], key[b1 | b3 | b4]),
-        (key[b0 | b2 | b4], key[b1 | b2 | b4]),
+    cycle_sum = sum(
+        counts.g_dot[key[bits[i - 1] | bits[i]]] for i in range(d + 1)
     )
-
-
-def _embedding(counts, d: int, scheme: Scheme, cycle, hole) -> SchemeProfile:
-    """`rho_epsilon` of a gem with census `counts` and dimension `d`,
-    read at the keys of `_embedding_keys`."""
-    cycle_sum = sum(map(counts.g_dot.__getitem__, cycle))
     tally = counts.tally
     chi = cycle_sum + (1 - d) * tally.p_dot + (2 - d) * tally.p_bar
+    hole = key[bits[0] | bits[d - 1]]
     holes = counts.boundary_g.get(hole, 0) if tally.p_bar else 0
     return SchemeProfile(scheme, chi, holes, Fraction(2 - chi - holes, 2))
 
 
 def _via_double(
-    doubled_counts, counts, h: int, chi: int, hole, steps
+    doubled_counts, counts, h: int, chi: int, scheme: Scheme
 ) -> Fraction:
     """`rho_epsilon_via_double` of a bounded 4-crystallization with h
     boundary components, Euler characteristic chi and census `counts`,
-    whose double has census `doubled_counts`; `hole` and `steps` are the
-    keys of `_embedding_keys` and `_formula_keys`."""
-    triple_sum = sum(map(doubled_counts.g.__getitem__, steps))
-    boundary_pairs = counts.boundary_g.get(hole, 0)
-    return Fraction(
-        2 * (-1 - 4 * h + 2 * chi) + triple_sum - boundary_pairs, 2
+    whose double has census `doubled_counts`."""
+    key = _census_plan(4).keys
+    bits = [1 << c for c in scheme]
+    triple_sum = sum(
+        doubled_counts.g[key[bits[i] | bits[i - 3] | bits[i - 1]]]
+        for i in range(5)
     )
+    holes = counts.boundary_g.get(key[bits[0] | bits[3]], 0)
+    return Fraction(2 * (-1 - 4 * h + 2 * chi) + triple_sum - holes, 2)
 
 
-def _via_census(counts, h: int, chi: int, g_row, g_dot_row) -> Fraction:
+def _via_census(counts, h: int, chi: int, scheme: Scheme) -> Fraction:
     """`rho_epsilon_census` of a bounded 4-crystallization with h
-    boundary components, Euler characteristic chi and census `counts`;
-    `g_row` and `g_dot_row` are the keys of `_formula_keys`."""
+    boundary components, Euler characteristic chi and census `counts`."""
+    key = _census_plan(4).keys
+    b0, b1, b2, b3, b4 = [1 << c for c in scheme]
+    g_triples = (b0 | b1 | b3, b0 | b2 | b3, b1 | b3 | b4)
+    g_dot_triples = (b0 | b2 | b4, b1 | b2 | b4)
     return Fraction(
         -1 - 4 * h + 2 * chi
-        + sum(map(counts.g.__getitem__, g_row))
-        + sum(map(counts.g_dot.__getitem__, g_dot_row))
+        + sum(counts.g[key[mask]] for mask in g_triples)
+        + sum(counts.g_dot[key[mask]] for mask in g_dot_triples)
     )
 
 
@@ -176,8 +166,7 @@ def rho_epsilon(g: ColoredGraph, scheme: Scheme) -> SchemeProfile:
     (first color, color before last).
     """
     _check_scheme(g, scheme)
-    d = g.dimension
-    return _embedding(census(g), d, scheme, *_embedding_keys(d, scheme))
+    return _embedding(census(g), scheme)
 
 
 def rho_epsilon_via_double(g: ColoredGraph, scheme: Scheme) -> Fraction:
@@ -189,16 +178,8 @@ def rho_epsilon_via_double(g: ColoredGraph, scheme: Scheme) -> Fraction:
     """
     _require(g, dimension=4, boundary=True, crystallization=True)
     _check_scheme(g, scheme)
-    _, hole = _embedding_keys(4, scheme)
-    steps, _, _ = _formula_keys(scheme)
-    return _via_double(
-        census(double(g)),
-        census(g),
-        validate(g).h,
-        face_vector(g).euler_characteristic,
-        hole,
-        steps,
-    )
+    h, chi = validate(g).h, face_vector(g).euler_characteristic
+    return _via_double(census(double(g)), census(g), h, chi, scheme)
 
 
 def rho_epsilon_census(g: ColoredGraph, scheme: Scheme) -> Fraction:
@@ -206,14 +187,8 @@ def rho_epsilon_census(g: ColoredGraph, scheme: Scheme) -> Fraction:
     without building the double."""
     _require(g, dimension=4, boundary=True, crystallization=True)
     _check_scheme(g, scheme)
-    _, g_row, g_dot_row = _formula_keys(scheme)
-    return _via_census(
-        census(g),
-        validate(g).h,
-        face_vector(g).euler_characteristic,
-        g_row,
-        g_dot_row,
-    )
+    h, chi = validate(g).h, face_vector(g).euler_characteristic
+    return _via_census(census(g), h, chi, scheme)
 
 
 @_per_graph
@@ -225,35 +200,27 @@ def _scheme_table(
     values, which are None unless g is a 4-dimensional crystallization
     with boundary.
 
-    Each scheme's key rows are built from the dimension's shared key
-    table as the scheme is reached and dropped with it, so nothing
-    per scheme outlives its row.  The rows are evaluated, never
+    Nothing per scheme outlives its row.  The rows are evaluated, never
     compared: the callers compare them.
     """
-    d = g.dimension
-    schemes = enumerate_schemes(d)
+    schemes = enumerate_schemes(g.dimension)
     counts = census(g)
     try:
         _require(g, dimension=4, boundary=True, crystallization=True)
     except GemError:
         return tuple(
-            (_embedding(counts, d, scheme, *_embedding_keys(d, scheme)),
-             None, None)
-            for scheme in schemes
+            (_embedding(counts, scheme), None, None) for scheme in schemes
         )
-    h = validate(g).h
+    h, chi = validate(g).h, face_vector(g).euler_characteristic
     doubled_counts = census(double(g))
-    chi = face_vector(g).euler_characteristic
-    rows = []
-    for scheme in schemes:
-        cycle, hole = _embedding_keys(d, scheme)
-        steps, g_row, g_dot_row = _formula_keys(scheme)
-        rows.append((
-            _embedding(counts, d, scheme, cycle, hole),
-            _via_double(doubled_counts, counts, h, chi, hole, steps),
-            _via_census(counts, h, chi, g_row, g_dot_row),
-        ))
-    return tuple(rows)
+    return tuple(
+        (
+            _embedding(counts, scheme),
+            _via_double(doubled_counts, counts, h, chi, scheme),
+            _via_census(counts, h, chi, scheme),
+        )
+        for scheme in schemes
+    )
 
 
 def regular_genus(g: ColoredGraph) -> GenusProfile:
@@ -390,18 +357,16 @@ def rank_upper_bound(g: ColoredGraph) -> int:
         # a 1-gem has no residue with two colors dropped
         raise GemError("rank bound needs dimension at least 2")
     _require(g, crystallization=True)
-    counts = census(g)
-    full = set(g.colors)
-    best = None
-    for a, b in itertools.combinations(sorted(full), 2):
-        value = (
-            counts.g[frozenset(full - {a, b})]
-            - counts.g[frozenset(full - {a})]
-            - counts.g[frozenset(full - {b})]
-            + 1
-        )
-        best = value if best is None else min(best, value)
-    return best
+    counts = census(g).g
+    keys = _census_plan(g.dimension).keys
+    full = len(keys) - 1  # the mask of all colors
+    return min(
+        counts[keys[full ^ 1 << a ^ 1 << b]]
+        - counts[keys[full ^ 1 << a]]
+        - counts[keys[full ^ 1 << b]]
+        + 1
+        for a, b in itertools.combinations(g.colors, 2)
+    )
 
 
 def boundary_genus_cap(g: ColoredGraph) -> int:

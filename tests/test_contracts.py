@@ -85,6 +85,13 @@ MATRIX = {
         interval_product,
         (_dimension(4, 3), _dimension(4, 3), BOUNDED, _dimension(1, 3)),
     ),
+    "rho_epsilon": (
+        lambda g: rho_epsilon(g, _identity_scheme(g)),
+        (None, None, None, "schemes need dimension >= 2"),
+    ),
+    "regular_genus": (
+        regular_genus, (None, None, None, "schemes need dimension >= 2")
+    ),
     "rho_epsilon_via_double": (
         lambda g: rho_epsilon_via_double(g, _identity_scheme(g)),
         (CLOSED, NOT_CRYSTAL, _dimension(3, 4), _dimension(1, 4)),

@@ -1,15 +1,18 @@
 """Regular genus, gem-complexity, bounds and recognition."""
 
+import collections
 import functools
 import gc
 import itertools
 import random
 import tracemalloc
+from collections.abc import Mapping
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import gemkit.genus
 from gemkit import (
     ColoredGraph,
     GemError,
@@ -19,9 +22,11 @@ from gemkit import (
     certify_minimal,
     complexity_lower_bounds,
     enumerate_schemes,
+    export_gem,
     gem_complexity,
     genus_lower_bounds,
     interval_product,
+    parse_gem,
     rank_upper_bound,
     regular_genus,
     rho_epsilon,
@@ -76,8 +81,10 @@ class TestSchemes:
         assert enumerate_schemes(d) == sorted(canonical)
 
     def test_bad_scheme_rejected(self, fig2):
-        with pytest.raises(GemError, match="not a color cycle"):
-            rho_epsilon(fig2, (0, 1, 2, 4, 3))
+        # entries that are not ints give the same error, not a TypeError
+        for scheme in [(0, 1, 2, 4, 3), ("a", 1, 2, 3, 4), (0.0, 1, 2, 3, 4)]:
+            with pytest.raises(GemError, match="not a color cycle"):
+                rho_epsilon(fig2, scheme)
 
     def test_dimension_over_the_scheme_cap_rejected(self):
         assert MAX_SCHEME_DIMENSION == 9
@@ -152,6 +159,73 @@ class TestGenusValues:
         finally:
             tracemalloc.stop()
         assert retained < 1_000_000
+
+    @pytest.mark.parametrize("name", ["fig3_d3xs1", "fig4_boundary16"])
+    def test_each_formula_reads_its_own_census_sets(self, monkeypatch, name):
+        """Each single-scheme function reads exactly the census sets of
+        its formula, from the census the formula names: the embedding
+        surface g_dot of the cycle's pairs and the boundary count of the
+        hole pair; the double formula the double's g at the triples of
+        distance-two steps and the input's boundary count of the hole
+        pair; the census formula the input's own g and g_dot triples."""
+        g = parse_gem(export_gem(catalog_get(name).graph))
+        reads = collections.Counter()
+        real_census = gemkit.genus.census
+
+        class Recorded(Mapping):
+            def __init__(self, mapping, source):
+                self._mapping, self._source = mapping, source
+
+            def __getitem__(self, key):
+                reads[self._source, key] += 1
+                return self._mapping[key]
+
+            def get(self, key, default=None):
+                reads[self._source, key] += 1
+                return self._mapping.get(key, default)
+
+            def __iter__(self):
+                return iter(self._mapping)
+
+            def __len__(self):
+                return len(self._mapping)
+
+        def recording_census(graph):
+            of = "g" if graph is g else "double"
+            counts = real_census(graph)
+            return counts._replace(
+                g=Recorded(counts.g, (of, "g")),
+                g_dot=Recorded(counts.g_dot, (of, "g_dot")),
+                boundary_g=Recorded(counts.boundary_g, (of, "boundary_g")),
+            )
+
+        monkeypatch.setattr(gemkit.genus, "census", recording_census)
+
+        def read_by(call, scheme):
+            reads.clear()
+            call(g, scheme)
+            return reads
+
+        for e in enumerate_schemes(4):
+            hole = (("g", "boundary_g"), frozenset((e[0], e[3])))
+            cycle_pairs = [frozenset((e[i - 1], e[i])) for i in range(5)]
+            assert read_by(rho_epsilon, e) == collections.Counter(
+                [(("g", "g_dot"), pair) for pair in cycle_pairs] + [hole]
+            )
+            steps = [
+                frozenset((e[i], e[(i + 2) % 5], e[(i + 4) % 5]))
+                for i in range(5)
+            ]
+            assert read_by(rho_epsilon_via_double, e) == collections.Counter(
+                [(("double", "g"), triple) for triple in steps] + [hole]
+            )
+            g_triples = [(0, 1, 3), (0, 2, 3), (1, 3, 4)]
+            g_dot_triples = [(0, 2, 4), (1, 2, 4)]
+            assert read_by(rho_epsilon_census, e) == collections.Counter(
+                [(("g", "g"), frozenset(e[i] for i in t)) for t in g_triples]
+                + [(("g", "g_dot"), frozenset(e[i] for i in t))
+                   for t in g_dot_triples]
+            )
 
 
 class TestComplexityAndBounds:
