@@ -28,6 +28,7 @@ from .core import (
     _array_labels,
     _boundary,
     _ids,
+    _is_index,
     _labels,
     _per_graph,
     _renumbered,
@@ -105,7 +106,11 @@ class Dipole(NamedTuple):
 
     def verify(self, g: ColoredGraph) -> bool:
         n = g.vertex_count
-        if not (1 <= self.u <= n and 1 <= self.v <= n and self.color in g.colors):
+        if not (
+            _is_index(self.u, 1, n)
+            and _is_index(self.v, 1, n)
+            and _is_index(self.color, 0, g.dimension)
+        ):
             return False
         if self.u == self.v or g.mate(self.u, self.color) != self.v:
             return False
@@ -119,9 +124,7 @@ class Dipole(NamedTuple):
 
 def find_one_dipoles(g: ColoredGraph, color: int) -> list[Dipole]:
     """All 1-dipoles of one color, ordered by smaller endpoint."""
-    if color not in g.colors:
-        raise GemError(f"color {color} out of range 0..{g.dimension}")
-    labels, _ = _labels(g, set(g.colors) - {color})
+    labels, _ = _labels(g, set(g.colors) - {g._color(color)})
     # endpoints in different residues share no edge of another color
     return [
         Dipole(u=a, v=b, color=color)
@@ -276,7 +279,9 @@ def connected_sum(
     """
     if g1.dimension != g2.dimension:
         raise GemError("connected sum requires equal dimensions")
-    if not (1 <= v1 <= g1.vertex_count) or not (1 <= v2 <= g2.vertex_count):
+    if not (
+        _is_index(v1, 1, g1.vertex_count) and _is_index(v2, 1, g2.vertex_count)
+    ):
         raise GemError("summing vertex out of range")
     d = g1.dimension
     if g1.mate(v1, d) is None or g2.mate(v2, d) is None:

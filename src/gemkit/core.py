@@ -107,6 +107,13 @@ def _check_shape(dimension, vertex_count, color_count) -> None:
         raise GemError(f"expected {dimension + 1} colors, got {color_count}")
 
 
+def _is_index(x, low: int, high: int) -> bool:
+    """Whether `x` is an exact int in low..high.  A bool or a float equal
+    to such an int is not: a bool would index an array as 0 or 1, and a
+    float would raise `TypeError` there."""
+    return type(x) is int and low <= x <= high
+
+
 # entry v is the int v; see `_ids`
 _ID_TABLE: tuple[int, ...] = (0,)
 
@@ -142,7 +149,9 @@ class ColoredGraph:
     an 8-byte pointer and no 28-byte int.
     Parallel edges between the same two vertices are allowed as long as
     their colors differ (which the matching representation guarantees).
-    The dimension is at most `MAX_DIMENSION`.
+    The dimension is at most `MAX_DIMENSION`.  The accessors take a
+    vertex and a color only as exact ints in range and raise `GemError`
+    for anything else.
     """
 
     __slots__ = ("dimension", "vertex_count", "_mates", "_memo")
@@ -224,14 +233,28 @@ class ColoredGraph:
     def vertices(self) -> range:
         return range(1, self.vertex_count + 1)
 
+    def _color(self, color: int) -> int:
+        """`color`, or a `GemError` unless it is one of 0..d."""
+        if not _is_index(color, 0, self.dimension):
+            raise GemError(f"color {color} out of range 0..{self.dimension}")
+        return color
+
+    def _vertex(self, vertex: int) -> int:
+        """`vertex`, or a `GemError` unless it is one of 1..n."""
+        if not _is_index(vertex, 1, self.vertex_count):
+            raise GemError(
+                f"vertex {vertex} out of range 1..{self.vertex_count}"
+            )
+        return vertex
+
     def mate(self, vertex: int, color: int) -> int | None:
         """The other endpoint of `vertex`'s edge of `color`, or None."""
-        m = self._mates[color][vertex]
+        m = self._mates[self._color(color)][self._vertex(vertex)]
         return m if m else None
 
     def edges(self, color: int) -> list[tuple[int, int]]:
         """Edges of one color as (smaller, larger) pairs, sorted."""
-        mate = self._mates[color]
+        mate = self._mates[self._color(color)]
         return [(v, mate[v]) for v in self.vertices if v < mate[v]]
 
     def boundary_vertices(self) -> list[int]:
@@ -249,6 +272,7 @@ class ColoredGraph:
         )
 
     def degree(self, vertex: int) -> int:
+        self._vertex(vertex)
         return sum(1 for c in self.colors if self._mates[c][vertex])
 
     # -- equality / hashing ----------------------------------------------
@@ -345,8 +369,12 @@ def residue_components(g: ColoredGraph, colors) -> list[ResidueComponent]:
     colorset = frozenset(colors)
     if not colorset:
         raise GemError("residue color set must be nonempty")
-    if not colorset <= set(g.colors):
-        raise GemError(f"colors {sorted(colorset)} out of range 0..{g.dimension}")
+    if not all(_is_index(c, 0, g.dimension) for c in colorset):
+        # ints first, then anything else by its repr, so any set sorts
+        shown = sorted(
+            colorset, key=lambda c: (0, c) if type(c) is int else (1, repr(c))
+        )
+        raise GemError(f"colors {shown} out of range 0..{g.dimension}")
     labels, _ = _labels(g, colorset)
     # labels first seen in vertex order, so smallest vertex first
     groups: dict[int, list[int]] = {}

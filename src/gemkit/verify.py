@@ -106,6 +106,16 @@ _NOT_CRYSTAL_SKIPS = tuple(
 )
 
 
+# the color sets of the double's census relations, in ledger order:
+# g'_S == 2 g_S without the last color, g'_S == g_S + gdot_S with it
+_DOUBLE_CENSUS_SETS = (
+    (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
+    (0, 1, 4), (0, 1), (0, 2, 4), (0, 2), (0, 3, 4), (0, 3),
+    (1, 2, 4), (1, 2), (1, 3, 4), (1, 3), (2, 3, 4), (2, 3),
+    (0, 4), (1, 4), (2, 4), (3, 4),
+)
+
+
 def _triple_relations(counts, n: int, mark: str = "") -> list[Check]:
     """The closed-graph relation 2 g_ijk == g_ij + g_ik + g_jk - n/2 on
     every color triple of a closed 4-gem with `n` vertices; `mark` "'"
@@ -220,9 +230,7 @@ def verify_identities(g: ColoredGraph) -> IdentityReport:
                     "per-boundary-component-sphere-relation",
                     f"component {q}: bd_g_{i}{j} + bd_g_{i}{k} + "
                     f"bd_g_{j}{k} == 2 + n_q/2",
-                    per_q[frozenset((i, j))]
-                    + per_q[frozenset((i, k))]
-                    + per_q[frozenset((j, k))],
+                    sum(per_q[frozenset(p)] for p in ((i, j), (i, k), (j, k))),
                     2 + size // 2,
                 )
                 for i, j, k in itertools.combinations(range(4), 3)
@@ -231,41 +239,15 @@ def verify_identities(g: ColoredGraph) -> IdentityReport:
     # doubled-graph census relations hold for any gem with boundary
     doubled = double(g)
     dcounts = census(doubled)
-    checks += [
-        _check(
-            "double-census",
-            f"g'_{i}{j}{k} == 2 g_{i}{j}{k}",
-            dcounts.g_of(i, j, k),
-            2 * counts.g_of(i, j, k),
-        )
-        for i, j, k in itertools.combinations(range(4), 3)
-    ]
-    for i, j in pairs:
-        checks.append(
-            _check(
-                "double-census",
-                f"g'_{i}{j}4 == g_{i}{j}4 + gdot_{i}{j}4",
-                dcounts.g_of(i, j, 4),
-                counts.g_of(i, j, 4) + counts.g_dot_of(i, j, 4),
-            )
-        )
-        checks.append(
-            _check(
-                "double-census",
-                f"g'_{i}{j} == 2 g_{i}{j}",
-                dcounts.g_of(i, j),
-                2 * counts.g_of(i, j),
-            )
-        )
-    checks += [
-        _check(
-            "double-census",
-            f"g'_{i}4 == g_{i}4 + gdot_{i}4",
-            dcounts.g_of(i, 4),
-            counts.g_of(i, 4) + counts.g_dot_of(i, 4),
-        )
-        for i in range(4)
-    ]
+    for colors in _DOUBLE_CENSUS_SETS:
+        s = "".join(map(str, colors))
+        g_s = counts.g_of(*colors)
+        if 4 in colors:
+            rhs, right = f"g_{s} + gdot_{s}", g_s + counts.g_dot_of(*colors)
+        else:
+            rhs, right = f"2 g_{s}", 2 * g_s
+        left = dcounts.g_of(*colors)
+        checks.append(_check("double-census", f"g'_{s} == {rhs}", left, right))
     if crystal:
         chi = face_vector(g).euler_characteristic
         all_triples = list(itertools.combinations(range(5), 3))

@@ -111,6 +111,16 @@ class TestDipoles:
         assert not Dipole(u, w, 4).verify(doubled)
         assert not Dipole(u, u, 4).verify(doubled)
 
+    @pytest.mark.parametrize("field", ["u", "v", "color"])
+    def test_dipole_with_a_float_field_is_no_dipole(self, fig3, field):
+        """A field that only equals the int of a real dipole fails the
+        certificate instead of raising."""
+        doubled = double(fig3)
+        dipole = find_one_dipoles(doubled, 4)[0]
+        assert dipole.verify(doubled)
+        bent = dipole._replace(**{field: float(getattr(dipole, field))})
+        assert not bent.verify(doubled)
+
     @pytest.mark.parametrize("color", [5, 9, -1])
     def test_dipole_of_a_color_out_of_range_is_stale(self, fig3, color):
         doubled = double(fig3)

@@ -1,6 +1,7 @@
 """Input contracts: every entry point that states one names the first
 contract its input breaks, in the wording of the gate `core._require`
-or, for the summing vertices of a connected sum, of its own check."""
+or, for the summing vertices of a connected sum, of its own check.  A
+color or vertex argument is an exact int in range, or a `GemError`."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -132,6 +133,52 @@ CLI_MATRIX = {
 }
 
 
+# call on fig3_d3xs1 (10 vertices) and its double -> expected error;
+# True and 1.0 equal a color or vertex in range and are refused too
+BAD_ARGUMENTS = {
+    "mate(-1, 0)": (
+        lambda g, d: g.mate(-1, 0), "vertex -1 out of range 1..10"
+    ),
+    "mate(0, 0)": (lambda g, d: g.mate(0, 0), "vertex 0 out of range 1..10"),
+    "mate(11, 0)": (
+        lambda g, d: g.mate(11, 0), "vertex 11 out of range 1..10"
+    ),
+    "mate(1.0, 0)": (
+        lambda g, d: g.mate(1.0, 0), "vertex 1.0 out of range 1..10"
+    ),
+    "mate(1, 5)": (lambda g, d: g.mate(1, 5), "color 5 out of range 0..4"),
+    "mate(1, True)": (
+        lambda g, d: g.mate(1, True), "color True out of range 0..4"
+    ),
+    "degree(0)": (lambda g, d: g.degree(0), "vertex 0 out of range 1..10"),
+    "degree(-1)": (lambda g, d: g.degree(-1), "vertex -1 out of range 1..10"),
+    "edges(-1)": (lambda g, d: g.edges(-1), "color -1 out of range 0..4"),
+    "edges(5)": (lambda g, d: g.edges(5), "color 5 out of range 0..4"),
+    "residue_components(g, [1.0, 2])": (
+        lambda g, d: residue_components(g, [1.0, 2]),
+        "colors [2, 1.0] out of range 0..4",
+    ),
+    "residue_components(g, [True, 2])": (
+        lambda g, d: residue_components(g, [True, 2]),
+        "colors [2, True] out of range 0..4",
+    ),
+    "find_one_dipoles(d, 1.0)": (
+        lambda g, d: find_one_dipoles(d, 1.0), "color 1.0 out of range 0..4"
+    ),
+    "remove_one_dipole(d, Dipole(1, 2, 1.0))": (
+        lambda g, d: remove_one_dipole(d, Dipole(1, 2, 1.0)),
+        "stale dipole Dipole(u=1, v=2, color=1.0): certificate fails",
+    ),
+    "connected_sum(g, 1.0, g, 1)": (
+        lambda g, d: connected_sum(g, 1.0, g, 1), "summing vertex out of range"
+    ),
+    "connected_sum(g, 1, g, True)": (
+        lambda g, d: connected_sum(g, 1, g, True),
+        "summing vertex out of range",
+    ),
+}
+
+
 @pytest.mark.parametrize("entry", MATRIX)
 @pytest.mark.parametrize("name", INPUTS)
 def test_contract_matrix(entry, name):
@@ -144,6 +191,14 @@ def test_contract_matrix(entry, name):
         with pytest.raises(GemError) as raised:
             call(g)
         assert str(raised.value) == expected
+
+
+@pytest.mark.parametrize("call", BAD_ARGUMENTS)
+def test_bad_argument_raises_gem_error(fig3, call):
+    run, expected = BAD_ARGUMENTS[call]
+    with pytest.raises(GemError) as raised:
+        run(fig3, double(fig3))
+    assert str(raised.value) == expected
 
 
 @pytest.mark.parametrize("command", CLI_MATRIX, ids=" ".join)

@@ -115,6 +115,37 @@ class TestBasicAccessors:
             assert edges == sorted(edges)
             assert all(a < b for a, b in edges)
 
+    @pytest.mark.parametrize("vertex", [0, -1, 11, 1.0, True])
+    def test_mate_refuses_a_vertex_out_of_range(self, fig3, vertex):
+        # fig3 has 10 vertices; mate(-1, 0) once answered for vertex 10
+        with pytest.raises(
+            GemError, match=rf"^vertex {vertex} out of range 1\.\.10$"
+        ):
+            fig3.mate(vertex, 0)
+
+    @pytest.mark.parametrize("color", [-1, 5, 1.0, True])
+    def test_mate_refuses_a_color_out_of_range(self, fig3, color):
+        with pytest.raises(
+            GemError, match=rf"^color {color} out of range 0\.\.4$"
+        ):
+            fig3.mate(1, color)
+
+    @pytest.mark.parametrize("color", [-1, 5, 1.0, True])
+    def test_edges_refuse_a_color_out_of_range(self, fig3, color):
+        # edges(-1) once listed the edges of color 4
+        with pytest.raises(
+            GemError, match=rf"^color {color} out of range 0\.\.4$"
+        ):
+            fig3.edges(color)
+
+    @pytest.mark.parametrize("vertex", [0, -1, 11, 1.0, True])
+    def test_degree_refuses_a_vertex_out_of_range(self, fig3, vertex):
+        # degree(-1) once counted the colors at vertex 10
+        with pytest.raises(
+            GemError, match=rf"^vertex {vertex} out of range 1\.\.10$"
+        ):
+            fig3.degree(vertex)
+
     def test_equality_and_hash(self, fig2):
         twin = ColoredGraph(
             4, 10, [fig2.edges(c) for c in fig2.colors]

@@ -1,8 +1,12 @@
 """Identity and bound harness: catalog sweep plus negative controls."""
 
+import operator
+from collections.abc import Mapping
+
 import pytest
 
 import gemkit.core
+import gemkit.verify
 from gemkit import (
     ColoredGraph,
     GemError,
@@ -13,6 +17,46 @@ from gemkit import (
     verify_bounds,
     verify_identities,
 )
+from gemkit.verify import _CLOSED_SKIPS, _NOT_CRYSTAL_SKIPS
+
+
+def _traced(op):
+    def apply(self, other):
+        reads = self.reads + getattr(other, "reads", ())
+        return _Read(op(int(self), int(other)), reads)
+
+    return apply
+
+
+class _Read(int):
+    """A census count that keeps the (census, mapping, key) reads it was
+    computed from, through sums, differences and products."""
+
+    def __new__(cls, value, reads):
+        read = super().__new__(cls, value)
+        read.reads = reads
+        return read
+
+    __add__ = __radd__ = _traced(operator.add)
+    __mul__ = __rmul__ = _traced(operator.mul)
+    __sub__ = _traced(operator.sub)
+    __rsub__ = _traced(lambda a, b: b - a)
+
+
+class _Recorded(Mapping):
+    """A census mapping whose every value is a `_Read` of itself."""
+
+    def __init__(self, mapping, source):
+        self._mapping, self._source = mapping, source
+
+    def __getitem__(self, key):
+        return _Read(self._mapping[key], ((*self._source, key),))
+
+    def __iter__(self):
+        return iter(self._mapping)
+
+    def __len__(self):
+        return len(self._mapping)
 
 
 def _swap_one_pair(g: ColoredGraph, color: int = 0) -> ColoredGraph:
@@ -104,6 +148,57 @@ class TestIdentities:
         for check in split:
             assert not check.passed
             assert check.left == check.right - 1
+
+    @pytest.mark.parametrize("name", ["fig3_d3xs1", "fig4_boundary16"])
+    def test_double_census_reads_each_side_from_its_own_census(
+        self, monkeypatch, name
+    ):
+        """Each double-census check reads its color set S once from the
+        double's census on the left, g'_S, and from the input's census on
+        the right: g_S without the last color, g_S and gdot_S with it."""
+        g = catalog_get(name).graph
+        real_census = gemkit.verify.census
+
+        def recording_census(graph):
+            of = "g" if graph is g else "double"
+            counts = real_census(graph)
+            return counts._replace(
+                g=_Recorded(counts.g, (of, "g")),
+                g_dot=_Recorded(counts.g_dot, (of, "g_dot")),
+                boundary_g=_Recorded(counts.boundary_g, (of, "boundary_g")),
+            )
+
+        monkeypatch.setattr(gemkit.verify, "census", recording_census)
+        family = [
+            c for c in verify_identities(g).checks if c.name == "double-census"
+        ]
+        sets = [
+            (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
+            (0, 1, 4), (0, 1), (0, 2, 4), (0, 2), (0, 3, 4), (0, 3),
+            (1, 2, 4), (1, 2), (1, 3, 4), (1, 3), (2, 3, 4), (2, 3),
+            (0, 4), (1, 4), (2, 4), (3, 4),
+        ]
+        expected = []
+        for colors in sets:
+            key = frozenset(colors)
+            right = (("g", "g", key),)
+            if 4 in colors:
+                right += (("g", "g_dot", key),)
+            expected.append(((("double", "g", key),), right))
+        assert [(c.left.reads, c.right.reads) for c in family] == expected
+        assert all(c.passed for c in family)
+
+    def test_skip_tuples_mirror_the_families(self, fig3):
+        """Every skipped family is one that a bounded crystallization's
+        ledger emits, and a closed gem skips each of those families but
+        the crystallization-structure check and the triple relation."""
+        emitted = {c.name for c in verify_identities(fig3).checks}
+        closed = {s.name for s in _CLOSED_SKIPS}
+        not_crystal = {s.name for s in _NOT_CRYSTAL_SKIPS}
+        assert closed | not_crystal <= emitted
+        assert closed == emitted - {
+            "crystallization-structure", "closed-triple-relation"
+        }
 
     def test_report_deterministic(self, fig3):
         assert verify_identities(fig3) == verify_identities(fig3)
