@@ -47,9 +47,12 @@ Shared results are read-only: the census mappings are
 `MappingProxyType` views and every other result is a tuple or a
 `typing.NamedTuple` record.
 
-Input contracts (a dimension, a nonempty or an empty boundary, a
-crystallization) are worded only in the gate `_require`, which every
-module calls instead of checking them by hand.  The manifold metadata
+Input contracts are worded only in two gates, which every module calls
+instead of checking them by hand: `_require` for a graph (a dimension,
+a nonempty or an empty boundary, a crystallization) and `_require_meta`
+for the manifold metadata that the bound formulas read (exact ints, at
+least one boundary component, a given rank m, no negative rank, genus
+or complexity and, with a gem, the gem's own h and chi).  The metadata
 record `ManifoldMeta` is defined here too, so that the catalog needs no
 layer but this one.
 """
@@ -93,7 +96,10 @@ MAX_DIMENSION = 10
 
 
 def _check_shape(dimension, vertex_count, color_count) -> None:
-    if dimension < 1:
+    # exact ints, the rule of `_is_index`: a bool would pass the range
+    # checks and be stored as the dimension, and a float would raise
+    # `TypeError` once it sizes an array
+    if type(dimension) is not int or dimension < 1:
         raise GemError("dimension must be a positive integer")
     if dimension > MAX_DIMENSION:
         raise GemError(
@@ -101,6 +107,8 @@ def _check_shape(dimension, vertex_count, color_count) -> None:
             f"{MAX_DIMENSION}: the residue census enumerates all "
             f"2^(d+1) - 1 color sets"
         )
+    if type(vertex_count) is not int:
+        raise GemError(f"vertex count must be an int, got {vertex_count!r}")
     if vertex_count < 1:
         raise GemError("vertex count must be positive")
     if color_count != dimension + 1:
@@ -149,41 +157,56 @@ class ColoredGraph:
     an 8-byte pointer and no 28-byte int.
     Parallel edges between the same two vertices are allowed as long as
     their colors differ (which the matching representation guarantees).
-    The dimension is at most `MAX_DIMENSION`.  The accessors take a
-    vertex and a color only as exact ints in range and raise `GemError`
-    for anything else.
+    The dimension is at most `MAX_DIMENSION`.  The constructor takes the
+    dimension and the vertex count only as exact ints, and a pair that is
+    not two vertex ints raises `GemError` naming its color.  The
+    accessors take a vertex and a color only as exact ints in range and
+    raise `GemError` for anything else.
     """
 
     __slots__ = ("dimension", "vertex_count", "_mates", "_memo")
 
     def __init__(self, dimension, vertex_count, pairs_by_color):
-        pairs_by_color = [list(p) for p in pairs_by_color]
+        pairs_by_color = list(pairs_by_color)
         _check_shape(dimension, vertex_count, len(pairs_by_color))
         n = vertex_count
         mates = []
-        for color, pairs in enumerate(pairs_by_color):
-            # checked before allocating, so a vertex count that the
-            # pairs cannot cover costs no memory
-            if color < dimension and len(pairs) * 2 != n:
-                raise GemError(f"color {color} not a total pairing")
-            if not color:
-                # color 0 passed the check, so the pairs cover n
-                ids = _ids(n + 1)
-            mate = [0] * (n + 1)
-            for a, b in pairs:
-                if not (1 <= a <= n and 1 <= b <= n):
-                    raise GemError(
-                        f"color {color}: vertex out of range in pair {a}-{b}"
-                    )
-                if a == b:
-                    raise GemError(f"color {color}: loop at vertex {a}")
-                if mate[a] or mate[b]:
-                    dup = a if mate[a] else b
-                    raise GemError(
-                        f"color {color}: vertex {dup} paired more than once"
-                    )
-                mate[a], mate[b] = ids[b], ids[a]
-            mates.append(tuple(mate))
+        # the pairs are not type-checked one by one: a pair that is not
+        # two ints fails to unpack, compare or index, and that error is
+        # reported as a `GemError` naming its color
+        try:
+            for color, pairs in enumerate(pairs_by_color):
+                pairs = list(pairs)
+                # checked before allocating, so a vertex count that the
+                # pairs cannot cover costs no memory
+                if color < dimension and len(pairs) * 2 != n:
+                    raise GemError(f"color {color} not a total pairing")
+                if not color:
+                    # color 0 passed the check, so the pairs cover n
+                    ids = _ids(n + 1)
+                mate = [0] * (n + 1)
+                for a, b in pairs:
+                    if not (1 <= a <= n and 1 <= b <= n):
+                        raise GemError(
+                            f"color {color}: vertex out of range in pair "
+                            f"{a}-{b}"
+                        )
+                    if a == b:
+                        raise GemError(f"color {color}: loop at vertex {a}")
+                    if mate[a] or mate[b]:
+                        dup = a if mate[a] else b
+                        raise GemError(
+                            f"color {color}: vertex {dup} paired more than "
+                            f"once"
+                        )
+                    mate[a], mate[b] = ids[b], ids[a]
+                mates.append(tuple(mate))
+        except GemError:
+            raise
+        except (TypeError, ValueError):
+            raise GemError(
+                f"color {color}: expected pairs of vertex ints"
+            ) from None
         self._store(dimension, mates)
 
     @classmethod
@@ -366,7 +389,12 @@ def residue_components(g: ColoredGraph, colors) -> list[ResidueComponent]:
     regular (all its vertices meet every color of the set) iff the set
     misses color d or the component holds no boundary vertex.
     """
-    colorset = frozenset(colors)
+    try:
+        colorset = frozenset(colors)
+    except TypeError:
+        raise GemError(
+            f"colors {colors!r} out of range 0..{g.dimension}"
+        ) from None
     if not colorset:
         raise GemError("residue color set must be nonempty")
     if not all(_is_index(c, 0, g.dimension) for c in colorset):
@@ -860,6 +888,10 @@ class ManifoldMeta(NamedTuple):
     `m` must be supplied by the user (only an upper bound is computable
     combinatorially), as must the boundary genus and the rank of the
     double's fundamental group when the corresponding bounds are wanted.
+    Every value is an exact int, h >= 1, and no rank or genus is
+    negative.  Each call that reads a record checks it with
+    `_require_meta`, so a record built directly meets the same contract
+    as one built by `for_graph`.
     """
 
     h: int
@@ -877,24 +909,18 @@ class ManifoldMeta(NamedTuple):
         double_rank: int | None = None,
     ) -> "ManifoldMeta":
         """The metadata of `g`, with h and chi read from the gem.  The
-        supplied values are ranks and genera, so none may be negative."""
-        _require_nonnegative(
-            m=m, boundary_genus=boundary_genus, double_rank=double_rank
-        )
-        report = validate(g)
-        return cls(
-            h=report.h,
+        record passes the metadata gate `_require_meta`, so `g` has
+        boundary (h >= 1) and the supplied ranks and genera are
+        nonnegative ints."""
+        meta = cls(
+            h=validate(g).h,
             chi=face_vector(g).euler_characteristic,
             m=m,
             boundary_genus=boundary_genus,
             double_rank=double_rank,
         )
-
-
-def _require_nonnegative(**values: int | None) -> None:
-    for name, value in values.items():
-        if value is not None and value < 0:
-            raise GemError(f"{name} must be nonnegative, got {value}")
+        _require_meta(meta)
+        return meta
 
 
 def _require(g, dimension=None, boundary=None, crystallization=False):
@@ -911,3 +937,33 @@ def _require(g, dimension=None, boundary=None, crystallization=False):
         raise GemError("input has boundary; needs a closed gem")
     if crystallization and not validate(g).is_crystallization:
         raise GemError("input is not a crystallization")
+
+
+def _require_meta(meta, g=None, k_boundary=None):
+    """Raise a `GemError` naming the first clause of the metadata contract
+    that `meta` breaks: with `g`, the contracts of `_require` for a
+    bounded 4-crystallization and the gem's own h and chi; h and chi, and
+    m, the boundary genus, the double's rank and `k_boundary` where given,
+    exact ints (the rule of `_is_index`: no bool, no float); h >= 1; m
+    given; no rank, genus or complexity negative.  Checked in that order."""
+    if g is not None:
+        _require(g, dimension=4, boundary=True, crystallization=True)
+        own = (validate(g).h, face_vector(g).euler_characteristic)
+        if (meta.h, meta.chi) != own:
+            raise GemError(
+                f"metadata (h, chi) = ({meta.h}, {meta.chi}) contradicts the "
+                f"gem's (h, chi) = ({own[0]}, {own[1]})"
+            )
+    ranks = (("m", meta.m), ("boundary_genus", meta.boundary_genus),
+             ("double_rank", meta.double_rank), ("k_boundary", k_boundary))
+    given = [(name, value) for name, value in ranks if value is not None]
+    for name, value in (("h", meta.h), ("chi", meta.chi), *given):
+        if type(value) is not int:
+            raise GemError(f"{name} must be an int, got {value!r}")
+    if meta.h < 1:
+        raise GemError("this bound assumes at least one boundary component")
+    if meta.m is None:
+        raise GemError("this bound needs the rank m in meta")
+    for name, value in given:
+        if value < 0:
+            raise GemError(f"{name} must be nonnegative, got {value}")

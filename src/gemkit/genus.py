@@ -37,7 +37,7 @@ from .core import (
     _census_plan,
     _per_graph,
     _require,
-    _require_nonnegative,
+    _require_meta,
     census,
     face_vector,
     validate,
@@ -266,33 +266,6 @@ def gem_complexity(g: ColoredGraph) -> int:
     return g.vertex_count // 2 - 1
 
 
-def _require_boundary_meta(meta: ManifoldMeta) -> None:
-    if meta.h < 1:
-        raise GemError("this bound assumes at least one boundary component")
-    if meta.m is None:
-        raise GemError("this bound needs the rank m in meta")
-    # a record built directly skips the check in `for_graph`
-    _require_nonnegative(
-        m=meta.m,
-        boundary_genus=meta.boundary_genus,
-        double_rank=meta.double_rank,
-    )
-
-
-def _require_meta(g: ColoredGraph, meta: ManifoldMeta) -> None:
-    """The contract of every call that reads a gem with its metadata: a
-    bounded 4-crystallization whose h and chi are the ones `meta` states,
-    and metadata the bounds accept."""
-    _require(g, dimension=4, boundary=True, crystallization=True)
-    own = (validate(g).h, face_vector(g).euler_characteristic)
-    if (meta.h, meta.chi) != own:
-        raise GemError(
-            f"metadata (h, chi) = ({meta.h}, {meta.chi}) contradicts the "
-            f"gem's (h, chi) = ({own[0]}, {own[1]})"
-        )
-    _require_boundary_meta(meta)
-
-
 def complexity_lower_bounds(
     meta: ManifoldMeta, k_boundary: int | None = None
 ) -> tuple[int, int | None]:
@@ -302,8 +275,7 @@ def complexity_lower_bounds(
     is supplied, k_boundary + 3*chi + 4m + 6h - 9.  A gem-complexity is
     never negative.
     """
-    _require_nonnegative(k_boundary=k_boundary)
-    _require_boundary_meta(meta)
+    _require_meta(meta, k_boundary=k_boundary)
     first = 3 * meta.chi + 7 * meta.m + 7 * meta.h - 10
     second = (
         k_boundary + 3 * meta.chi + 4 * meta.m + 6 * meta.h - 9
@@ -315,7 +287,7 @@ def complexity_lower_bounds(
 
 def vertex_lower_bounds(meta: ManifoldMeta) -> tuple[int, int, int]:
     """Lower bounds on 2p, 2p + 2p_bar and 2p - 2p_bar."""
-    _require_boundary_meta(meta)
+    _require_meta(meta)
     return (
         6 * meta.chi + 14 * meta.m + 14 * meta.h - 18,
         6 * meta.chi + 20 * meta.m + 16 * meta.h - 18,
@@ -332,7 +304,7 @@ def genus_lower_bounds(
     2*chi + 3m + 2h - 4 always, boundary_genus + 2*chi + 2m + 2h - 4
     when the boundary genus is known).
     """
-    _require_boundary_meta(meta)
+    _require_meta(meta)
     first = (
         2 * meta.chi + 2 * meta.double_rank - 2
         if meta.double_rank is not None
@@ -396,7 +368,7 @@ def weak_semi_simple(g: ColoredGraph, meta: ManifoldMeta) -> WeakSemiSimpleRepor
     0..3 with the last color fixed.  Type I needs the boundary genus in
     `meta`; when it is absent the type I verdict is None.
     """
-    _require_meta(g, meta)
+    _require_meta(meta, g)
     h = meta.h
     counts = census(g)
     # g_{s0 s1 4} of every relabeling that meets the common equalities
@@ -436,7 +408,7 @@ def _floors(g: ColoredGraph, meta: ManifoldMeta,
     """One (family, statement, attained, bound, skipped as, reason) row
     per bound on `g`, in ledger order; a bound of None is one whose
     metadata was not supplied."""
-    _require_meta(g, meta)
+    _require_meta(meta, g, k_boundary)
     tally = g.vertex_tally()
     vb1, vb2, vb3 = vertex_lower_bounds(meta)
     kb1, kb2 = complexity_lower_bounds(meta, k_boundary)

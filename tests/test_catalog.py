@@ -14,6 +14,7 @@ from gemkit import (
     face_vector,
     validate,
 )
+from gemkit.core import _require_meta
 
 
 EXPECTED_NAMES = {
@@ -45,6 +46,18 @@ def test_every_entry_validates(all_entries):
         if entry.meta is not None:
             assert report.is_crystallization, entry.name
             assert report.h == entry.meta.h, entry.name
+
+
+@pytest.mark.parametrize(
+    "name",
+    [name for name in catalog_list() if catalog_get(name).meta is not None],
+)
+def test_metadata_passes_the_gate_against_its_graph(name):
+    """The hand-typed metadata meets the metadata contract of every
+    bound: its graph is a bounded 4-crystallization whose h and chi are
+    the entry's, and each value is an int in range."""
+    entry = catalog_get(name)
+    _require_meta(entry.meta, entry.graph)
 
 
 def test_expected_invariants_recomputed(all_entries):

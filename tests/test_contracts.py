@@ -1,7 +1,9 @@
 """Input contracts: every entry point that states one names the first
-contract its input breaks, in the wording of the gate `core._require`
-or, for the summing vertices of a connected sum, of its own check.  A
-color or vertex argument is an exact int in range, or a `GemError`."""
+contract its input breaks, in the wording of the gate `core._require`,
+of the metadata gate `core._require_meta` or, for the summing vertices
+of a connected sum, of its own check.  A color or vertex argument, a
+constructor's dimension and vertex count and each metadata value is an
+exact int (in range), or a `GemError`."""
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +18,7 @@ from gemkit import (
     catalog_get,
     census,
     certify_minimal,
+    complexity_lower_bounds,
     connected_sum,
     crystallize_double,
     double,
@@ -23,6 +26,7 @@ from gemkit import (
     face_vector,
     find_one_dipoles,
     gem_complexity,
+    genus_lower_bounds,
     interval_product,
     rank_upper_bound,
     regular_genus,
@@ -36,6 +40,7 @@ from gemkit import (
     validate,
     verify_bounds,
     verify_identities,
+    vertex_lower_bounds,
     weak_semi_simple,
 )
 from gemkit.cli import main
@@ -176,6 +181,97 @@ BAD_ARGUMENTS = {
         lambda g, d: connected_sum(g, 1, g, True),
         "summing vertex out of range",
     ),
+    "residue_components(g, [[1]])": (
+        lambda g, d: residue_components(g, [[1]]),
+        "colors [[1]] out of range 0..4",
+    ),
+    "ColoredGraph(4, 2.0, ...)": (
+        lambda g, d: ColoredGraph(4, 2.0, [[(1, 2)]] * 5),
+        "vertex count must be an int, got 2.0",
+    ),
+    "ColoredGraph(4.0, 2, ...)": (
+        lambda g, d: ColoredGraph(4.0, 2, [[(1, 2)]] * 5),
+        "dimension must be a positive integer",
+    ),
+    "ColoredGraph(True, 2, ...)": (
+        lambda g, d: ColoredGraph(True, 2, [[(1, 2)]] * 2),
+        "dimension must be a positive integer",
+    ),
+    "ColoredGraph(1, 2, [[(1.0, 2)]] * 2)": (
+        lambda g, d: ColoredGraph(1, 2, [[(1.0, 2)]] * 2),
+        "color 0: expected pairs of vertex ints",
+    ),
+    "ColoredGraph(1, 2, [[(1, 2)], [(1,)]])": (
+        lambda g, d: ColoredGraph(1, 2, [[(1, 2)], [(1,)]]),
+        "color 1: expected pairs of vertex ints",
+    ),
+    "ColoredGraph(1, 2, [[(1, 2)], 5])": (
+        lambda g, d: ColoredGraph(1, 2, [[(1, 2)], 5]),
+        "color 1: expected pairs of vertex ints",
+    ),
+}
+
+# the metadata of fig3_d3xs1, which has h = 1 and chi = 0
+_FIG3_META = ManifoldMeta(h=1, chi=0, m=1)
+
+# metadata value that is no int -> (field, value, message of the
+# metadata gate); True and 1.0 equal an int in range and are refused too
+BAD_META = {
+    "m=1.5": ("m", 1.5, "m must be an int, got 1.5"),
+    "m=True": ("m", True, "m must be an int, got True"),
+    "m='1'": ("m", "1", "m must be an int, got '1'"),
+    "h=1.0": ("h", 1.0, "h must be an int, got 1.0"),
+    "chi=0.0": ("chi", 0.0, "chi must be an int, got 0.0"),
+    "boundary_genus=1.0": (
+        "boundary_genus", 1.0, "boundary_genus must be an int, got 1.0"
+    ),
+    "double_rank=1.0": (
+        "double_rank", 1.0, "double_rank must be an int, got 1.0"
+    ),
+    "k_boundary=0.0": (
+        "k_boundary", 0.0, "k_boundary must be an int, got 0.0"
+    ),
+}
+
+
+def _meta(field, value):
+    """`_FIG3_META` with `field` set to `value`, and the k_boundary."""
+    if field == "k_boundary":
+        return _FIG3_META, value
+    return _FIG3_META._replace(**{field: value}), None
+
+
+_RECORD_FIELDS = ("m", "h", "chi", "boundary_genus", "double_rank")
+
+# entry point that reads metadata -> (call on fig3 with one field set,
+# the fields it takes)
+META_CALLS = {
+    "for_graph": (
+        lambda g, field, value: ManifoldMeta.for_graph(
+            g, **{"m": 1, field: value}
+        ),
+        ("m", "boundary_genus", "double_rank"),
+    ),
+    "verify_bounds": (
+        lambda g, *bad: verify_bounds(g, *_meta(*bad)),
+        (*_RECORD_FIELDS, "k_boundary"),
+    ),
+    "certify_minimal": (
+        lambda g, *bad: certify_minimal(g, _meta(*bad)[0]), _RECORD_FIELDS
+    ),
+    "weak_semi_simple": (
+        lambda g, *bad: weak_semi_simple(g, _meta(*bad)[0]), _RECORD_FIELDS
+    ),
+    "complexity_lower_bounds": (
+        lambda g, *bad: complexity_lower_bounds(*_meta(*bad)),
+        (*_RECORD_FIELDS, "k_boundary"),
+    ),
+    "vertex_lower_bounds": (
+        lambda g, *bad: vertex_lower_bounds(_meta(*bad)[0]), _RECORD_FIELDS
+    ),
+    "genus_lower_bounds": (
+        lambda g, *bad: genus_lower_bounds(_meta(*bad)[0]), _RECORD_FIELDS
+    ),
 }
 
 
@@ -213,6 +309,30 @@ def test_cli_contract_matrix(capsys, tmp_path, command, name):
         assert (code, err) == (0, "")
     else:
         assert (code, out, err) == (2, "", f"error: {expected}\n")
+
+
+@pytest.mark.parametrize(
+    "entry, bad",
+    [
+        (entry, bad)
+        for entry, (_, takes) in META_CALLS.items()
+        for bad, (field, _, _) in BAD_META.items()
+        if field in takes
+    ],
+)
+def test_non_int_metadata_is_rejected(fig3, entry, bad):
+    call, _ = META_CALLS[entry]
+    field, value, expected = BAD_META[bad]
+    with pytest.raises(GemError) as raised:
+        call(fig3, field, value)
+    assert str(raised.value) == expected
+
+
+def test_for_graph_rejects_a_closed_gem():
+    with pytest.raises(GemError) as raised:
+        ManifoldMeta.for_graph(INPUTS["closed-4"], m=0)
+    expected = "this bound assumes at least one boundary component"
+    assert str(raised.value) == expected
 
 
 def test_metadata_contradicting_the_gem_is_rejected(fig3):
