@@ -6,15 +6,14 @@ immutable graphs, so any of them may run concurrently on shared inputs.
 analyses in `core`; those memo writes are idempotent, so concurrent
 first calls are safe too.
 
-The constructions write involution arrays, not pair lists.  A
-connected sum is one weld (`_weld`) of the disjoint union at the two
-summing vertices, the same splice that cancels a 1-dipole in
-`crystallize_double`; the welded vertices become fixed points, and one
+The constructions write involution arrays, not pair lists.  Every
+splice is one weld (`_weld`): a connected sum welds the disjoint union
+at the two summing vertices, `remove_one_dipole` welds a copy of the
+graph's arrays at the dipole's endpoints, and the contraction behind
+`crystallize_double` welds one copy of the double's arrays once per
+cancelled dipole.  The welded vertices become fixed points, and one
 compaction (`_compact`) renumbers the rest to 1..n in vertex order,
-which keeps file exports stable.  Only the public moves
-`find_one_dipoles` and `remove_one_dipole` work on pairs, rebuilding
-the whole graph at every step; they are the test oracle of
-`crystallize_double`.
+which keeps file exports stable.
 """
 
 from __future__ import annotations
@@ -142,51 +141,47 @@ def remove_one_dipole(g: ColoredGraph, dipole: Dipole) -> ColoredGraph:
     """
     if not dipole.verify(g):
         raise GemError(f"stale dipole {dipole}: certificate fails")
-    u, v, dc = dipole.u, dipole.v, dipole.color
-    keep = [w for w in g.vertices if w not in (u, v)]
-    relabel = {w: i + 1 for i, w in enumerate(keep)}
-    pairs_by_color = []
-    for c in g.colors:
-        pairs = [
-            (relabel[a], relabel[b])
-            for a, b in g.edges(c)
-            if a not in (u, v) and b not in (u, v)
-        ]
-        if c != dc:
-            a, b = g.mate(u, c), g.mate(v, c)
-            if a is not None and b is not None:
-                pairs.append((relabel[a], relabel[b]))
-            # if only one side is matched (possible for the last color),
-            # that endpoint simply becomes a boundary vertex
-        pairs_by_color.append(pairs)
-    return ColoredGraph(g.dimension, g.vertex_count - 2, pairs_by_color)
+    mates = [list(mate) for mate in g._mates]
+    # where only one side is matched (possible for the last color), the
+    # weld writes the other end into slot 0, which compaction drops, and
+    # that end becomes a boundary vertex
+    _weld(mates, dipole.u, dipole.v)
+    return _compact(g.dimension, mates)
 
 
-def _cancel_dipoles(doubled: ColoredGraph, h: int) -> ColoredGraph:
-    """Cancel h-1 1-dipoles of each color below the last, then one of
-    the last color, each time the one with the smallest smaller endpoint,
+def _contract(g: ColoredGraph) -> ColoredGraph:
+    """Cancel 1-dipoles of each color c in turn until one residue without
+    c is left, each time the one with the smallest smaller endpoint,
     exactly as repeated `find_one_dipoles` and `remove_one_dipole` would;
-    returns the compacted result."""
-    d = doubled.dimension
-    size = doubled.vertex_count + 1
-    mates = [list(mate) for mate in doubled._mates]
+    returns the compacted result.
+
+    `g` is closed, of dimension at least 2.  Cancelling a c-dipole
+    merges two residues without c and keeps the count of the residues
+    without any other color (see `crystallize_double`), so color c takes
+    one cancellation fewer than `census(g)` counts residues without c,
+    and a connected `g` ends as a closed crystallization.  Should a
+    color's scan run out of dipoles first, as on a disconnected gem, a
+    `GemError` names the color.
+    """
+    counts = census(g)
+    size = g.vertex_count + 1
+    mates = [list(mate) for mate in g._mates]
 
     def find(x):
         while parent[x] != x:
             parent[x] = x = parent[parent[x]]
         return x
 
-    for color in doubled.colors:
-        steps = h - 1 if color < d else 1
+    for color in g.colors:
+        others = [c for c in g.colors if c != color]
+        steps = counts.g_of(*others) - 1
         if not steps:
             continue
-        labels, count = _array_labels(
-            [mate for c, mate in enumerate(mates) if c != color]
-        )
+        labels, count = _array_labels([mates[c] for c in others])
         parent = list(range(count + 1))
         mate = mates[color]
         u = 1
-        for step in range(steps):
+        for _ in range(steps):
             # a 1-dipole never reappears once gone, so one scan finds all
             while u < size:
                 v = mate[u]
@@ -194,22 +189,20 @@ def _cancel_dipoles(doubled: ColoredGraph, h: int) -> ColoredGraph:
                     break
                 u += 1
             else:
-                raise GemError(
-                    f"no 1-dipole of color {color} available"
-                    + (f" at step {step}" if color < d else "")
-                )
+                raise GemError(f"no 1-dipole of color {color} available")
             parent[find(labels[v])] = find(labels[u])
             _weld(mates, u, v)
-    return _compact(d, mates)
+    return _compact(g.dimension, mates)
 
 
 def crystallize_double(g: ColoredGraph) -> ColoredGraph:
     """Closed crystallization of the double of a bounded crystallization.
 
-    Builds the double, then cancels h-1 1-dipoles of each color below
-    the last and a single 1-dipole of the last color, always taking the
-    first available dipole so outputs are reproducible.  The residue
-    censuses of the result are checked against the double's.
+    Builds the double, then contracts it (`_contract`): for each color in
+    turn it cancels 1-dipoles until one residue without that color is
+    left, always taking the first available dipole so outputs are
+    reproducible.  The residue censuses of the result are checked
+    against the double's.
 
     The cancellations run on mutable copies of the double's involution
     arrays, with a deleted vertex left as a fixed point of every color,
@@ -233,6 +226,25 @@ def crystallize_double(g: ColoredGraph) -> ColoredGraph:
     (R_u + R_v) minus {u, v}, joined by the welded edges, and every
     other c-hat residue is unchanged.
 
+    Every other count stays too.  For a color e other than c, let R be
+    the e-hat residue that holds the color-c edge uv.  A component P of
+    R minus {u, v} is paired within itself by color c, so |P| is even,
+    and so for each further color of R it holds both or neither of the
+    two loose ends at u and v, which the weld joins.  The residue on
+    the colors other than c and e that holds u stays connected without
+    u, holds each loose end at u and misses v; so does the one at v.
+    With d >= 2 that color set is not empty, so all loose ends, and so
+    all of R minus {u, v}, lie in one component: R stays one residue.
+
+    So the counts of the double's census set the cancellations.  For
+    c < d the double has g_c-hat = g_c-hat(M) + gdot_c-hat(M) = h +
+    gdot_c-hat(M) residues without c, where gdot counts the residues
+    free of boundary vertices; each boundary component holds a vertex
+    of label c of the complex, and the crystallization has only h of
+    them, so gdot_c-hat(M) = 0 and h - 1 dipoles of color c go.  The
+    two copies of M give 2 residues without d, so one dipole of color d
+    goes.  The census check below restates those counts in h.
+
     The color-c edges other than the cancelled one never change and
     labels only merge, so during a color's phase a 1-dipole of that
     color can only disappear.  One scan in vertex order thus finds, at
@@ -243,29 +255,23 @@ def crystallize_double(g: ColoredGraph) -> ColoredGraph:
     """
     _require(g, boundary=True, crystallization=True)
     h = validate(g).h
-    d = g.dimension
     doubled = double(g)
-    doubled_census = census(doubled)
-    out = _cancel_dipoles(doubled, h)
+    out = _contract(doubled)
     final = validate(out)
     if not (final.closed and final.is_crystallization):
         raise GemError("dipole cancellation did not yield a closed "
                        "crystallization")
-    if d == 4:
-        out_census = census(out)
-        for i, j, k in itertools.combinations(range(4), 3):
-            if out_census.g_of(i, j, k) != doubled_census.g_of(i, j, k) - h:
+    if g.dimension == 4:
+        before, after = census(doubled), census(out)
+        # the four triples without color 4 first, then the six with it
+        for i, j, k in sorted(
+            itertools.combinations(range(5), 3), key=lambda t: t[2] == 4
+        ):
+            drop, text = (2 * (h - 1), "2(h-1)") if k == 4 else (h, "h")
+            if after.g_of(i, j, k) != before.g_of(i, j, k) - drop:
                 raise GemError(
                     f"census check failed: g_{i}{j}{k} of the contracted "
-                    "double is not the doubled count minus h"
-                )
-        for i, j in itertools.combinations(range(4), 2):
-            if out_census.g_of(i, j, 4) != (
-                doubled_census.g_of(i, j, 4) - 2 * (h - 1)
-            ):
-                raise GemError(
-                    f"census check failed: g_{i}{j}4 of the contracted "
-                    "double is not the doubled count minus 2(h-1)"
+                    f"double is not the doubled count minus {text}"
                 )
     return out
 

@@ -158,23 +158,26 @@ class ColoredGraph:
     Parallel edges between the same two vertices are allowed as long as
     their colors differ (which the matching representation guarantees).
     The dimension is at most `MAX_DIMENSION`.  The constructor takes the
-    dimension and the vertex count only as exact ints, and a pair that is
-    not two vertex ints raises `GemError` naming its color.  The
-    accessors take a vertex and a color only as exact ints in range and
-    raise `GemError` for anything else.
+    dimension, the vertex count and each vertex of a pair only as exact
+    ints, so a bool is no vertex.  A pair that is not two vertex ints
+    raises `GemError` naming its color, and pairs that do not come as
+    one iterable per color raise one naming none.  The accessors take a
+    vertex and a color only as exact ints in range and raise `GemError`
+    for anything else.
     """
 
     __slots__ = ("dimension", "vertex_count", "_mates", "_memo")
 
     def __init__(self, dimension, vertex_count, pairs_by_color):
-        pairs_by_color = list(pairs_by_color)
-        _check_shape(dimension, vertex_count, len(pairs_by_color))
-        n = vertex_count
-        mates = []
-        # the pairs are not type-checked one by one: a pair that is not
-        # two ints fails to unpack, compare or index, and that error is
-        # reported as a `GemError` naming its color
+        # a pair that is not two exact ints fails to unpack or fails the
+        # type check, and that error is reported as a `GemError` naming
+        # its color, or naming no color if the colors cannot be listed
+        color = None
         try:
+            pairs_by_color = list(pairs_by_color)
+            _check_shape(dimension, vertex_count, len(pairs_by_color))
+            n = vertex_count
+            mates = []
             for color, pairs in enumerate(pairs_by_color):
                 pairs = list(pairs)
                 # checked before allocating, so a vertex count that the
@@ -186,6 +189,9 @@ class ColoredGraph:
                     ids = _ids(n + 1)
                 mate = [0] * (n + 1)
                 for a, b in pairs:
+                    # `type`, the rule of `_is_index`: a bool is no vertex
+                    if type(a) is not int or type(b) is not int:
+                        raise TypeError
                     if not (1 <= a <= n and 1 <= b <= n):
                         raise GemError(
                             f"color {color}: vertex out of range in pair "
@@ -205,7 +211,8 @@ class ColoredGraph:
             raise
         except (TypeError, ValueError):
             raise GemError(
-                f"color {color}: expected pairs of vertex ints"
+                "expected one list of pairs per color" if color is None
+                else f"color {color}: expected pairs of vertex ints"
             ) from None
         self._store(dimension, mates)
 

@@ -4,18 +4,26 @@ Everything here deliberately avoids the library's own algorithms:
 components come from BFS over explicit adjacency lists (the library
 uses union-find), two-colorability from a fresh BFS coloring, and the
 face vector is rebuilt from the oracle component counts.  Agreement is
-therefore a genuine cross-check, not a tautology.  The one exception is
-`crystallize_double_reference`: it repeats the public dipole moves
-(`find_one_dipoles`, then `remove_one_dipole`), which rebuild and
-relabel the whole graph at every step, against the library's single
-pass of label merges.  `regular_genus_reference` evaluates the public
+therefore a genuine cross-check, not a tautology.  The dipole
+references reuse the library's dipole search (`find_one_dipoles`) but
+splice on their own: `remove_one_dipole_reference` rebuilds the whole
+graph from its pair lists at every cancellation, against the library's
+weld of involution arrays.  `crystallize_double_reference` cancels
+h - 1 dipoles of each color below the last and one of the last, each
+time the first listed, and `contract_reference` cancels the first
+listed until none is left, color by color, both against the library's
+single pass of label merges that takes its step counts from the
+census.  `regular_genus_reference` evaluates the public
 single-scheme formulas scheme by scheme, against the library's shared
 scheme table.  `json_reference` renders a CLI record with the standard
 library's `json.dumps`, against the CLI's own writer.
 `colored_graph_reference` keeps the pair checks of `ColoredGraph` as
 they stood before the constructions began to build involution arrays,
+with the exact-int vertex and list-per-color checks added since,
 against the constructor that now shares its store step with them, and
 `pair_rebuild` rebuilds a construction's output from its edge lists.
+`tiny_gems` lists every labeled gem on at most four vertices, the
+ground truth of the exhaustive sweeps.
 `export_reference` writes GEM text from the sorted edge lists that
 `ColoredGraph.edges` returns, against the writer's own pass over the
 involution arrays.
@@ -41,7 +49,6 @@ from gemkit import (
     double,
     enumerate_schemes,
     find_one_dipoles,
-    remove_one_dipole,
     rho_epsilon,
     rho_epsilon_census,
     rho_epsilon_via_double,
@@ -53,6 +60,8 @@ from gemkit.core import MAX_DIMENSION
 def colored_graph_reference(dimension, vertex_count, pairs_by_color):
     """The involution arrays that `ColoredGraph(dimension, vertex_count,
     pairs_by_color)` stores, or its `GemError`, checked pair by pair."""
+    if not hasattr(pairs_by_color, "__iter__"):
+        raise GemError("expected one list of pairs per color")
     if dimension < 1:
         raise GemError("dimension must be a positive integer")
     if dimension > MAX_DIMENSION:
@@ -75,6 +84,8 @@ def colored_graph_reference(dimension, vertex_count, pairs_by_color):
             raise GemError(f"color {color} not a total pairing")
         mate = [0] * (n + 1)
         for a, b in pairs:
+            if type(a) is not int or type(b) is not int:
+                raise GemError(f"color {color}: expected pairs of vertex ints")
             if not (1 <= a <= n and 1 <= b <= n):
                 raise GemError(
                     f"color {color}: vertex out of range in pair {a}-{b}"
@@ -89,6 +100,33 @@ def colored_graph_reference(dimension, vertex_count, pairs_by_color):
             mate[a], mate[b] = b, a
         mates.append(tuple(mate))
     return tuple(mates)
+
+
+def perfect_matchings(vertices):
+    if not vertices:
+        yield []
+        return
+    first, rest = vertices[0], vertices[1:]
+    for i, other in enumerate(rest):
+        for matching in perfect_matchings(rest[:i] + rest[i + 1:]):
+            yield [(first, other), *matching]
+
+
+def tiny_gems(dimension=4, max_vertices=4):
+    """Every gem of the dimension on at most `max_vertices` vertices,
+    once for each choice of a perfect matching per color below the last
+    and a partial matching, possibly empty, on the last."""
+    for n in range(2, max_vertices + 1, 2):
+        perfect = list(perfect_matchings(list(range(1, n + 1))))
+        partial = sorted({
+            part
+            for matching in perfect
+            for size in range(len(matching) + 1)
+            for part in itertools.combinations(matching, size)
+        })
+        for below in itertools.product(perfect, repeat=dimension):
+            for last in partial:
+                yield ColoredGraph(dimension, n, [*below, last])
 
 
 def pair_rebuild(g: ColoredGraph) -> ColoredGraph:
@@ -262,6 +300,32 @@ def weak_semi_simple_reference(
     return type_one, any(two for _, two in verdicts)
 
 
+def remove_one_dipole_reference(g: ColoredGraph, dipole) -> ColoredGraph:
+    """`remove_one_dipole` by the pair constructor: the edges that miss
+    the dipole's two vertices, relabeled in vertex order, plus one welded
+    pair per other color whose two loose ends both exist."""
+    if not dipole.verify(g):
+        raise GemError(f"stale dipole {dipole}: certificate fails")
+    u, v, dc = dipole.u, dipole.v, dipole.color
+    keep = [w for w in g.vertices if w not in (u, v)]
+    relabel = {w: i + 1 for i, w in enumerate(keep)}
+    pairs_by_color = []
+    for c in g.colors:
+        pairs = [
+            (relabel[a], relabel[b])
+            for a, b in g.edges(c)
+            if a not in (u, v) and b not in (u, v)
+        ]
+        if c != dc:
+            a, b = g.mate(u, c), g.mate(v, c)
+            if a is not None and b is not None:
+                pairs.append((relabel[a], relabel[b]))
+            # if only one side is matched (possible for the last color),
+            # that endpoint simply becomes a boundary vertex
+        pairs_by_color.append(pairs)
+    return ColoredGraph(g.dimension, g.vertex_count - 2, pairs_by_color)
+
+
 def cancel_dipoles_reference(doubled: ColoredGraph, h: int) -> ColoredGraph:
     """Cancel h-1 1-dipoles of each color below the last, then one of the
     last color, each time the first that `find_one_dipoles` lists."""
@@ -274,11 +338,21 @@ def cancel_dipoles_reference(doubled: ColoredGraph, h: int) -> ColoredGraph:
                 raise GemError(
                     f"no 1-dipole of color {color} available at step {step}"
                 )
-            out = remove_one_dipole(out, dipoles[0])
+            out = remove_one_dipole_reference(out, dipoles[0])
     dipoles = find_one_dipoles(out, d)
     if not dipoles:
         raise GemError(f"no 1-dipole of color {d} available")
-    return remove_one_dipole(out, dipoles[0])
+    return remove_one_dipole_reference(out, dipoles[0])
+
+
+def contract_reference(g: ColoredGraph) -> ColoredGraph:
+    """Color by color, cancel the first 1-dipole that `find_one_dipoles`
+    lists until it lists none; no step count is given."""
+    out = g
+    for color in g.colors:
+        while dipoles := find_one_dipoles(out, color):
+            out = remove_one_dipole_reference(out, dipoles[0])
+    return out
 
 
 def crystallize_double_reference(g: ColoredGraph) -> ColoredGraph:

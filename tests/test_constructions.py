@@ -23,10 +23,9 @@ from gemkit import (
     sphere_connector_sum,
     validate,
 )
-from gemkit.constructions import _cancel_dipoles
+from gemkit.constructions import _contract
 from oracles import (
     bfs_component_count,
-    cancel_dipoles_reference,
     crystallize_double_reference,
     pair_rebuild,
 )
@@ -225,7 +224,8 @@ def _cancellation_corpus():
 
 class TestFastCancellation:
     """`crystallize_double` cancels dipoles by label merges on mutable
-    arrays; repeated public dipole moves are its oracle."""
+    arrays; repeated dipole moves that rebuild the pair lists are its
+    oracle."""
 
     def test_matches_repeated_dipole_moves(self):
         outcomes = {"ok": 0, "error": 0}
@@ -236,16 +236,14 @@ class TestFastCancellation:
         # both the contraction and its failures are exercised
         assert outcomes["ok"] >= 30 and outcomes["error"] >= 10
 
-    @pytest.mark.parametrize(
-        "name", ["fig1_s4", "fig2_s3xI", "fig3_d3xs1", "fig4_boundary16"]
-    )
-    def test_exhausted_dipoles_fail_alike(self, name):
-        g = catalog_get(name).graph
-        closed = g if g.is_closed() else double(g)
-        for h in range(1, 6):
-            assert _outcome(_cancel_dipoles, closed, h) == _outcome(
-                cancel_dipoles_reference, closed, h
-            ), h
+    def test_contraction_names_the_color_it_cannot_finish(self):
+        # two disjoint order-2 3-spheres: two residues without each
+        # color, and no 1-dipole to merge them
+        g = ColoredGraph(3, 4, [[(1, 2), (3, 4)]] * 4)
+        with pytest.raises(
+            GemError, match="^no 1-dipole of color 0 available$"
+        ):
+            _contract(g)
 
     def test_graphs_built_do_not_grow_with_cancellations(self, monkeypatch):
         # every graph, from pairs or from mate arrays, ends in `_store`

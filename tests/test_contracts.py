@@ -209,6 +209,18 @@ BAD_ARGUMENTS = {
         lambda g, d: ColoredGraph(1, 2, [[(1, 2)], 5]),
         "color 1: expected pairs of vertex ints",
     ),
+    "ColoredGraph(1, 2, 5)": (
+        lambda g, d: ColoredGraph(1, 2, 5),
+        "expected one list of pairs per color",
+    ),
+    "ColoredGraph(1, 2, [[(True, 2)]] * 2)": (
+        lambda g, d: ColoredGraph(1, 2, [[(True, 2)]] * 2),
+        "color 0: expected pairs of vertex ints",
+    ),
+    "ColoredGraph(1, 2, [[(1, 2)], [(2, False)]])": (
+        lambda g, d: ColoredGraph(1, 2, [[(1, 2)], [(2, False)]]),
+        "color 1: expected pairs of vertex ints",
+    ),
 }
 
 # the metadata of fig3_d3xs1, which has h = 1 and chi = 0

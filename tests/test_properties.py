@@ -22,6 +22,7 @@ from gemkit import (
     find_one_dipoles,
     parse_gem,
     regular_genus,
+    remove_one_dipole,
     residue_components,
     rho_epsilon,
     rho_epsilon_census,
@@ -29,16 +30,22 @@ from gemkit import (
     validate,
     verify_identities,
 )
+from gemkit.constructions import _contract
 from oracles import (
     bfs_component_count,
     bfs_components,
+    bfs_is_bipartite,
     bfs_regular_component_count,
     colored_graph_reference,
+    contract_reference,
     export_reference,
     is_crystallization_reference,
+    oracle_euler_characteristic,
     oracle_face_vector,
     pair_rebuild,
     regular_genus_reference,
+    remove_one_dipole_reference,
+    tiny_gems,
 )
 
 
@@ -118,38 +125,11 @@ def test_census_matches_oracle_on_boundary_heavy_gems(g):
     _assert_boundary_counts_match_subgraphs(g)
 
 
-def _perfect_matchings(vertices):
-    if not vertices:
-        yield []
-        return
-    first, rest = vertices[0], vertices[1:]
-    for i, other in enumerate(rest):
-        for matching in _perfect_matchings(rest[:i] + rest[i + 1:]):
-            yield [(first, other), *matching]
-
-
-def _tiny_gems(dimension=4, max_vertices=4):
-    """Every gem of the dimension on at most `max_vertices` vertices,
-    once for each choice of a perfect matching per color below the last
-    and a partial matching, possibly empty, on the last."""
-    for n in range(2, max_vertices + 1, 2):
-        perfect = list(_perfect_matchings(list(range(1, n + 1))))
-        partial = sorted({
-            part
-            for matching in perfect
-            for size in range(len(matching) + 1)
-            for part in itertools.combinations(matching, size)
-        })
-        for below in itertools.product(perfect, repeat=dimension):
-            for last in partial:
-                yield ColoredGraph(dimension, n, [*below, last])
-
-
 def test_every_tiny_gem_census_and_round_trip():
     """All 4-gems on 2 and 4 vertices: 2 on two vertices, and 3 perfect
     matchings for each of colors 0..3 times 10 partial ones for color 4
     on four.  Their residue components and 1-dipoles are checked too."""
-    gems = list(_tiny_gems())
+    gems = list(tiny_gems())
     assert len(gems) == 2 + 3**4 * 10
     assert len(set(gems)) == len(gems)
     for g in gems:
@@ -193,9 +173,19 @@ def test_residue_components_match_oracle_on_boundary_heavy_gems(g):
     _assert_components_match_oracle(g)
 
 
+def _outcome(construct, *args):
+    """A construction's graph, or its error message."""
+    try:
+        return construct(*args)
+    except GemError as exc:
+        return f"GemError: {exc}"
+
+
 def _assert_dipoles_match_brute_force(g):
     """A color-c edge {a, b} is a 1-dipole iff a and b lie in different
-    BFS components of the other colors and no other color joins them."""
+    BFS components of the other colors and no other color joins them.
+    Removing each 1-dipole gives the graph, or the error, of the pair
+    rebuild."""
     for color in g.colors:
         rest = [c for c in g.colors if c != color]
         component_of = {
@@ -212,6 +202,9 @@ def _assert_dipoles_match_brute_force(g):
             assert dipole.verify(g) == separated
             if separated:
                 expected.append(dipole)
+                assert _outcome(remove_one_dipole, g, dipole) == _outcome(
+                    remove_one_dipole_reference, g, dipole
+                )
         assert find_one_dipoles(g, color) == expected
 
 
@@ -235,6 +228,34 @@ def test_dipoles_match_brute_force_on_doubles():
         assert [c for c in doubled.colors if find_one_dipoles(doubled, c)] \
             == list(colors)
         _assert_dipoles_match_brute_force(doubled)
+
+
+@st.composite
+def closed_connected_gems(draw, dimension):
+    """Connected closed gems of up to 16 vertices: a random perfect
+    matching in every color."""
+    n = 2 * draw(st.integers(min_value=1, max_value=8))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    pairs = [
+        _matching(list(range(1, n + 1)), rng) for _ in range(dimension + 1)
+    ]
+    g = ColoredGraph(dimension, n, pairs)
+    assume(bfs_component_count(g, g.colors) == 1)
+    return g
+
+
+@given(st.integers(min_value=2, max_value=5).flatmap(closed_connected_gems))
+@settings(max_examples=300, deadline=None)
+def test_contraction_matches_dipole_moves_until_none_is_left(g):
+    """`_contract` takes its step counts from the census; the reference,
+    color by color, removes the first listed 1-dipole until none is
+    left.  The result is a crystallization of the same Euler
+    characteristic and bipartiteness."""
+    out = _contract(g)
+    assert out == contract_reference(g)
+    assert out.is_closed() and is_crystallization_reference(out)
+    assert oracle_euler_characteristic(out) == oracle_euler_characteristic(g)
+    assert bfs_is_bipartite(out) == bfs_is_bipartite(g)
 
 
 def _scale_gem():
@@ -503,9 +524,9 @@ def test_each_genus_formula_is_cross_checked(monkeypatch, kernel):
 def near_gem_pair_lists(draw):
     """(d, n, pairs) for the pair constructor: random matchings, total
     below d and partial in d (n is sometimes odd), then up to three
-    edits in any color: a loop, a repeated pair, a reversed repeat or a
-    vertex out of range, each replacing a pair (always below d) or
-    appending one, or the deletion of a pair."""
+    edits in any color: a loop, a repeated pair, a reversed repeat, a
+    vertex out of range or a bool vertex, each replacing a pair (always
+    below d) or appending one, or the deletion of a pair."""
     d = draw(st.integers(min_value=1, max_value=3))
     n = draw(st.sampled_from([1, 2, 2, 3, 4, 4, 6, 6]))
     rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
@@ -516,7 +537,7 @@ def near_gem_pair_lists(draw):
         color = draw(st.integers(min_value=0, max_value=d))
         row = pairs[color]
         edit = draw(st.sampled_from(
-            ["loop", "repeat", "reverse", "range", "delete"]
+            ["loop", "repeat", "reverse", "range", "bool", "delete"]
         ))
         if edit == "delete" or edit in ("repeat", "reverse") and not row:
             if row:
@@ -525,8 +546,10 @@ def near_gem_pair_lists(draw):
         if edit == "loop":
             v = draw(st.integers(min_value=1, max_value=n))
             pair = (v, v)
-        elif edit == "range":
-            far = draw(st.sampled_from([-1, 0, n + 1]))
+        elif edit in ("range", "bool"):
+            far = draw(st.sampled_from(
+                [-1, 0, n + 1] if edit == "range" else [True, False]
+            ))
             near = draw(st.integers(min_value=1, max_value=n))
             pair = draw(st.sampled_from([(far, near), (near, far)]))
         else:
