@@ -137,10 +137,14 @@ def remove_one_dipole(g: ColoredGraph, dipole: Dipole) -> ColoredGraph:
 
     For every color other than the dipole's, the two edges that left the
     removed vertices are fused into one.  The face-vector Euler
-    characteristic and the represented manifold are unchanged.
+    characteristic and the represented manifold are unchanged.  A
+    dipole whose two vertices are the whole gem raises `GemError`, as
+    no gem would be left.
     """
     if not dipole.verify(g):
         raise GemError(f"stale dipole {dipole}: certificate fails")
+    if g.vertex_count == 2:
+        raise GemError(f"cancelling {dipole} would leave no vertex")
     mates = [list(mate) for mate in g._mates]
     # where only one side is matched (possible for the last color), the
     # weld writes the other end into slot 0, which compaction drops, and

@@ -19,15 +19,21 @@ pair joins those edges, sent through its own map of the pair's labels,
 by a union-find over labels.  So the census reads each vertex once per
 pair and further color, never once per larger set.  A residue with
 color d fails to be regular exactly when its label holds a boundary
-vertex.  What depends only on the dimension d is planned once per d
+vertex.  The census stops at connected residues: more colors only add
+edges, so once a set's residue is one component, every set above it in
+the lattice is one component too, counted as 1 with no join (regular
+unless the gem has boundary, whose vertices that one label holds); an
+edge list or a label-level edge set is built only for a join that runs,
+and a labeling stops once one label is left.  What depends only on the
+dimension d is planned once per d
 (`_census_plan`): the frozenset key of each of the 2^(d+1) - 1 color
 sets, shared by every census of that dimension and by the genus
 formulas, and for each pair the sets above it in depth-first order,
-each with the slot of its parent.  `residue_components`, the boundary
-graph's components and the 1-dipole search of `constructions` label
-one color set at a time (`_labels`) with one walk and the same joins;
-`crystallize_double` labels its own mutable arrays likewise
-(`_array_labels`) and then only merges labels.  No other component
+each with the slot of its parent.  `residue_components` and the
+1-dipole search of `constructions` label one color set at a time
+(`_labels`) with one walk and the same joins; the boundary graph's
+components and `crystallize_double` label their own arrays likewise
+(`_array_labels`), and the latter then only merges labels.  No other component
 algorithm runs on vertices.
 
 Files and the catalog build graphs from pairs; constructions and the
@@ -388,6 +394,15 @@ class ResidueComponent(NamedTuple):
     regular: bool
 
 
+def _groups(labels, n: int) -> dict[int, list[int]]:
+    """The vertices 1..n grouped by label, each group ascending; labels
+    come first seen in vertex order, so smallest vertex first."""
+    groups: dict[int, list[int]] = {}
+    for v in _vertex_ids(n):
+        groups.setdefault(labels[v], []).append(v)
+    return groups
+
+
 def residue_components(g: ColoredGraph, colors) -> list[ResidueComponent]:
     """Connected components of the subgraph with edge colors in `colors`.
 
@@ -411,16 +426,12 @@ def residue_components(g: ColoredGraph, colors) -> list[ResidueComponent]:
         )
         raise GemError(f"colors {shown} out of range 0..{g.dimension}")
     labels, _ = _labels(g, colorset)
-    # labels first seen in vertex order, so smallest vertex first
-    groups: dict[int, list[int]] = {}
-    for v in _vertex_ids(g.vertex_count):
-        groups.setdefault(labels[v], []).append(v)
     held = set()
     if g.dimension in colorset:
         held = {labels[v] for v in _boundary(g)}
     return [
         ResidueComponent(vertices=tuple(comp), regular=label not in held)
-        for label, comp in groups.items()
+        for label, comp in _groups(labels, g.vertex_count).items()
     ]
 
 
@@ -445,7 +456,12 @@ class BoundaryGraph(NamedTuple):
         return len(self.components)
 
     def component_subgraph(self, index: int) -> ColoredGraph:
-        """A component as a standalone closed gem of dimension d-1."""
+        """A component as a standalone closed gem of dimension d-1.
+        `index` is an exact int in 0..h-1, the rule of `_is_index`, or a
+        `GemError` names that range."""
+        h = len(self.components)
+        if not _is_index(index, 0, h - 1):
+            raise GemError(f"component {index!r} out of range 0..{h - 1}")
         bg = self.graph
         return _renumbered(bg.dimension, bg._mates, self.components[index])
 
@@ -469,7 +485,12 @@ def _renumbered(dimension, mates, keep) -> ColoredGraph:
 
 @_per_graph
 def boundary_graph(g: ColoredGraph) -> BoundaryGraph:
-    """Extract the boundary graph; empty result for closed gems."""
+    """Extract the boundary graph; empty result for closed gems.
+
+    Its components are labeled by one `_array_labels` call over its own
+    arrays, which stops once one label is left: more colors only add
+    edges, so a connected residue of some of its colors is a connected
+    graph."""
     boundary = _boundary(g)
     if not boundary:
         return BoundaryGraph(graph=None, parent_vertices=(), components=())
@@ -491,7 +512,8 @@ def boundary_graph(g: ColoredGraph) -> BoundaryGraph:
                 far[v], far[cur] = cur, v
         mates.append(far)
     bg = _renumbered(d - 1, mates, boundary)
-    comps = tuple(c.vertices for c in residue_components(bg, bg.colors))
+    labels, _ = _array_labels(bg._mates)
+    comps = tuple(map(tuple, _groups(labels, bg.vertex_count).values()))
     return BoundaryGraph(
         graph=bg, parent_vertices=boundary, components=comps
     )
@@ -516,13 +538,41 @@ class ResidueCensus(NamedTuple):
     tally: VertexTally
 
     def g_of(self, *colors: int) -> int:
-        return self.g[frozenset(colors)]
+        """`g` of distinct colors in 0..d; other colors raise `GemError`."""
+        try:
+            if len(key := frozenset(colors)) == len(colors):
+                return self.g[key]
+        except (KeyError, TypeError):
+            pass
+        raise _no_color_set(colors, self.dimension)
 
     def g_dot_of(self, *colors: int) -> int:
-        return self.g_dot[frozenset(colors)]
+        """`g_dot` of distinct colors in 0..d; other colors raise
+        `GemError`."""
+        try:
+            if len(key := frozenset(colors)) == len(colors):
+                return self.g_dot[key]
+        except (KeyError, TypeError):
+            pass
+        raise _no_color_set(colors, self.dimension)
 
     def boundary_g_of(self, i: int, j: int) -> int:
-        return self.boundary_g.get(frozenset((i, j)), 0)
+        """`boundary_g` of colors i != j in 0..d-1, 0 on a closed gem;
+        other colors raise `GemError`."""
+        try:
+            return self.boundary_g[frozenset((i, j))]
+        except (KeyError, TypeError):
+            # a closed gem lists no pair, and each valid one reads 0
+            colors = range(self.dimension)
+            if not self.boundary_g and i != j and i in colors and j in colors:
+                return 0
+        raise _no_color_set((i, j), self.dimension - 1)
+
+
+def _no_color_set(colors, top: int) -> GemError:
+    """The error of a census lookup whose colors are not distinct colors
+    in 0..top."""
+    return GemError(f"colors {list(colors)}: need distinct colors in 0..{top}")
 
 
 def _pair_labels(first, second, ends) -> tuple[list[int], list[int]]:
@@ -620,7 +670,9 @@ def _array_labels(arrays, ends=()) -> tuple[list[int], int]:
     `ends` unmatched; each further array is added by `_join` over the
     distinct label-level edges of its edge list (`_edge_list`).  A
     single array starts from one label per vertex and is joined like a
-    further one.  Index 0 keeps label 0.
+    further one.  Index 0 keeps label 0.  Once one label is left the
+    remaining arrays are not read: they only add edges, and edges cannot
+    split a connected residue.
     """
     if len(arrays) == 1:
         labels, count = list(range(len(arrays[0]))), len(arrays[0]) - 1
@@ -629,6 +681,8 @@ def _array_labels(arrays, ends=()) -> tuple[list[int], int]:
         count = len(starts)
         arrays = arrays[2:]
     for mate in arrays:
+        if count == 1:
+            break
         renumber, count = _join(_label_edges(labels, _edge_list(mate)), count)
         labels = list(map(renumber.__getitem__, labels))
     return labels, count
@@ -691,16 +745,17 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
     Singletons are counted from the matchings.  Each pair {i, j} is
     labeled by a walk (`_pair_labels`), with the boundary vertices as
     path ends if j = d.  Every larger color set grows from its root, the
-    pair {i, j} of its two smallest colors, so j < d.  Right after the
-    root's walk each further color c > j is read once: its edge list
-    (`_edge_list`), built once up front, gives the distinct label-level
-    edges (L(v), L(w)), L the root's pair labels.  These d - j passes,
+    pair {i, j} of its two smallest colors, so j < d.  Each further
+    color c > j is read at most once per root, on the root's first join
+    with c: its edge list (`_edge_list`, built once per census, on the
+    first join that needs it) gives the distinct label-level edges
+    (L(v), L(w)), L the root's pair labels.  These at most d - j passes,
     and one over the boundary vertices, are the root's only reads of
-    vertices; at d = 4 that is 10 passes for the 16 joins over all
-    roots.  Each set B over the root holds a map from the root's labels
-    to its own labels 1..k, and B with a further color c above max(B) is
-    joined (`_join`) from the edges of c sent through that map; a
-    triple's map is its join's renumbering.  The sets over each root
+    vertices; at d = 4 that is at most 10 passes for at most 16 joins
+    over all roots.  Each set B over the root holds a map from the
+    root's labels to its own labels 1..k, and B with a further color c
+    above max(B) is joined (`_join`) from the edges of c sent through
+    that map; a triple's map is its join's renumbering.  The sets over each root
     come in the depth-first order of the dimension's `_census_plan`,
     which also holds every key, so at most d - 1 such maps are alive at
     once and no key is built per gem.
@@ -709,6 +764,12 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
     exactly the labels holding a boundary vertex, found by sending the
     root's labels of boundary vertices through the map.  Boundary
     vertices have no color-d edge, so they add no label-level edge.
+    A set whose parent (the root, or the set at slot - 1) has one
+    component has one component too, since a further color only adds
+    edges: it is counted as 1 with no join, and with color d as regular
+    1, or 0 if the gem has boundary, since that label holds every
+    boundary vertex.  So a root with one residue reads no further color,
+    and a color that no split root reads gets no edge list.
     """
     n, d = g.vertex_count, g.dimension
     keys, roots = _census_plan(d)
@@ -720,8 +781,8 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
     last_edges = (n - len(boundary)) // 2
     counts[keys[1 << d]] = last_edges + len(boundary)
     regular[keys[1 << d]] = last_edges
-    # any color above 1 is a further color of some root
-    edge_lists = {c: _edge_list(g._mates[c]) for c in range(2, d + 1)}
+    # built on a join's first need, for colors above 1 only
+    edge_lists: dict[int, tuple[list[int], list[int]]] = {}
     # maps[slot]: the map from the root's labels to those of the last set
     # counted at that slot, and its label count
     maps = [None] * d
@@ -733,24 +794,33 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
         held = set(map(labels.__getitem__, boundary))
         counts[pair] = count
         regular[pair] = count - len(held) if j == d else count
-        edges = {
-            c: _label_edges(labels, edge_lists[c]) for c in range(j + 1, d + 1)
-        }
+        edges: dict[int, set[tuple[int, int]]] = {}
         for key, c, slot in above:
-            if slot == 1:
-                to_set, k = _join(edges[c], count)
+            parent, size = maps[slot - 1] if slot > 1 else (None, count)
+            if size == 1:
+                # more colors only add edges: one component stays one
+                to_set, k = parent, 1
             else:
-                parent, size = maps[slot - 1]
-                renumber, k = _join(
-                    {(parent[a], parent[b]) for a, b in edges[c]}, size
-                )
-                to_set = list(map(renumber.__getitem__, parent))
+                if c not in edges:
+                    if c not in edge_lists:
+                        edge_lists[c] = _edge_list(g._mates[c])
+                    edges[c] = _label_edges(labels, edge_lists[c])
+                if parent is None:
+                    to_set, k = _join(edges[c], size)
+                else:
+                    renumber, k = _join(
+                        {(parent[a], parent[b]) for a, b in edges[c]}, size
+                    )
+                    to_set = list(map(renumber.__getitem__, parent))
             counts[key] = k
-            if c == d:
-                regular[key] = k - len(set(map(to_set.__getitem__, held)))
-            else:
+            if c < d:
                 regular[key] = k
                 maps[slot] = to_set, k
+            elif k == 1:
+                # the one label holds every boundary vertex
+                regular[key] = 0 if boundary else 1
+            else:
+                regular[key] = k - len(set(map(to_set.__getitem__, held)))
     return counts, regular
 
 

@@ -303,11 +303,14 @@ def weak_semi_simple_reference(
 def remove_one_dipole_reference(g: ColoredGraph, dipole) -> ColoredGraph:
     """`remove_one_dipole` by the pair constructor: the edges that miss
     the dipole's two vertices, relabeled in vertex order, plus one welded
-    pair per other color whose two loose ends both exist."""
+    pair per other color whose two loose ends both exist.  A dipole that
+    spans the whole gem leaves no vertex and is refused by name."""
     if not dipole.verify(g):
         raise GemError(f"stale dipole {dipole}: certificate fails")
+    keep = [w for w in g.vertices if w not in (dipole.u, dipole.v)]
+    if not keep:
+        raise GemError(f"cancelling {dipole} would leave no vertex")
     u, v, dc = dipole.u, dipole.v, dipole.color
-    keep = [w for w in g.vertices if w not in (u, v)]
     relabel = {w: i + 1 for i, w in enumerate(keep)}
     pairs_by_color = []
     for c in g.colors:

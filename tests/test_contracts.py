@@ -139,7 +139,8 @@ CLI_MATRIX = {
 
 
 # call on fig3_d3xs1 (10 vertices) and its double -> expected error;
-# True and 1.0 equal a color or vertex in range and are refused too
+# True and 1.0 equal a color or vertex in range and are refused too,
+# except by the census lookups, which may cost no type check per color
 BAD_ARGUMENTS = {
     "mate(-1, 0)": (
         lambda g, d: g.mate(-1, 0), "vertex -1 out of range 1..10"
@@ -221,7 +222,89 @@ BAD_ARGUMENTS = {
         lambda g, d: ColoredGraph(1, 2, [[(1, 2)], [(2, False)]]),
         "color 1: expected pairs of vertex ints",
     ),
+    "remove_one_dipole(bounded 1-gem, Dipole(1, 2, 0))": (
+        lambda g, d: remove_one_dipole(
+            ColoredGraph(1, 2, [[(1, 2)], []]), Dipole(1, 2, 0)
+        ),
+        "cancelling Dipole(u=1, v=2, color=0) would leave no vertex",
+    ),
+    "fig4 boundary: component_subgraph(-1)": (
+        lambda g, d: _fig4_boundary().component_subgraph(-1),
+        "component -1 out of range 0..0",
+    ),
+    "fig4 boundary: component_subgraph(5)": (
+        lambda g, d: _fig4_boundary().component_subgraph(5),
+        "component 5 out of range 0..0",
+    ),
+    "fig4 boundary: component_subgraph(False)": (
+        lambda g, d: _fig4_boundary().component_subgraph(False),
+        "component False out of range 0..0",
+    ),
+    "fig4 boundary: component_subgraph(0.0)": (
+        lambda g, d: _fig4_boundary().component_subgraph(0.0),
+        "component 0.0 out of range 0..0",
+    ),
+    "closed boundary: component_subgraph(0)": (
+        lambda g, d: boundary_graph(d).component_subgraph(0),
+        "component 0 out of range 0..-1",
+    ),
+    "fig4 census: g_of(0, 9)": (
+        lambda g, d: _fig4_census().g_of(0, 9),
+        "colors [0, 9]: need distinct colors in 0..4",
+    ),
+    "fig4 census: g_of()": (
+        lambda g, d: _fig4_census().g_of(),
+        "colors []: need distinct colors in 0..4",
+    ),
+    "fig4 census: g_of(1, 1)": (
+        lambda g, d: _fig4_census().g_of(1, 1),
+        "colors [1, 1]: need distinct colors in 0..4",
+    ),
+    "fig4 census: g_of([1], 2)": (
+        lambda g, d: _fig4_census().g_of([1], 2),
+        "colors [[1], 2]: need distinct colors in 0..4",
+    ),
+    "fig4 census: g_dot_of(0, 9)": (
+        lambda g, d: _fig4_census().g_dot_of(0, 9),
+        "colors [0, 9]: need distinct colors in 0..4",
+    ),
+    "fig4 census: g_dot_of(2, 4, 2)": (
+        lambda g, d: _fig4_census().g_dot_of(2, 4, 2),
+        "colors [2, 4, 2]: need distinct colors in 0..4",
+    ),
+    "fig4 census: boundary_g_of(0, 4)": (
+        lambda g, d: _fig4_census().boundary_g_of(0, 4),
+        "colors [0, 4]: need distinct colors in 0..3",
+    ),
+    "fig4 census: boundary_g_of(1, 1)": (
+        lambda g, d: _fig4_census().boundary_g_of(1, 1),
+        "colors [1, 1]: need distinct colors in 0..3",
+    ),
+    "fig4 census: boundary_g_of(0, 9)": (
+        lambda g, d: _fig4_census().boundary_g_of(0, 9),
+        "colors [0, 9]: need distinct colors in 0..3",
+    ),
+    "closed census: boundary_g_of(0, 4)": (
+        lambda g, d: census(d).boundary_g_of(0, 4),
+        "colors [0, 4]: need distinct colors in 0..3",
+    ),
+    "closed census: boundary_g_of(2, 2)": (
+        lambda g, d: census(d).boundary_g_of(2, 2),
+        "colors [2, 2]: need distinct colors in 0..3",
+    ),
+    "closed census: boundary_g_of([0], 1)": (
+        lambda g, d: census(d).boundary_g_of([0], 1),
+        "colors [[0], 1]: need distinct colors in 0..3",
+    ),
 }
+
+
+def _fig4_boundary():
+    return boundary_graph(catalog_get("fig4_boundary16").graph)
+
+
+def _fig4_census():
+    return census(catalog_get("fig4_boundary16").graph)
 
 # the metadata of fig3_d3xs1, which has h = 1 and chi = 0
 _FIG3_META = ManifoldMeta(h=1, chi=0, m=1)
@@ -370,6 +453,8 @@ def _every_entry_point(g):
         lambda: validate(g),
         lambda: face_vector(g),
         lambda: boundary_graph(g),
+        lambda: boundary_graph(g).component_subgraph(0),
+        lambda: census(g).boundary_g_of(0, 1),
         lambda: residue_components(g, g.colors),
         lambda: export_gem(g),
         lambda: [find_one_dipoles(g, c) for c in g.colors],

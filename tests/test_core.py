@@ -1,6 +1,7 @@
 """Core model: construction validation, residues, censuses, face vectors."""
 
 import itertools
+import random
 import tracemalloc
 
 import pytest
@@ -33,6 +34,7 @@ from oracles import (
     oracle_euler_characteristic,
     oracle_face_vector,
 )
+from test_properties import _matching
 
 
 class TestConstructionErrors:
@@ -265,6 +267,11 @@ class TestCensus:
             assert counts.g_dot_of(i, j, 4) == 0
             assert counts.boundary_g_of(i, j) == 2
 
+    def test_closed_gem_reads_zero_for_each_boundary_pair(self, fig1):
+        counts = census(fig1)
+        for i, j in itertools.permutations(range(4), 2):
+            assert counts.boundary_g_of(i, j) == 0
+
     def test_regular_equals_total_without_last_color(self, all_entries):
         # every color below d is a perfect matching, so residues avoiding
         # color d are automatically regular
@@ -275,6 +282,92 @@ class TestCensus:
                 for subset in itertools.combinations(range(g.dimension), size):
                     key = frozenset(subset)
                     assert counts.g[key] == counts.g_dot[key]
+
+
+class TestCensusStopsAtConnectedResidues:
+    """More colors only add edges, so once a color set's residue is one
+    component, so is every larger set over it.  The census joins no
+    color above such a set, builds a color's edge list and a root's
+    label-level edges only for a join that runs, and the boundary
+    graph's labeling stops at one label."""
+
+    @staticmethod
+    def _count_calls(monkeypatch):
+        calls = dict.fromkeys(("_join", "_label_edges", "_edge_list"), 0)
+        for name in calls:
+
+            def counted(*args, real=getattr(gemkit.core, name), name=name):
+                calls[name] += 1
+                return real(*args)
+
+            monkeypatch.setattr(gemkit.core, name, counted)
+        return calls
+
+    @pytest.mark.parametrize(
+        "last", [[(1, 2)], []], ids=["closed", "bounded"]
+    )
+    def test_two_vertex_gem_makes_no_join(self, monkeypatch, last):
+        g = ColoredGraph(4, 2, [[(1, 2)]] * 4 + [last])
+        calls = self._count_calls(monkeypatch)
+        counts = census(g)
+        assert calls == {"_join": 0, "_label_edges": 0, "_edge_list": 0}
+        for key, count in counts.g.items():
+            expected = 1 if len(key) > 1 else bfs_component_count(g, key)
+            assert count == expected
+
+    @staticmethod
+    def _random_gem(n, seed, bounded):
+        """A closed or bounded 4-gem on n vertices with seeded random
+        matchings; the bounded one misses half the last color."""
+        rng = random.Random(seed)
+        pairs = [_matching(list(range(1, n + 1)), rng) for _ in range(5)]
+        if bounded:
+            pairs[4] = pairs[4][: n // 4]
+        return ColoredGraph(4, n, pairs)
+
+    def test_split_pairs_still_read_each_further_color(self, monkeypatch):
+        g = self._random_gem(40, 27, bounded=False)
+        assert all(
+            bfs_component_count(g, pair) > 1
+            for pair in itertools.combinations(g.colors, 2)
+        )
+        calls = self._count_calls(monkeypatch)
+        census(g)
+        # one pass per root {i, j} with j < 4 and further color above j
+        assert calls["_label_edges"] == 10
+        assert calls["_edge_list"] == 3
+
+    @pytest.mark.parametrize(
+        "bounded", [False, True], ids=["closed", "bounded"]
+    )
+    @pytest.mark.parametrize(
+        "n, seed", [(4, 1), (6, 2), (8, 3), (12, 4), (40, 27)]
+    )
+    def test_work_follows_the_oracle_counts(
+        self, monkeypatch, n, seed, bounded
+    ):
+        """Expected calls from BFS counts: a join for each set of 3 or
+        more colors whose parent, the set without its top color, is
+        split; label-level edges for each split pair {i, j} and color
+        above j; an edge list for each color above a split pair."""
+        g = self._random_gem(n, seed, bounded)
+        split = {
+            pair
+            for pair in itertools.combinations(g.colors, 2)
+            if bfs_component_count(g, pair) > 1
+        }
+        joins = sum(
+            bfs_component_count(g, colors[:-1]) > 1
+            for size in range(3, 6)
+            for colors in itertools.combinations(g.colors, size)
+        )
+        passes = sum(4 - j for _, j in split)
+        lists = len({c for _, j in split for c in range(j + 1, 5)})
+        calls = self._count_calls(monkeypatch)
+        gemkit.core._residue_counts(g)
+        assert calls == {
+            "_join": joins, "_label_edges": passes, "_edge_list": lists
+        }
 
 
 class TestValidate:

@@ -282,6 +282,42 @@ def test_export_matches_reference_writer_at_scale():
     assert export_gem(g) == export_reference(g)
 
 
+def _connected_pair_gems():
+    """Small gems of dimension 1..6 whose color pairs mostly have one
+    residue: the order-2 gems, closed and with both vertices on the
+    boundary, and 4-vertex gems that give color c the perfect matching
+    c mod 3, closed and with one last-color edge.  Two distinct perfect
+    matchings of 4 vertices form one 4-cycle, so only the pairs {c, c + 3}
+    are split, and every set over them with a third color is connected."""
+    matchings = [[(1, 2), (3, 4)], [(1, 3), (2, 4)], [(1, 4), (2, 3)]]
+    for d in range(1, 7):
+        below = [matchings[c % 3] for c in range(d)]
+        yield ColoredGraph(d, 2, [[(1, 2)]] * (d + 1))
+        yield ColoredGraph(d, 4, below + [matchings[d % 3]])
+        if d >= 2:
+            # a bounded gem of dimension 1 has no boundary graph
+            yield ColoredGraph(d, 2, [[(1, 2)]] * d + [[]])
+            yield ColoredGraph(d, 4, below + [[(1, 3)]])
+
+
+def test_census_matches_oracle_on_connected_pairs():
+    """The census counts a set over a connected one as one component
+    without a join; with color d that component is regular iff the gem
+    is closed, and both outcomes occur here."""
+    outcomes = set()
+    for g in _connected_pair_gems():
+        _assert_census_matches_oracle(g)
+        _assert_components_match_oracle(g)
+        if not g.is_closed():
+            _assert_boundary_counts_match_subgraphs(g)
+        counts = census(g)
+        for size in range(3, g.dimension + 2):
+            for colors in itertools.combinations(g.colors, size):
+                if g.dimension in colors and counts.g_of(*colors) == 1:
+                    outcomes.add((g.is_closed(), counts.g_dot_of(*colors)))
+    assert outcomes == {(True, 1), (False, 0)}
+
+
 def test_census_matches_oracle_on_catalog_and_constructions(
     all_entries, bounded_construction_outputs, crystallized_double_fig3,
     fig3, fig4
