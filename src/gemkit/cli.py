@@ -49,6 +49,7 @@ from .core import (
     ColoredGraph,
     GemError,
     ManifoldMeta,
+    _census_plan,
     _require,
     boundary_graph,
     census,
@@ -230,6 +231,7 @@ def _cmd_info(args) -> int:
     report = validate(g)
     fv = face_vector(g)
     counts = census(g)
+    keys = _census_plan(g.dimension).keys
     tally = g.vertex_tally()
     record = {
         "command": "info",
@@ -245,11 +247,11 @@ def _cmd_info(args) -> int:
         "f_vector": fv.f,
         "euler_characteristic": fv.euler_characteristic,
         "pair_cycle_counts": {
-            f"g_{i}{j}": counts.g_of(i, j)
+            f"g_{i}{j}": counts.g[keys[1 << i | 1 << j]]
             for i, j in itertools.combinations(g.colors, 2)
         },
         "boundary_cycle_counts": {} if report.closed else {
-            f"bd_g_{i}{j}": counts.boundary_g_of(i, j)
+            f"bd_g_{i}{j}": counts.boundary_g[keys[1 << i | 1 << j]]
             for i, j in itertools.combinations(range(g.dimension), 2)
         },
     }

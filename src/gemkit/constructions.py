@@ -26,6 +26,7 @@ from .core import (
     GemError,
     _array_labels,
     _boundary,
+    _census_plan,
     _ids,
     _is_index,
     _labels,
@@ -167,7 +168,9 @@ def _contract(g: ColoredGraph) -> ColoredGraph:
     color's scan run out of dipoles first, as on a disconnected gem, a
     `GemError` names the color.
     """
-    counts = census(g)
+    counts = census(g).g
+    keys = _census_plan(g.dimension).keys
+    full = len(keys) - 1  # the mask of all colors
     size = g.vertex_count + 1
     mates = [list(mate) for mate in g._mates]
 
@@ -178,7 +181,7 @@ def _contract(g: ColoredGraph) -> ColoredGraph:
 
     for color in g.colors:
         others = [c for c in g.colors if c != color]
-        steps = counts.g_of(*others) - 1
+        steps = counts[keys[full ^ 1 << color]] - 1
         if not steps:
             continue
         labels, count = _array_labels([mates[c] for c in others])
@@ -266,13 +269,15 @@ def crystallize_double(g: ColoredGraph) -> ColoredGraph:
         raise GemError("dipole cancellation did not yield a closed "
                        "crystallization")
     if g.dimension == 4:
-        before, after = census(doubled), census(out)
+        before, after = census(doubled).g, census(out).g
+        keys = _census_plan(4).keys
         # the four triples without color 4 first, then the six with it
         for i, j, k in sorted(
             itertools.combinations(range(5), 3), key=lambda t: t[2] == 4
         ):
             drop, text = (2 * (h - 1), "2(h-1)") if k == 4 else (h, "h")
-            if after.g_of(i, j, k) != before.g_of(i, j, k) - drop:
+            key = keys[1 << i | 1 << j | 1 << k]
+            if after[key] != before[key] - drop:
                 raise GemError(
                     f"census check failed: g_{i}{j}{k} of the contracted "
                     f"double is not the doubled count minus {text}"

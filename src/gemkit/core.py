@@ -27,14 +27,14 @@ edge list or a label-level edge set is built only for a join that runs,
 and a labeling stops once one label is left.  What depends only on the
 dimension d is planned once per d
 (`_census_plan`): the frozenset key of each of the 2^(d+1) - 1 color
-sets, shared by every census of that dimension and by the genus
-formulas, and for each pair the sets above it in depth-first order,
-each with the slot of its parent.  `residue_components` and the
-1-dipole search of `constructions` label one color set at a time
-(`_labels`) with one walk and the same joins; the boundary graph's
-components and `crystallize_double` label their own arrays likewise
-(`_array_labels`), and the latter then only merges labels.  No other component
-algorithm runs on vertices.
+sets, shared by every census of that dimension, by the genus
+formulas and by the `verify` ledger, and for each pair the sets above
+it in depth-first order, each with the slot of its parent.
+`residue_components` and the 1-dipole search of `constructions` label
+one color set at a time (`_labels`) with one walk and the same joins;
+the boundary graph's components and `crystallize_double` label their
+own arrays likewise (`_array_labels`), and the latter then only merges
+labels.  No other component algorithm runs on vertices.
 
 Files and the catalog build graphs from pairs; constructions and the
 boundary graph build them from involution arrays (`_from_mates`),
@@ -539,40 +539,29 @@ class ResidueCensus(NamedTuple):
 
     def g_of(self, *colors: int) -> int:
         """`g` of distinct colors in 0..d; other colors raise `GemError`."""
-        try:
-            if len(key := frozenset(colors)) == len(colors):
-                return self.g[key]
-        except (KeyError, TypeError):
-            pass
-        raise _no_color_set(colors, self.dimension)
+        return self.g[_color_set(colors, self.dimension)]
 
     def g_dot_of(self, *colors: int) -> int:
         """`g_dot` of distinct colors in 0..d; other colors raise
         `GemError`."""
-        try:
-            if len(key := frozenset(colors)) == len(colors):
-                return self.g_dot[key]
-        except (KeyError, TypeError):
-            pass
-        raise _no_color_set(colors, self.dimension)
+        return self.g_dot[_color_set(colors, self.dimension)]
 
     def boundary_g_of(self, i: int, j: int) -> int:
         """`boundary_g` of colors i != j in 0..d-1, 0 on a closed gem;
         other colors raise `GemError`."""
-        try:
-            return self.boundary_g[frozenset((i, j))]
-        except (KeyError, TypeError):
-            # a closed gem lists no pair, and each valid one reads 0
-            colors = range(self.dimension)
-            if not self.boundary_g and i != j and i in colors and j in colors:
-                return 0
-        raise _no_color_set((i, j), self.dimension - 1)
+        # a closed gem lists no pair, and each valid one reads 0
+        return self.boundary_g.get(_color_set((i, j), self.dimension - 1), 0)
 
 
-def _no_color_set(colors, top: int) -> GemError:
-    """The error of a census lookup whose colors are not distinct colors
-    in 0..top."""
-    return GemError(f"colors {list(colors)}: need distinct colors in 0..{top}")
+def _color_set(colors: tuple, top: int) -> frozenset:
+    """The census key of `colors`, one or more distinct exact ints in
+    0..top; other colors raise `GemError`.  A bool or a float equal to a
+    color would find its key, since a frozenset matches by equality."""
+    if colors and all(_is_index(c, 0, top) for c in colors):
+        key = frozenset(colors)
+        if len(key) == len(colors):
+            return key
+    raise GemError(f"colors {list(colors)}: need distinct colors in 0..{top}")
 
 
 def _pair_labels(first, second, ends) -> tuple[list[int], list[int]]:

@@ -8,13 +8,17 @@ Each scheme genus has three formulas: the embedding surface
 (`rho_epsilon`), the double's census (`rho_epsilon_via_double`) and the
 input's own census (`rho_epsilon_census`).  Each formula is written
 once, as a kernel over already computed census data that reads its own
-census sets: it looks them up by the bit masks of the scheme's colors
-in the dimension's shared key table (`core._census_plan`).  Nothing per
-scheme is kept, since there are d!/2 schemes.  The scheme table
-`_scheme_table` holds all three values for every scheme; like the
-census, it is a per-graph analysis, computed at most once per graph
-object.  `regular_genus` and the `verify` ledger read it, and the
-public single-scheme functions call the same kernels.
+census sets.  A kernel takes the bit masks 1 << c of the scheme's
+colors (`_masks`) and reads each count by one dict lookup on the
+dimension's shared key table (`core._census_plan`), as in
+`g[key[b0 | b2 | b4]]`.  The scheme table `_scheme_table` holds all
+three values for every scheme; it builds each scheme's masks once and
+hands them to the three kernels.  Nothing per scheme outlives its row,
+since there are d!/2 schemes.  Like the census, the table is a
+per-graph analysis, computed at most once per graph object.
+`regular_genus` and the `verify` ledger read it, and the public
+single-scheme functions build their scheme's masks and call the same
+kernels.
 
 Likewise `_floors` is the one evaluation of the paper's lower bounds,
 each an attained value read from the gem against a bound read from its
@@ -112,48 +116,60 @@ class GenusProfile(NamedTuple):
     diagnostics: tuple[str, ...] = ()
 
 
-def _embedding(counts, scheme: Scheme) -> SchemeProfile:
-    """`rho_epsilon` of a gem with census `counts`."""
+def _masks(scheme: Scheme) -> list[int]:
+    """The bit mask 1 << c of each color c of `scheme`, in scheme order."""
+    return [1 << c for c in scheme]
+
+
+def _embedding(counts, scheme: Scheme, bits: list[int]) -> SchemeProfile:
+    """`rho_epsilon` of a gem with census `counts`, for `scheme` with bit
+    masks `bits`."""
     d = counts.dimension
     key = _census_plan(d).keys
-    bits = [1 << c for c in scheme]
-    cycle_sum = sum(
-        counts.g_dot[key[bits[i - 1] | bits[i]]] for i in range(d + 1)
-    )
+    g_dot = counts.g_dot
+    cycle_sum = 0
+    before = bits[-1]
+    for bit in bits:
+        cycle_sum += g_dot[key[before | bit]]
+        before = bit
     tally = counts.tally
-    chi = cycle_sum + (1 - d) * tally.p_dot + (2 - d) * tally.p_bar
-    hole = key[bits[0] | bits[d - 1]]
-    holes = counts.boundary_g.get(hole, 0) if tally.p_bar else 0
+    p_bar = tally.p_bar
+    chi = cycle_sum + (1 - d) * tally.p_dot + (2 - d) * p_bar
+    holes = counts.boundary_g.get(key[bits[0] | bits[-2]], 0) if p_bar else 0
     return SchemeProfile(scheme, chi, holes, Fraction(2 - chi - holes, 2))
 
 
 def _via_double(
-    doubled_counts, counts, h: int, chi: int, scheme: Scheme
+    doubled_counts, counts, h: int, chi: int, bits: list[int]
 ) -> Fraction:
     """`rho_epsilon_via_double` of a bounded 4-crystallization with h
     boundary components, Euler characteristic chi and census `counts`,
-    whose double has census `doubled_counts`."""
+    whose double has census `doubled_counts`, for the scheme with bit
+    masks `bits`."""
     key = _census_plan(4).keys
-    bits = [1 << c for c in scheme]
-    triple_sum = sum(
-        doubled_counts.g[key[bits[i] | bits[i - 3] | bits[i - 1]]]
-        for i in range(5)
+    b0, b1, b2, b3, b4 = bits
+    g = doubled_counts.g
+    # the triples {e_i, e_i+2, e_i+4} of the cycle's distance-2 steps,
+    # i = 0..4
+    triple_sum = (
+        g[key[b0 | b2 | b4]] + g[key[b0 | b1 | b3]] + g[key[b1 | b2 | b4]]
+        + g[key[b0 | b2 | b3]] + g[key[b1 | b3 | b4]]
     )
-    holes = counts.boundary_g.get(key[bits[0] | bits[3]], 0)
+    holes = counts.boundary_g.get(key[b0 | b3], 0)
     return Fraction(2 * (-1 - 4 * h + 2 * chi) + triple_sum - holes, 2)
 
 
-def _via_census(counts, h: int, chi: int, scheme: Scheme) -> Fraction:
+def _via_census(counts, h: int, chi: int, bits: list[int]) -> Fraction:
     """`rho_epsilon_census` of a bounded 4-crystallization with h
-    boundary components, Euler characteristic chi and census `counts`."""
+    boundary components, Euler characteristic chi and census `counts`,
+    for the scheme with bit masks `bits`."""
     key = _census_plan(4).keys
-    b0, b1, b2, b3, b4 = [1 << c for c in scheme]
-    g_triples = (b0 | b1 | b3, b0 | b2 | b3, b1 | b3 | b4)
-    g_dot_triples = (b0 | b2 | b4, b1 | b2 | b4)
+    b0, b1, b2, b3, b4 = bits
+    g, g_dot = counts.g, counts.g_dot
     return Fraction(
         -1 - 4 * h + 2 * chi
-        + sum(counts.g[key[mask]] for mask in g_triples)
-        + sum(counts.g_dot[key[mask]] for mask in g_dot_triples)
+        + g[key[b0 | b1 | b3]] + g[key[b0 | b2 | b3]] + g[key[b1 | b3 | b4]]
+        + g_dot[key[b0 | b2 | b4]] + g_dot[key[b1 | b2 | b4]]
     )
 
 
@@ -166,7 +182,7 @@ def rho_epsilon(g: ColoredGraph, scheme: Scheme) -> SchemeProfile:
     (first color, color before last).
     """
     _check_scheme(g, scheme)
-    return _embedding(census(g), scheme)
+    return _embedding(census(g), scheme, _masks(scheme))
 
 
 def rho_epsilon_via_double(g: ColoredGraph, scheme: Scheme) -> Fraction:
@@ -179,7 +195,7 @@ def rho_epsilon_via_double(g: ColoredGraph, scheme: Scheme) -> Fraction:
     _require(g, dimension=4, boundary=True, crystallization=True)
     _check_scheme(g, scheme)
     h, chi = validate(g).h, face_vector(g).euler_characteristic
-    return _via_double(census(double(g)), census(g), h, chi, scheme)
+    return _via_double(census(double(g)), census(g), h, chi, _masks(scheme))
 
 
 def rho_epsilon_census(g: ColoredGraph, scheme: Scheme) -> Fraction:
@@ -188,7 +204,7 @@ def rho_epsilon_census(g: ColoredGraph, scheme: Scheme) -> Fraction:
     _require(g, dimension=4, boundary=True, crystallization=True)
     _check_scheme(g, scheme)
     h, chi = validate(g).h, face_vector(g).euler_characteristic
-    return _via_census(census(g), h, chi, scheme)
+    return _via_census(census(g), h, chi, _masks(scheme))
 
 
 @_per_graph
@@ -209,18 +225,20 @@ def _scheme_table(
         _require(g, dimension=4, boundary=True, crystallization=True)
     except GemError:
         return tuple(
-            (_embedding(counts, scheme), None, None) for scheme in schemes
+            (_embedding(counts, scheme, _masks(scheme)), None, None)
+            for scheme in schemes
         )
     h, chi = validate(g).h, face_vector(g).euler_characteristic
     doubled_counts = census(double(g))
-    return tuple(
-        (
-            _embedding(counts, scheme),
-            _via_double(doubled_counts, counts, h, chi, scheme),
-            _via_census(counts, h, chi, scheme),
-        )
-        for scheme in schemes
-    )
+    rows = []
+    for scheme in schemes:
+        bits = _masks(scheme)
+        rows.append((
+            _embedding(counts, scheme, bits),
+            _via_double(doubled_counts, counts, h, chi, bits),
+            _via_census(counts, h, chi, bits),
+        ))
+    return tuple(rows)
 
 
 def regular_genus(g: ColoredGraph) -> GenusProfile:
@@ -371,14 +389,17 @@ def weak_semi_simple(g: ColoredGraph, meta: ManifoldMeta) -> WeakSemiSimpleRepor
     _require_meta(meta, g)
     h = meta.h
     counts = census(g)
-    # g_{s0 s1 4} of every relabeling that meets the common equalities
+    g_counts, g_dot = counts.g, counts.g_dot
+    key = _census_plan(4).keys
+    # g_{s0 s1 4} of every relabeling that meets the common equalities,
+    # read by the bit masks b of s0..s3 (16 is color 4's)
     g014 = {
-        counts.g_of(s0, s1, 4)
-        for s0, s1, s2, s3 in itertools.permutations(range(4))
-        if counts.g_of(s0, s1, s2) == meta.m + h
-        and counts.g_of(s1, s2, s3) == meta.m + h
-        and counts.g_dot_of(s2, s3, 4) == h - 1
-        and counts.g_dot_of(s0, s3, 4) == h - 1
+        g_counts[key[b0 | b1 | 16]]
+        for b0, b1, b2, b3 in itertools.permutations((1, 2, 4, 8))
+        if g_counts[key[b0 | b1 | b2]] == meta.m + h
+        and g_counts[key[b1 | b2 | b3]] == meta.m + h
+        and g_dot[key[b2 | b3 | 16]] == h - 1
+        and g_dot[key[b0 | b3 | 16]] == h - 1
     }
     type_one = None
     if meta.boundary_genus is not None:

@@ -8,9 +8,21 @@ as a `Skip` with its reason instead.  Every check computes its two sides
 from independent sources (for instance boundary cycle counts from the
 extracted boundary graph versus regular-component counts on the parent),
 so a passing report is a genuine cross-validation and a mistranscribed
-gem reliably fails.  `verify_bounds` turns each row of `genus._floors`,
-the one evaluation of the bounds that `certify_minimal` reads too, into
-a `Check` or a `Skip`.
+gem reliably fails.
+
+Each family of `verify_identities` is one module-level table, built
+when the layer runs, of its statements in ledger order: each row holds
+the statement text and the shared census keys (`core._census_plan(4)`)
+of the color sets that its sides read.  One loop per family reads
+each side from its own census by those keys, so no statement is
+formatted and no key is built per gem; only "component q: " is
+prefixed per boundary component.  The per-scheme tables follow
+`enumerate_schemes(4)`, the order of the rows of the shared scheme
+table `genus._scheme_table` that they are read beside.
+
+`verify_bounds` turns each row of `genus._floors`, the one evaluation
+of the bounds that `certify_minimal` reads too, into a `Check` or a
+`Skip`.
 """
 
 from __future__ import annotations
@@ -21,6 +33,7 @@ from typing import NamedTuple
 from .core import (
     ColoredGraph,
     ManifoldMeta,
+    _census_plan,
     _require,
     boundary_graph,
     census,
@@ -28,7 +41,7 @@ from .core import (
     validate,
 )
 from .constructions import double
-from .genus import _floors, _scheme_table, rank_upper_bound
+from .genus import _floors, _scheme_table, enumerate_schemes, rank_upper_bound
 
 
 class Check(NamedTuple):
@@ -106,30 +119,95 @@ _NOT_CRYSTAL_SKIPS = tuple(
 )
 
 
-# the color sets of the double's census relations, in ledger order:
+# the tables of the census families, in ledger order (module docstring)
+_KEYS = _census_plan(4).keys
+_PAIRS = tuple(itertools.combinations(range(4), 2))
+_TRIPLES = tuple(itertools.combinations(range(5), 3))
+
+
+def _key(*colors: int) -> frozenset:
+    """The shared census key of a 4-gem's color set."""
+    return _KEYS[sum(1 << c for c in colors)]
+
+
+def _triple_relation_table(mark: str) -> tuple:
+    """The closed-graph relation 2 g_ijk == g_ij + g_ik + g_jk - n/2 on
+    every color triple of a closed 4-gem with n vertices; `mark` "'"
+    states it for the double."""
+    prefix = "double: " if mark else ""
+    return tuple(
+        (
+            f"{prefix}2 g{mark}_{i}{j}{k} == g{mark}_{i}{j} + g{mark}_{i}{k} "
+            f"+ g{mark}_{j}{k} - n{mark}/2",
+            _key(i, j, k), _key(i, j), _key(i, k), _key(j, k),
+        )
+        for i, j, k in _TRIPLES
+    )
+
+
+_TRIPLE_RELATION = _triple_relation_table("")
+# per scheme, the keys of the cycle's pairs (e_i, e_i+1)
+_CLOSED_EMBEDDING_REDUCTION = tuple(
+    (
+        f"scheme {scheme}: chi_eps == cycle sum - 3p, no holes",
+        tuple(_key(scheme[i], scheme[(i + 1) % 5]) for i in range(5)),
+    )
+    for scheme in enumerate_schemes(4)
+)
+_INTERIOR_CYCLE_FLOOR = tuple(
+    (f"gdot_{a}{b}4 >= h - 1", _key(a, b, 4)) for a, b in _PAIRS
+)
+_BOUNDARY_CENSUS_SPLIT = tuple(
+    (f"g_{i}{j}4 == gdot_{i}{j}4 + bd_g_{i}{j}", _key(i, j, 4), _key(i, j))
+    for i, j in _PAIRS
+)
+_FACET_COUNT_SPLIT = tuple(
+    (f"g_{i}4 == gdot_{i}4 + p_bar", _key(i, 4)) for i in range(4)
+)
+_PAIR_KEYS = tuple(_key(i, j) for i, j in _PAIRS)
+# each statement follows "component q: "
+_SPHERE_RELATION = tuple(
+    (
+        f"bd_g_{i}{j} + bd_g_{i}{k} + bd_g_{j}{k} == 2 + n_q/2",
+        _key(i, j), _key(i, k), _key(j, k),
+    )
+    for i, j, k in itertools.combinations(range(4), 3)
+)
 # g'_S == 2 g_S without the last color, g'_S == g_S + gdot_S with it
-_DOUBLE_CENSUS_SETS = (
-    (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
-    (0, 1, 4), (0, 1), (0, 2, 4), (0, 2), (0, 3, 4), (0, 3),
-    (1, 2, 4), (1, 2), (1, 3, 4), (1, 3), (2, 3, 4), (2, 3),
-    (0, 4), (1, 4), (2, 4), (3, 4),
+_DOUBLE_CENSUS = tuple(
+    (
+        f"g'_{s} == g_{s} + gdot_{s}" if 4 in colors else f"g'_{s} == 2 g_{s}",
+        _key(*colors),
+        4 in colors,
+    )
+    for colors in (
+        (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
+        (0, 1, 4), (0, 1), (0, 2, 4), (0, 2), (0, 3, 4), (0, 3),
+        (1, 2, 4), (1, 2), (1, 3, 4), (1, 3), (2, 3, 4), (2, 3),
+        (0, 4), (1, 4), (2, 4), (3, 4),
+    )
+    for s in ["".join(map(str, colors))]
+)
+_TRIPLE_KEYS = tuple(_key(*t) for t in _TRIPLES)
+_DOUBLE_TRIPLE_RELATION = _triple_relation_table("'")
+_GENUS_FORMULA_AGREEMENT = tuple(
+    f"scheme {scheme}: embedding == double == census formula"
+    for scheme in enumerate_schemes(4)
 )
 
 
-def _triple_relations(counts, n: int, mark: str = "") -> list[Check]:
-    """The closed-graph relation 2 g_ijk == g_ij + g_ik + g_jk - n/2 on
-    every color triple of a closed 4-gem with `n` vertices; `mark` "'"
-    states it for the double."""
-    prefix = "double: " if mark else ""
+def _triple_relations(g_counts, n: int, table: tuple) -> list[Check]:
+    """The rows of a closed triple relation `table` on the census
+    counts `g_counts` of a closed 4-gem with `n` vertices."""
+    half = n // 2
     return [
         _check(
             "closed-triple-relation",
-            f"{prefix}2 g{mark}_{i}{j}{k} == g{mark}_{i}{j} + g{mark}_{i}{k} "
-            f"+ g{mark}_{j}{k} - n{mark}/2",
-            2 * counts.g_of(i, j, k),
-            counts.g_of(i, j) + counts.g_of(i, k) + counts.g_of(j, k) - n // 2,
+            statement,
+            2 * g_counts[ijk],
+            g_counts[ij] + g_counts[ik] + g_counts[jk] - half,
         )
-        for i, j, k in itertools.combinations(range(5), 3)
+        for statement, ijk, ij, ik, jk in table
     ]
 
 
@@ -143,25 +221,25 @@ def verify_identities(g: ColoredGraph) -> IdentityReport:
     """
     _require(g, dimension=4)
     counts = census(g)
+    g_counts, g_dot = counts.g, counts.g_dot
     tally = g.vertex_tally()
     if g.is_closed():
-        checks = _triple_relations(counts, g.vertex_count)
+        checks = _triple_relations(g_counts, g.vertex_count, _TRIPLE_RELATION)
         # with no boundary the embedding formula loses its hole term
-        for profile, _, _ in _scheme_table(g):
-            scheme = profile.scheme
-            reduced_chi = (
-                sum(
-                    counts.g_dot_of(scheme[i], scheme[(i + 1) % 5])
-                    for i in range(5)
-                )
-                - 3 * tally.p
-            )
+        p = tally.p
+        for (statement, (k0, k1, k2, k3, k4)), (profile, _, _) in zip(
+            _CLOSED_EMBEDDING_REDUCTION, _scheme_table(g)
+        ):
             checks.append(
                 _check(
                     "closed-embedding-reduction",
-                    f"scheme {scheme}: chi_eps == cycle sum - 3p, no holes",
+                    statement,
                     (profile.chi, profile.holes),
-                    (reduced_chi, 0),
+                    (
+                        g_dot[k0] + g_dot[k1] + g_dot[k2] + g_dot[k3]
+                        + g_dot[k4] - 3 * p,
+                        0,
+                    ),
                 )
             )
         return IdentityReport(checks=tuple(checks), skipped=_CLOSED_SKIPS)
@@ -170,7 +248,8 @@ def verify_identities(g: ColoredGraph) -> IdentityReport:
     h = report.h
     crystal = report.is_crystallization
     skipped = () if crystal else _NOT_CRYSTAL_SKIPS
-    pairs = list(itertools.combinations(range(4), 2))
+    bd_g = counts.boundary_g
+    p_bar = tally.p_bar
     # the harness's contract is a crystallization input, so for bounded
     # gems the structural counts are themselves a check: a
     # mistranscribed graph fails here even though the universal census
@@ -186,78 +265,60 @@ def verify_identities(g: ColoredGraph) -> IdentityReport:
     ]
     if crystal:
         checks += [
-            _check(
-                "interior-cycle-floor",
-                f"gdot_{a}{b}4 >= h - 1",
-                counts.g_dot_of(a, b, 4),
-                h - 1,
-                ">=",
-            )
-            for a, b in pairs
+            _check("interior-cycle-floor", statement, g_dot[ab4], h - 1, ">=")
+            for statement, ab4 in _INTERIOR_CYCLE_FLOOR
         ]
     checks += [
         _check(
             "boundary-census-split",
-            f"g_{i}{j}4 == gdot_{i}{j}4 + bd_g_{i}{j}",
-            counts.g_of(i, j, 4),
-            counts.g_dot_of(i, j, 4) + counts.boundary_g_of(i, j),
+            statement,
+            g_counts[ij4],
+            g_dot[ij4] + bd_g[ij],
         )
-        for i, j in pairs
+        for statement, ij4, ij in _BOUNDARY_CENSUS_SPLIT
     ]
     checks += [
-        _check(
-            "facet-count-split",
-            f"g_{i}4 == gdot_{i}4 + p_bar",
-            counts.g_of(i, 4),
-            counts.g_dot_of(i, 4) + tally.p_bar,
-        )
-        for i in range(4)
+        _check("facet-count-split", statement, g_counts[i4], g_dot[i4] + p_bar)
+        for statement, i4 in _FACET_COUNT_SPLIT
     ]
     if crystal:
         checks.append(
             _check(
                 "boundary-cycle-sum",
                 "sum bd_g_ij == 4h + 2 p_bar",
-                sum(counts.boundary_g_of(i, j) for i, j in pairs),
+                sum([bd_g[ij] for ij in _PAIR_KEYS]),
                 4 * h + tally.boundary,
             )
         )
         bd = boundary_graph(g)
         for q, per_q in enumerate(counts.component_boundary_g):
-            size = len(bd.components[q])
+            right = 2 + len(bd.components[q]) // 2
             checks += [
                 _check(
                     "per-boundary-component-sphere-relation",
-                    f"component {q}: bd_g_{i}{j} + bd_g_{i}{k} + "
-                    f"bd_g_{j}{k} == 2 + n_q/2",
-                    sum(per_q[frozenset(p)] for p in ((i, j), (i, k), (j, k))),
-                    2 + size // 2,
+                    f"component {q}: {statement}",
+                    per_q[ij] + per_q[ik] + per_q[jk],
+                    right,
                 )
-                for i, j, k in itertools.combinations(range(4), 3)
+                for statement, ij, ik, jk in _SPHERE_RELATION
             ]
 
     # doubled-graph census relations hold for any gem with boundary
     doubled = double(g)
-    dcounts = census(doubled)
-    for colors in _DOUBLE_CENSUS_SETS:
-        s = "".join(map(str, colors))
-        g_s = counts.g_of(*colors)
-        if 4 in colors:
-            rhs, right = f"g_{s} + gdot_{s}", g_s + counts.g_dot_of(*colors)
-        else:
-            rhs, right = f"2 g_{s}", 2 * g_s
-        left = dcounts.g_of(*colors)
-        checks.append(_check("double-census", f"g'_{s} == {rhs}", left, right))
+    doubled_g = census(doubled).g
+    for statement, key, with_last in _DOUBLE_CENSUS:
+        g_s = g_counts[key]
+        right = g_s + g_dot[key] if with_last else 2 * g_s
+        checks.append(_check("double-census", statement, doubled_g[key], right))
     if crystal:
         chi = face_vector(g).euler_characteristic
-        all_triples = list(itertools.combinations(range(5), 3))
         checks.append(
             _check(
                 "vertex-count-identity",
                 "2p == 6 chi + sum g'_ijk - 12h - 6",
                 tally.total,
                 6 * chi
-                + sum(dcounts.g_of(*t) for t in all_triples)
+                + sum([doubled_g[ijk] for ijk in _TRIPLE_KEYS])
                 - 12 * h
                 - 6,
             )
@@ -268,21 +329,24 @@ def verify_identities(g: ColoredGraph) -> IdentityReport:
                 "2p + 2 p_bar == 6 chi + 2 sum g_ijk - 16h - 6",
                 tally.total + tally.boundary,
                 6 * chi
-                + 2 * sum(counts.g_of(*t) for t in all_triples)
+                + 2 * sum([g_counts[ijk] for ijk in _TRIPLE_KEYS])
                 - 16 * h
                 - 6,
             )
         )
         # closed-graph triple relation, applied to the double
-        checks += _triple_relations(dcounts, doubled.vertex_count, "'")
+        checks += _triple_relations(
+            doubled_g, doubled.vertex_count, _DOUBLE_TRIPLE_RELATION
+        )
         # the embedding and census formulas read census(g), the double
         # formula census(double(g))
-        for profile, via_double, via_census in _scheme_table(g):
+        for statement, (profile, via_double, via_census) in zip(
+            _GENUS_FORMULA_AGREEMENT, _scheme_table(g)
+        ):
             checks.append(
                 _check(
                     "genus-formula-agreement",
-                    f"scheme {profile.scheme}: embedding == double == "
-                    "census formula",
+                    statement,
                     (profile.rho, profile.rho),
                     (via_double, via_census),
                 )

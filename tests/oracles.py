@@ -15,7 +15,12 @@ listed until none is left, color by color, both against the library's
 single pass of label merges that takes its step counts from the
 census.  `regular_genus_reference` evaluates the public
 single-scheme formulas scheme by scheme, against the library's shared
-scheme table.  `json_reference` renders a CLI record with the standard
+scheme table.  `verify_identities_reference` is the identity ledger as it read the
+census before the ledger's tables: through the accessors `g_of`,
+`g_dot_of` and `boundary_g_of`, formatting each statement in place, and
+with the scheme values of the public single-scheme formulas, against
+the library's key tables and shared scheme table.
+`json_reference` renders a CLI record with the standard
 library's `json.dumps`, against the CLI's own writer.
 `colored_graph_reference` keeps the pair checks of `ColoredGraph` as
 they stood before the constructions began to build involution arrays,
@@ -41,13 +46,17 @@ from collections import deque
 from fractions import Fraction
 
 from gemkit import (
+    Check,
     ColoredGraph,
     GemError,
     GenusProfile,
+    IdentityReport,
+    Skip,
     boundary_graph,
     census,
     double,
     enumerate_schemes,
+    face_vector,
     find_one_dipoles,
     rho_epsilon,
     rho_epsilon_census,
@@ -425,6 +434,199 @@ def regular_genus_reference(g: ColoredGraph) -> GenusProfile:
         argmin=best.scheme,
         diagnostics=tuple(diagnostics),
     )
+
+
+def _reference_check(name, statement, left, right, relation="=="):
+    passed = left == right if relation == "==" else left >= right
+    sharp = None if relation == "==" else left == right
+    return Check(name=name, statement=statement, left=left, right=right,
+                 relation=relation, passed=passed, sharp=sharp)
+
+
+def _reference_triple_relations(counts, n, mark=""):
+    prefix = "double: " if mark else ""
+    return [
+        _reference_check(
+            "closed-triple-relation",
+            f"{prefix}2 g{mark}_{i}{j}{k} == g{mark}_{i}{j} + g{mark}_{i}{k} "
+            f"+ g{mark}_{j}{k} - n{mark}/2",
+            2 * counts.g_of(i, j, k),
+            counts.g_of(i, j) + counts.g_of(i, k) + counts.g_of(j, k) - n // 2,
+        )
+        for i, j, k in itertools.combinations(range(5), 3)
+    ]
+
+
+def verify_identities_reference(g: ColoredGraph) -> IdentityReport:
+    """`verify_identities` statement by statement through the census
+    accessors, for a 4-gem."""
+    counts = census(g)
+    tally = g.vertex_tally()
+    schemes = enumerate_schemes(4)
+    if g.is_closed():
+        checks = _reference_triple_relations(counts, g.vertex_count)
+        for scheme in schemes:
+            profile = rho_epsilon(g, scheme)
+            reduced_chi = (
+                sum(
+                    counts.g_dot_of(scheme[i], scheme[(i + 1) % 5])
+                    for i in range(5)
+                )
+                - 3 * tally.p
+            )
+            checks.append(
+                _reference_check(
+                    "closed-embedding-reduction",
+                    f"scheme {scheme}: chi_eps == cycle sum - 3p, no holes",
+                    (profile.chi, profile.holes),
+                    (reduced_chi, 0),
+                )
+            )
+        skipped = tuple(
+            Skip(name=family, reason="closed input")
+            for family in (
+                "interior-cycle-floor", "boundary-census-split",
+                "facet-count-split", "boundary-cycle-sum",
+                "per-boundary-component-sphere-relation",
+                "genus-formula-agreement", "double-census",
+                "vertex-count-identity", "vertex-sum-identity",
+            )
+        )
+        return IdentityReport(checks=tuple(checks), skipped=skipped)
+
+    report = validate(g)
+    h = report.h
+    crystal = report.is_crystallization
+    skipped = () if crystal else tuple(
+        Skip(name=family, reason="not a crystallization")
+        for family in (
+            "interior-cycle-floor", "boundary-cycle-sum",
+            "per-boundary-component-sphere-relation",
+            "vertex-count-identity", "vertex-sum-identity",
+            "closed-triple-relation", "genus-formula-agreement",
+        )
+    )
+    pairs = list(itertools.combinations(range(4), 2))
+    checks = [
+        _reference_check(
+            "crystallization-structure",
+            "labeled vertex count f0 == 4h + 1 and residue counts "
+            "match a crystallization",
+            (report.f0, crystal),
+            (4 * h + 1, True),
+        )
+    ]
+    if crystal:
+        checks += [
+            _reference_check(
+                "interior-cycle-floor",
+                f"gdot_{a}{b}4 >= h - 1",
+                counts.g_dot_of(a, b, 4),
+                h - 1,
+                ">=",
+            )
+            for a, b in pairs
+        ]
+    checks += [
+        _reference_check(
+            "boundary-census-split",
+            f"g_{i}{j}4 == gdot_{i}{j}4 + bd_g_{i}{j}",
+            counts.g_of(i, j, 4),
+            counts.g_dot_of(i, j, 4) + counts.boundary_g_of(i, j),
+        )
+        for i, j in pairs
+    ]
+    checks += [
+        _reference_check(
+            "facet-count-split",
+            f"g_{i}4 == gdot_{i}4 + p_bar",
+            counts.g_of(i, 4),
+            counts.g_dot_of(i, 4) + tally.p_bar,
+        )
+        for i in range(4)
+    ]
+    if crystal:
+        checks.append(
+            _reference_check(
+                "boundary-cycle-sum",
+                "sum bd_g_ij == 4h + 2 p_bar",
+                sum(counts.boundary_g_of(i, j) for i, j in pairs),
+                4 * h + tally.boundary,
+            )
+        )
+        bd = boundary_graph(g)
+        for q, per_q in enumerate(counts.component_boundary_g):
+            size = len(bd.components[q])
+            checks += [
+                _reference_check(
+                    "per-boundary-component-sphere-relation",
+                    f"component {q}: bd_g_{i}{j} + bd_g_{i}{k} + "
+                    f"bd_g_{j}{k} == 2 + n_q/2",
+                    sum(per_q[frozenset(p)] for p in ((i, j), (i, k), (j, k))),
+                    2 + size // 2,
+                )
+                for i, j, k in itertools.combinations(range(4), 3)
+            ]
+    doubled = double(g)
+    dcounts = census(doubled)
+    for colors in (
+        (0, 1, 2), (0, 1, 3), (0, 2, 3), (1, 2, 3),
+        (0, 1, 4), (0, 1), (0, 2, 4), (0, 2), (0, 3, 4), (0, 3),
+        (1, 2, 4), (1, 2), (1, 3, 4), (1, 3), (2, 3, 4), (2, 3),
+        (0, 4), (1, 4), (2, 4), (3, 4),
+    ):
+        s = "".join(map(str, colors))
+        g_s = counts.g_of(*colors)
+        if 4 in colors:
+            rhs, right = f"g_{s} + gdot_{s}", g_s + counts.g_dot_of(*colors)
+        else:
+            rhs, right = f"2 g_{s}", 2 * g_s
+        checks.append(_reference_check(
+            "double-census", f"g'_{s} == {rhs}", dcounts.g_of(*colors), right
+        ))
+    if crystal:
+        chi = face_vector(g).euler_characteristic
+        all_triples = list(itertools.combinations(range(5), 3))
+        checks.append(
+            _reference_check(
+                "vertex-count-identity",
+                "2p == 6 chi + sum g'_ijk - 12h - 6",
+                tally.total,
+                6 * chi
+                + sum(dcounts.g_of(*t) for t in all_triples)
+                - 12 * h
+                - 6,
+            )
+        )
+        checks.append(
+            _reference_check(
+                "vertex-sum-identity",
+                "2p + 2 p_bar == 6 chi + 2 sum g_ijk - 16h - 6",
+                tally.total + tally.boundary,
+                6 * chi
+                + 2 * sum(counts.g_of(*t) for t in all_triples)
+                - 16 * h
+                - 6,
+            )
+        )
+        checks += _reference_triple_relations(
+            dcounts, doubled.vertex_count, "'"
+        )
+        for scheme in schemes:
+            rho = rho_epsilon(g, scheme).rho
+            checks.append(
+                _reference_check(
+                    "genus-formula-agreement",
+                    f"scheme {scheme}: embedding == double == "
+                    "census formula",
+                    (rho, rho),
+                    (
+                        rho_epsilon_via_double(g, scheme),
+                        rho_epsilon_census(g, scheme),
+                    ),
+                )
+            )
+    return IdentityReport(checks=tuple(checks), skipped=skipped)
 
 
 def _jsonable(value):

@@ -139,8 +139,7 @@ CLI_MATRIX = {
 
 
 # call on fig3_d3xs1 (10 vertices) and its double -> expected error;
-# True and 1.0 equal a color or vertex in range and are refused too,
-# except by the census lookups, which may cost no type check per color
+# True and 1.0 equal a color or vertex in range and are refused too
 BAD_ARGUMENTS = {
     "mate(-1, 0)": (
         lambda g, d: g.mate(-1, 0), "vertex -1 out of range 1..10"
@@ -264,6 +263,22 @@ BAD_ARGUMENTS = {
         lambda g, d: _fig4_census().g_of([1], 2),
         "colors [[1], 2]: need distinct colors in 0..4",
     ),
+    "fig4 census: g_of(True, 2)": (
+        lambda g, d: _fig4_census().g_of(True, 2),
+        "colors [True, 2]: need distinct colors in 0..4",
+    ),
+    "fig4 census: g_of(1.0, 2)": (
+        lambda g, d: _fig4_census().g_of(1.0, 2),
+        "colors [1.0, 2]: need distinct colors in 0..4",
+    ),
+    "fig4 census: g_dot_of(False, 4)": (
+        lambda g, d: _fig4_census().g_dot_of(False, 4),
+        "colors [False, 4]: need distinct colors in 0..4",
+    ),
+    "fig4 census: g_dot_of(0, 4.0)": (
+        lambda g, d: _fig4_census().g_dot_of(0, 4.0),
+        "colors [0, 4.0]: need distinct colors in 0..4",
+    ),
     "fig4 census: g_dot_of(0, 9)": (
         lambda g, d: _fig4_census().g_dot_of(0, 9),
         "colors [0, 9]: need distinct colors in 0..4",
@@ -280,6 +295,14 @@ BAD_ARGUMENTS = {
         lambda g, d: _fig4_census().boundary_g_of(1, 1),
         "colors [1, 1]: need distinct colors in 0..3",
     ),
+    "fig4 census: boundary_g_of(True, 0)": (
+        lambda g, d: _fig4_census().boundary_g_of(True, 0),
+        "colors [True, 0]: need distinct colors in 0..3",
+    ),
+    "fig4 census: boundary_g_of(0, 1.0)": (
+        lambda g, d: _fig4_census().boundary_g_of(0, 1.0),
+        "colors [0, 1.0]: need distinct colors in 0..3",
+    ),
     "fig4 census: boundary_g_of(0, 9)": (
         lambda g, d: _fig4_census().boundary_g_of(0, 9),
         "colors [0, 9]: need distinct colors in 0..3",
@@ -291,6 +314,10 @@ BAD_ARGUMENTS = {
     "closed census: boundary_g_of(2, 2)": (
         lambda g, d: census(d).boundary_g_of(2, 2),
         "colors [2, 2]: need distinct colors in 0..3",
+    ),
+    "closed census: boundary_g_of(True, 0)": (
+        lambda g, d: census(d).boundary_g_of(True, 0),
+        "colors [True, 0]: need distinct colors in 0..3",
     ),
     "closed census: boundary_g_of([0], 1)": (
         lambda g, d: census(d).boundary_g_of([0], 1),

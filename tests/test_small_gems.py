@@ -34,6 +34,7 @@ from oracles import (
     is_crystallization_reference,
     tiny_gems,
 )
+from test_verify import assert_ledger_matches_reference
 
 DATA = Path(__file__).parent / "data"
 FIXTURES = ["random-033", "random-108"]
@@ -131,6 +132,12 @@ def test_corpus_class_counts(gem_classes):
     assert counts == {
         (False, 2): 1, (False, 4): 44, (True, 2): 1, (True, 4): 35
     }
+
+
+def test_corpus_ledger_matches_reference(gem_classes):
+    """Every class, closed or bounded, a crystallization or not."""
+    for g in gem_classes:
+        assert_ledger_matches_reference(g)
 
 
 def test_corpus_doubles_crystallize_as_their_reference(gem_classes):

@@ -1,9 +1,14 @@
 """Identity and bound harness: catalog sweep plus negative controls."""
 
+import ast
+import collections
+import itertools
 import operator
+import re
 from collections.abc import Mapping
 
 import pytest
+from hypothesis import given, settings
 
 import gemkit.core
 import gemkit.verify
@@ -18,6 +23,27 @@ from gemkit import (
     verify_identities,
 )
 from gemkit.verify import _CLOSED_SKIPS, _NOT_CRYSTAL_SKIPS
+from oracles import verify_identities_reference
+from test_properties import random_gems
+
+
+def _typed(value):
+    """`value` with the type of each of its parts, tuples taken apart: a
+    bool, an int and a Fraction of one value compare equal, these do
+    not."""
+    if type(value) is tuple:
+        return tuple, tuple(map(_typed, value))
+    return type(value), value
+
+
+def assert_ledger_matches_reference(g):
+    """`verify_identities(g)` is the accessor-based reference ledger,
+    Check by Check, with the type of every part of each field."""
+    report, expected = verify_identities(g), verify_identities_reference(g)
+    assert report.skipped == expected.skipped
+    assert len(report.checks) == len(expected.checks)
+    for check, reference in zip(report.checks, expected.checks):
+        assert _typed(tuple(check)) == _typed(tuple(reference))
 
 
 def _traced(op):
@@ -187,6 +213,106 @@ class TestIdentities:
             expected.append(((("double", "g", key),), right))
         assert [(c.left.reads, c.right.reads) for c in family] == expected
         assert all(c.passed for c in family)
+
+    @pytest.mark.parametrize("name", [
+        "fig1_s4", "s4_order2", "fig2_s3xI", "fig3_d3xs1", "fig4_boundary16",
+        "bounded-4-not-crystal",
+    ])
+    def test_every_family_reads_each_side_from_its_own_census(
+        self, monkeypatch, name
+    ):
+        """Each side of every check of the closed, the bounded
+        non-crystallization and the bounded crystallization ledgers
+        reads exactly the census sets that its half of the statement
+        names, each once, from the census it names: g, gdot and bd_g
+        the input's (bd_g of "component q" its q-th boundary
+        component's), g' the double's; "sum g_ijk" names every color
+        triple, "sum bd_g_ij" every pair below the last color, and the
+        closed embedding reduction's "cycle sum" the gdot of the
+        scheme's cyclically adjacent pairs.  The genus-formula rows read
+        the shared scheme table, no census of the ledger."""
+        if name == "bounded-4-not-crystal":
+            g = ColoredGraph(4, 4, [[(1, 2), (3, 4)]] * 4 + [[]])
+        else:
+            g = catalog_get(name).graph
+        real_census = gemkit.verify.census
+
+        def recording_census(graph):
+            of = "g" if graph is g else "double"
+            counts = real_census(graph)
+            return counts._replace(
+                g=_Recorded(counts.g, (of, "g")),
+                g_dot=_Recorded(counts.g_dot, (of, "g_dot")),
+                boundary_g=_Recorded(counts.boundary_g, (of, "boundary_g")),
+                component_boundary_g=tuple(
+                    _Recorded(per_q, (of, "component_boundary_g", q))
+                    for q, per_q in enumerate(counts.component_boundary_g)
+                ),
+            )
+
+        monkeypatch.setattr(gemkit.verify, "census", recording_census)
+        sums = {
+            "ijk": list(itertools.combinations(range(5), 3)),
+            "ij": list(itertools.combinations(range(4), 2)),
+        }
+
+        def named(text, component):
+            sources = {
+                "g": ("g", "g"), "gdot": ("g", "g_dot"), "g'": ("double", "g"),
+                "bd_g": ("g", "boundary_g") if component is None
+                else ("g", "component_boundary_g", component),
+            }
+            return collections.Counter(
+                (*sources[census_name], frozenset(colors))
+                for census_name, s in re.findall(
+                    r"\b(bd_g|gdot|g'|g)_(\w+)", text
+                )
+                for colors in (sums[s] if s in sums else [map(int, s)])
+            )
+
+        def recorded(value):
+            parts = value if type(value) is tuple else (value,)
+            return collections.Counter(
+                read for part in parts for read in getattr(part, "reads", ())
+            )
+
+        report = verify_identities(g)
+        assert report.checks
+        for check in report.checks:
+            prefix, _, body = check.statement.rpartition(": ")
+            left, right = (recorded(check.left), recorded(check.right))
+            if check.name == "genus-formula-agreement":
+                assert (left, right) == ({}, {}), check
+                continue
+            component = (
+                int(prefix.split()[1]) if prefix.startswith("component")
+                else None
+            )
+            left_text, right_text = re.split(r" [=>]= ", body, maxsplit=1)
+            expected_right = named(right_text, component)
+            if check.name == "closed-embedding-reduction":
+                scheme = ast.literal_eval(prefix.removeprefix("scheme "))
+                expected_right = collections.Counter(
+                    ("g", "g_dot", frozenset((scheme[i - 1], scheme[i])))
+                    for i in range(5)
+                )
+            assert (left, right) == (
+                named(left_text, component), expected_right
+            ), check
+
+    def test_ledger_matches_reference(
+        self, all_entries, product_s2xs1, product_rp3
+    ):
+        gems = [e.graph for e in all_entries if e.graph.dimension == 4]
+        for g in (*gems, product_s2xs1, product_rp3):
+            assert_ledger_matches_reference(g)
+
+    @given(random_gems())
+    @settings(max_examples=150, deadline=None)
+    def test_ledger_matches_reference_on_random_gems(self, g):
+        """Random 4-gems: closed or bounded, crystallizations or not,
+        mostly no manifold gems."""
+        assert_ledger_matches_reference(g)
 
     def test_skip_tuples_mirror_the_families(self, fig3):
         """Every skipped family is one that a bounded crystallization's
