@@ -66,13 +66,23 @@ def _disjoint_union(first: ColoredGraph, second: ColoredGraph) -> list:
     """Mutable involution arrays of two graphs of one dimension side by
     side, the second graph's vertex v renumbered n + v for the first
     graph's n vertices; an unmatched vertex keeps mate 0.  Every vertex
-    number is read from the vertex-id table."""
+    number is the vertex-id table's object.
+
+    Every graph's arrays already hold the table's objects, so the first
+    graph's arrays are copied as they are and only the second graph's
+    shifted ids are looked up.  A graph built before the table last grew
+    holds the older table's objects (vertex n shows which); its arrays
+    are sent through the table instead, so that the result shares the
+    current table's objects only."""
     n, size = first.vertex_count, second.vertex_count + 1
     ids = _ids(n + size)
     # shifted[w] is the id n + w, and shifted[0] stays 0
     shifted = (0, *itertools.islice(ids, n + 1, n + size))
+    color0 = first._mates[0]
+    current = color0[color0[n]] is ids[n]
     return [
-        [*map(ids.__getitem__, mate), *map(shifted.__getitem__, other[1:])]
+        [*(mate if current else map(ids.__getitem__, mate)),
+         *map(shifted.__getitem__, other[1:])]
         for mate, other in zip(first._mates, second._mates)
     ]
 

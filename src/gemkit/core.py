@@ -10,26 +10,31 @@ derived from this data by exact integer arithmetic.
 The residue census labels residues instead of listing them.  Each
 bicolored residue is walked once along its two involution arrays (a
 cycle, or a path between two boundary vertices when color d is one of
-the two).  Every further color is joined through its edge list, each
-edge listed once by its smaller end, so a boundary vertex adds none.
-A larger color set grows from the pair of its two smallest colors:
-after that pair's walk, each further color's edge list is read once
-into distinct label-level edges (label, label), and every set over the
-pair joins those edges, sent through its own map of the pair's labels,
-by a union-find over labels.  So the census reads each vertex once per
-pair and further color, never once per larger set.  A residue with
-color d fails to be regular exactly when its label holds a boundary
-vertex.  The census stops at connected residues: more colors only add
-edges, so once a set's residue is one component, every set above it in
-the lattice is one component too, counted as 1 with no join (regular
-unless the gem has boundary, whose vertices that one label holds); an
-edge list or a label-level edge set is built only for a join that runs,
-and a labeling stops once one label is left.  What depends only on the
-dimension d is planned once per d
+the two); the next cycle starts at the next unlabeled vertex, found by
+one C-level scan of the labels, not by a test per vertex.  Every
+further color is joined through its edge list, each edge listed once by
+its smaller end, so a boundary vertex adds none.  A larger color set
+grows from the pair of its two smallest colors: after that pair's walk,
+each further color's edge list is read into distinct label-level edges
+(label, label), and every set over the pair joins those edges, sent
+through its own map of the pair's labels, by a union-find over labels.
+A join stops reading once one label is left, and the pair reads a list
+only as far as its joins need: in pieces that double in length, kept
+and replayed for the next set over the pair, so no edge is read twice.
+So the census reads each vertex at most once per pair and further
+color, never once per larger set.  A residue with color d fails to be
+regular exactly when its label holds a boundary vertex.  The census
+stops at connected residues: more colors only add edges, so once a
+set's residue is one component, every set above it in the lattice is
+one component too, counted as 1 with no join (regular unless the gem
+has boundary, whose vertices that one label holds); an edge list is
+built only for a join that runs, and a labeling stops once one label
+is left.  What depends only on the dimension d is planned once per d
 (`_census_plan`): the frozenset key of each of the 2^(d+1) - 1 color
-sets, shared by every census of that dimension, by the genus
-formulas and by the `verify` ledger, and for each pair the sets above
-it in depth-first order, each with the slot of its parent.
+sets, shared by every census of that dimension, by its boundary counts
+(under the plan of d - 1), by the genus formulas and by the `verify`
+ledger, and for each pair the sets above it in depth-first order, each
+with the slot of its parent.
 `residue_components` and the 1-dipole search of `constructions` label
 one color set at a time (`_labels`) with one walk and the same joins;
 the boundary graph's components and `crystallize_double` label their
@@ -570,10 +575,16 @@ def _pair_labels(first, second, ends) -> tuple[list[int], list[int]]:
     `first` and `second` are involution arrays; `first` pairs every
     vertex, `second` may leave the vertices `ends` unmatched.  Residues
     through an end are paths, walked from one end to the other; all
-    other residues are cycles.  Returns the label array (labels 1..k,
-    index 0 keeps label 0) and the starting vertex of each label.
+    other residues are cycles.  Each cycle starts at the smallest vertex
+    still unlabeled, found by `list.index` from the last start on, so
+    the vertices between two starts are skipped in one C-level scan
+    rather than tested one by one; a 0 past the last vertex ends the
+    scan and is dropped before returning.  Returns the label array
+    (labels 1..k, index 0 keeps label 0) and the starting vertex of each
+    label.
     """
-    labels = [0] * len(first)
+    end = len(first)
+    labels = [0] * (end + 1)
     starts = []
     for v in ends:
         if labels[v]:
@@ -586,9 +597,8 @@ def _pair_labels(first, second, ends) -> tuple[list[int], list[int]]:
             x = first[w]
             labels[x] = k
             w = second[x]
-    for v in range(1, len(first)):
-        if labels[v]:
-            continue
+    v = labels.index(0, 1)
+    while v < end:
         starts.append(v)
         k = len(starts)
         w = v
@@ -599,28 +609,40 @@ def _pair_labels(first, second, ends) -> tuple[list[int], list[int]]:
             w = second[x]
             if w == v:
                 break
+        v = labels.index(0, v + 1)
+    labels.pop()
     return labels, starts
 
 
 def _join(edges, count) -> tuple[list[int], int]:
     """Merge residue labels along the label-level edges of one more color.
 
-    The residues of a color set B are labeled 1..count, and `edges` holds
-    the (label, label) pairs that an edge of a further color c joins,
-    each pair once.  Union-find runs over these pairs, so it works on
-    labels rather than vertices.  Returns the map from B's labels to the
-    labels 1..k of the residues of B with c, and k.
+    The residues of a color set B are labeled 1..count, count >= 2 (a
+    connected B is never joined), and `edges` holds the (label, label)
+    pairs that an edge of a further color c joins; a repeated pair adds
+    nothing.  Union-find runs over these pairs, so it works on labels
+    rather than vertices.  `edges` may be any iterable:
+    it is read only until one label is left, since further edges cannot
+    split a connected residue, so a lazy source reads no more than that
+    join needs.  Returns the map from B's labels to the labels 1..k of
+    the residues of B with c, and k.
     """
     parent = list(range(count + 1))
+    left = count
     for a, b in edges:
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
             parent[b] = b = parent[parent[b]]
+        if a == b:
+            continue
         if a < b:
             parent[b] = a
-        elif b < a:
+        else:
             parent[a] = b
+        left -= 1
+        if left == 1:
+            break
     # links and path halving only ever point a label at a smaller one,
     # so each label's parent is renumbered before the label itself
     renumber = [0] * (count + 1)
@@ -643,11 +665,65 @@ def _edge_list(mate) -> tuple[list[int], list[int]]:
     return lows, list(map(mate.__getitem__, lows))
 
 
-def _label_edges(labels, edge_list) -> set[tuple[int, int]]:
-    """The distinct label-level edges (L(v), L(w)) of an edge list."""
+def _label_edges(
+    labels, edge_list, start=0, stop=None
+) -> set[tuple[int, int]]:
+    """The distinct label-level edges (L(v), L(w)) of the edges
+    start..stop - 1 of an edge list, or of all of them, with no copy,
+    when no stop is given."""
     lows, highs = edge_list
+    if stop is not None:
+        lows, highs = lows[start:stop], highs[start:stop]
     return set(zip(map(labels.__getitem__, lows),
                    map(labels.__getitem__, highs)))
+
+
+# a root's first read of a further color's edge list takes this many
+# edges per residue label of the root, so the lists of a gem whose
+# pairs have many residues are read whole at once
+_FIRST_READ = 4
+
+
+class _LabelEdgeReader:
+    """The distinct label-level edges of one edge list under one root's
+    labels, read only as far as joins need them.
+
+    `edges` gives one join its source: the pairs read so far, then one
+    new read of the list after another, each made only when the join
+    asks for more and giving its pairs not seen before.  The first read
+    takes `size` edges and each later one twice the last.  A join that
+    stops early leaves the rest of the list unread, and the next join
+    over the root replays what was read and resumes where the last read
+    stopped, so no edge is read twice."""
+
+    __slots__ = ("labels", "edge_list", "read", "stop", "size")
+
+    def __init__(self, labels, edge_list, size):
+        self.labels, self.edge_list = labels, edge_list
+        self.read: set[tuple[int, int]] = set()
+        self.stop, self.size = 0, size
+
+    def edges(self, through=None):
+        """The source of one join; with `through`, each pair (a, b) comes
+        as (through[a], through[b])."""
+        reads = self._reads()
+        if through is not None:
+            reads = (
+                {(through[a], through[b]) for a, b in read} for read in reads
+            )
+        return itertools.chain.from_iterable(reads)
+
+    def _reads(self):
+        if self.read:
+            yield self.read
+        total = len(self.edge_list[0])
+        while self.stop < total:
+            start, self.stop = self.stop, min(self.stop + self.size, total)
+            self.size *= 2
+            new = _label_edges(self.labels, self.edge_list, start, self.stop)
+            new -= self.read
+            self.read |= new
+            yield new
 
 
 def _array_labels(arrays, ends=()) -> tuple[list[int], int]:
@@ -660,8 +736,8 @@ def _array_labels(arrays, ends=()) -> tuple[list[int], int]:
     distinct label-level edges of its edge list (`_edge_list`).  A
     single array starts from one label per vertex and is joined like a
     further one.  Index 0 keeps label 0.  Once one label is left the
-    remaining arrays are not read: they only add edges, and edges cannot
-    split a connected residue.
+    join stops and the remaining arrays are not read: they only add
+    edges, and edges cannot split a connected residue.
     """
     if len(arrays) == 1:
         labels, count = list(range(len(arrays[0]))), len(arrays[0]) - 1
@@ -735,19 +811,27 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
     labeled by a walk (`_pair_labels`), with the boundary vertices as
     path ends if j = d.  Every larger color set grows from its root, the
     pair {i, j} of its two smallest colors, so j < d.  Each further
-    color c > j is read at most once per root, on the root's first join
-    with c: its edge list (`_edge_list`, built once per census, on the
-    first join that needs it) gives the distinct label-level edges
-    (L(v), L(w)), L the root's pair labels.  These at most d - j passes,
-    and one over the boundary vertices, are the root's only reads of
-    vertices; at d = 4 that is at most 10 passes for at most 16 joins
-    over all roots.  Each set B over the root holds a map from the
-    root's labels to its own labels 1..k, and B with a further color c
-    above max(B) is joined (`_join`) from the edges of c sent through
-    that map; a triple's map is its join's renumbering.  The sets over each root
-    come in the depth-first order of the dimension's `_census_plan`,
-    which also holds every key, so at most d - 1 such maps are alive at
-    once and no key is built per gem.
+    color c > j is read at most once per root, from the root's first
+    join with c on: its edge list (`_edge_list`, built once per census,
+    on the first join that needs it) gives the distinct label-level
+    edges (L(v), L(w)), L the root's pair labels.  The first read takes
+    `_FIRST_READ` edges per root label: a list no longer than that is
+    read whole into one set, which every join with c over the root
+    reads.  A longer list is read through one `_LabelEdgeReader` per
+    root and color, in pieces that each double the last, and only while
+    a join still needs edges: a join stops once one label is left, so a
+    connected result leaves the rest of the list unread, and a split
+    one reads it all.  A later join with c over the root replays the
+    pairs read so far and reads on from where the last read stopped.
+    These at most d - j partial passes, and one over the boundary
+    vertices, are the root's only reads of vertices; at d = 4 that is at
+    most 10 passes for at most 16 joins over all roots.  Each set B over
+    the root holds a map from the root's labels to its own labels 1..k,
+    and B with a further color c above max(B) is joined (`_join`) from
+    the edges of c sent through that map; a triple's map is its join's
+    renumbering.  The sets over each root come in the depth-first order
+    of the dimension's `_census_plan`, which also holds every key, so at
+    most d - 1 such maps are alive at once and no key is built per gem.
     Colors 0..d-1 pair every vertex, so a residue without color d is
     regular; with color d, the components that are not regular are
     exactly the labels holding a boundary vertex, found by sending the
@@ -783,7 +867,9 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
         held = set(map(labels.__getitem__, boundary))
         counts[pair] = count
         regular[pair] = count - len(held) if j == d else count
-        edges: dict[int, set[tuple[int, int]]] = {}
+        # per further color: its label-level edges as one set if its list
+        # fits in the first read, else a reader that reads on demand
+        edges: dict[int, set | _LabelEdgeReader] = {}
         for key, c, slot in above:
             parent, size = maps[slot - 1] if slot > 1 else (None, count)
             if size == 1:
@@ -793,13 +879,21 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
                 if c not in edges:
                     if c not in edge_lists:
                         edge_lists[c] = _edge_list(g._mates[c])
-                    edges[c] = _label_edges(labels, edge_lists[c])
-                if parent is None:
-                    to_set, k = _join(edges[c], size)
-                else:
-                    renumber, k = _join(
-                        {(parent[a], parent[b]) for a, b in edges[c]}, size
+                    edge_list, first = edge_lists[c], _FIRST_READ * count
+                    edges[c] = (
+                        _label_edges(labels, edge_list)
+                        if len(edge_list[0]) <= first
+                        else _LabelEdgeReader(labels, edge_list, first)
                     )
+                pairs = edges[c]
+                if type(pairs) is not set:
+                    pairs = pairs.edges(parent)
+                elif parent is not None:
+                    pairs = {(parent[a], parent[b]) for a, b in pairs}
+                if parent is None:
+                    to_set, k = _join(pairs, size)
+                else:
+                    renumber, k = _join(pairs, size)
                     to_set = list(map(renumber.__getitem__, parent))
             counts[key] = k
             if c < d:
@@ -816,10 +910,12 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
 def _boundary_counts(bg: BoundaryGraph) -> tuple[dict, list[dict]]:
     """Bicolored cycle counts of the boundary graph, in total and per
     boundary component.  Each cycle is walked once and assigned to the
-    component of its starting vertex."""
+    component of its starting vertex.  The keys are the shared ones of
+    the boundary graph's dimension (`_census_plan`)."""
     if bg.is_empty():
         return {}, []
     graph = bg.graph
+    keys = _census_plan(graph.dimension).keys
     component_of = [0] * (graph.vertex_count + 1)
     for q, comp in enumerate(bg.components):
         for v in comp:
@@ -827,7 +923,7 @@ def _boundary_counts(bg: BoundaryGraph) -> tuple[dict, list[dict]]:
     total: dict[frozenset, int] = {}
     per_component: list[dict[frozenset, int]] = [{} for _ in bg.components]
     for i, j in itertools.combinations(graph.colors, 2):
-        key = frozenset((i, j))
+        key = keys[1 << i | 1 << j]
         _, starts = _pair_labels(graph._mates[i], graph._mates[j], ())
         total[key] = len(starts)
         for per_q in per_component:

@@ -272,6 +272,22 @@ class TestCensus:
         for i, j in itertools.permutations(range(4), 2):
             assert counts.boundary_g_of(i, j) == 0
 
+    def test_every_key_is_the_plans_shared_object(self, fig2, fig4):
+        """No key is built per gem: the counts use the keys of the gem's
+        dimension, the boundary counts those of one dimension less."""
+        for g in (fig2, fig4):
+            counts = census(g)
+            for mappings, d in (
+                ((counts.g, counts.g_dot), g.dimension),
+                ((counts.boundary_g, *counts.component_boundary_g),
+                 g.dimension - 1),
+            ):
+                shared = set(map(id, gemkit.core._census_plan(d).keys))
+                assert all(
+                    id(key) in shared for mapping in mappings
+                    for key in mapping
+                )
+
     def test_regular_equals_total_without_last_color(self, all_entries):
         # every color below d is a perfect matching, so residues avoiding
         # color d are automatically regular
@@ -287,13 +303,16 @@ class TestCensus:
 class TestCensusStopsAtConnectedResidues:
     """More colors only add edges, so once a color set's residue is one
     component, so is every larger set over it.  The census joins no
-    color above such a set, builds a color's edge list and a root's
-    label-level edges only for a join that runs, and the boundary
-    graph's labeling stops at one label."""
+    color above such a set, builds a color's edge list only for a join
+    that runs, and reads a root's label-level edges of a color only as
+    far as its joins need them; the boundary graph's labeling stops at
+    one label."""
 
     @staticmethod
     def _count_calls(monkeypatch):
-        calls = dict.fromkeys(("_join", "_label_edges", "_edge_list"), 0)
+        """Count `_join` and `_edge_list` calls, and list every read of
+        `_label_edges` as (labels, edge list, start, stop)."""
+        calls = dict.fromkeys(("_join", "_edge_list"), 0)
         for name in calls:
 
             def counted(*args, real=getattr(gemkit.core, name), name=name):
@@ -301,16 +320,36 @@ class TestCensusStopsAtConnectedResidues:
                 return real(*args)
 
             monkeypatch.setattr(gemkit.core, name, counted)
-        return calls
+        reads = []
+
+        def read(labels, edge_list, start=0, stop=None):
+            # a list that fits in the first read is read whole by default
+            end = len(edge_list[0]) if stop is None else stop
+            reads.append((labels, edge_list, start, end))
+            return real_read(labels, edge_list, start, stop)
+
+        real_read = gemkit.core._label_edges
+        monkeypatch.setattr(gemkit.core, "_label_edges", read)
+        return calls, reads
+
+    @staticmethod
+    def _reads_by_root_and_color(reads):
+        """The (start, stop) ranges of each (labels, edge list) pair, in
+        the order of each pair's first read."""
+        groups = {}
+        for labels, edge_list, start, stop in reads:
+            key = id(labels), id(edge_list)
+            groups.setdefault(key, (edge_list, []))[1].append((start, stop))
+        return list(groups.values())
 
     @pytest.mark.parametrize(
         "last", [[(1, 2)], []], ids=["closed", "bounded"]
     )
     def test_two_vertex_gem_makes_no_join(self, monkeypatch, last):
         g = ColoredGraph(4, 2, [[(1, 2)]] * 4 + [last])
-        calls = self._count_calls(monkeypatch)
+        calls, reads = self._count_calls(monkeypatch)
         counts = census(g)
-        assert calls == {"_join": 0, "_label_edges": 0, "_edge_list": 0}
+        assert calls == {"_join": 0, "_edge_list": 0} and reads == []
         for key, count in counts.g.items():
             expected = 1 if len(key) > 1 else bfs_component_count(g, key)
             assert count == expected
@@ -331,26 +370,95 @@ class TestCensusStopsAtConnectedResidues:
             bfs_component_count(g, pair) > 1
             for pair in itertools.combinations(g.colors, 2)
         )
-        calls = self._count_calls(monkeypatch)
+        calls, reads = self._count_calls(monkeypatch)
         census(g)
-        # one pass per root {i, j} with j < 4 and further color above j
-        assert calls["_label_edges"] == 10
+        # each root {i, j} with j < 4 reads each further color above j
+        assert len(self._reads_by_root_and_color(reads)) == 10
         assert calls["_edge_list"] == 3
 
-    @pytest.mark.parametrize(
-        "bounded", [False, True], ids=["closed", "bounded"]
-    )
-    @pytest.mark.parametrize(
-        "n, seed", [(4, 1), (6, 2), (8, 3), (12, 4), (40, 27)]
-    )
-    def test_work_follows_the_oracle_counts(
-        self, monkeypatch, n, seed, bounded
-    ):
+    @staticmethod
+    def _connected_with_prefix(g, colors, c, prefix):
+        """Whether the residue on `colors` plus the first `prefix` edges
+        of color c, in the order of `g.edges(c)`, is connected."""
+        parent = list(range(g.vertex_count + 1))
+
+        def find(x):
+            while parent[x] != x:
+                x = parent[x]
+            return x
+
+        edges = [e for k in colors for e in g.edges(k)]
+        for a, b in edges + g.edges(c)[:prefix]:
+            parent[find(a)] = find(b)
+        return len({find(v) for v in g.vertices}) == 1
+
+    @staticmethod
+    def _piece_ends(total, first):
+        """0 and the end of each piece of a list of `total` edges: the
+        first piece `first` edges long, each later one twice the last,
+        the last one cut at the list's end."""
+        ends, piece = [0], first
+        while ends[-1] < total:
+            ends.append(min(ends[-1] + piece, total))
+            piece *= 2
+        return ends
+
+    def _predicted_reads(self, g):
+        """The census's reads of label-level edges, derived from BFS and
+        prefix connectivity alone: per (root, color), in the order of
+        their first read, the edge list's ends and the ranges read.
+
+        A root {i, j} with several residues joins color c for each set
+        over it with top color c whose parent is split.  Its reads of c
+        run from the start of the edge list in pieces (`_piece_ends`),
+        the first of `_FIRST_READ` edges per root label.  A join whose
+        result is connected needs the pieces up to the first whose end
+        makes the parent plus that prefix of c connected; a split result
+        needs the whole list.  The reads cover what the most demanding
+        join needs, and no piece is read twice."""
+        d = g.dimension
+        predicted = []
+        for i, j in itertools.combinations(g.colors, 2):
+            count = bfs_component_count(g, (i, j))
+            if count == 1:
+                continue
+            first = gemkit.core._FIRST_READ * count
+            # the sets over the root in depth-first order; `needs` keeps
+            # each color in the order of its first join, which reads it
+            above = sorted(
+                colors for size in range(1, d - j + 1)
+                for colors in itertools.combinations(range(j + 1, d + 1),
+                                                     size)
+            )
+            needs = {}
+            for *below, c in above:
+                parent = (i, j, *below)
+                if bfs_component_count(g, parent) == 1:
+                    continue
+                ends = self._piece_ends(len(g.edges(c)), first)
+                if bfs_component_count(g, (*parent, c)) > 1:
+                    need = len(ends) - 1
+                else:
+                    need = next(
+                        t for t, end in enumerate(ends)
+                        if self._connected_with_prefix(g, parent, c, end)
+                    )
+                needs[c] = max(needs.get(c, 0), need)
+            for c, need in needs.items():
+                ends = self._piece_ends(len(g.edges(c)), first)
+                if need:
+                    predicted.append((
+                        [a for a, _ in g.edges(c)],
+                        [b for _, b in g.edges(c)],
+                        list(zip(ends, ends[1:need + 1])),
+                    ))
+        return predicted
+
+    def _assert_work_follows_the_oracle(self, monkeypatch, g):
         """Expected calls from BFS counts: a join for each set of 3 or
         more colors whose parent, the set without its top color, is
-        split; label-level edges for each split pair {i, j} and color
-        above j; an edge list for each color above a split pair."""
-        g = self._random_gem(n, seed, bounded)
+        split; an edge list for each color above a split pair; and the
+        reads of `_predicted_reads`."""
         split = {
             pair
             for pair in itertools.combinations(g.colors, 2)
@@ -361,12 +469,54 @@ class TestCensusStopsAtConnectedResidues:
             for size in range(3, 6)
             for colors in itertools.combinations(g.colors, size)
         )
-        passes = sum(4 - j for _, j in split)
         lists = len({c for _, j in split for c in range(j + 1, 5)})
-        calls = self._count_calls(monkeypatch)
+        predicted = self._predicted_reads(g)
+        calls, reads = self._count_calls(monkeypatch)
         gemkit.core._residue_counts(g)
-        assert calls == {
-            "_join": joins, "_label_edges": passes, "_edge_list": lists
+        assert calls == {"_join": joins, "_edge_list": lists}
+        assert [
+            (list(lows), list(highs), ranges)
+            for (lows, highs), ranges in self._reads_by_root_and_color(reads)
+        ] == predicted
+
+    @pytest.mark.parametrize(
+        "bounded", [False, True], ids=["closed", "bounded"]
+    )
+    @pytest.mark.parametrize(
+        "n, seed",
+        [(4, 1), (6, 2), (8, 3), (12, 4), (40, 27), (120, 5), (400, 6)],
+    )
+    def test_work_follows_the_oracle_counts(
+        self, monkeypatch, n, seed, bounded
+    ):
+        g = self._random_gem(n, seed, bounded)
+        self._assert_work_follows_the_oracle(monkeypatch, g)
+
+    @pytest.mark.parametrize("n, seed", [(12, 4), (60, 8), (200, 9)])
+    def test_work_follows_the_oracle_counts_on_doubles(
+        self, monkeypatch, n, seed
+    ):
+        """Each triple without color 4 of a double is split in two
+        copies, so color 4 is joined twice over a root, by the triple
+        with it and by the set of four: the second join replays what
+        the first read and reads on from there."""
+        g = double(self._random_gem(n, seed, bounded=True))
+        self._assert_work_follows_the_oracle(monkeypatch, g)
+
+    def test_connected_joins_leave_the_rest_unread(self, monkeypatch):
+        """On a 400-vertex bounded gem some root stops reading a color
+        before the end of its edge list, some reads a color in several
+        pieces and some reads a whole list, and the counts match BFS."""
+        g = self._random_gem(400, 6, bounded=True)
+        _, reads = self._count_calls(monkeypatch)
+        counts = gemkit.core._residue_counts(g)[0]
+        groups = self._reads_by_root_and_color(reads)
+        stops = [(ranges[-1][1], len(lows)) for (lows, _), ranges in groups]
+        assert any(stop < total for stop, total in stops)
+        assert any(stop == total for stop, total in stops)
+        assert any(len(ranges) >= 3 for _, ranges in groups)
+        assert counts == {
+            key: bfs_component_count(g, key) for key in counts
         }
 
 

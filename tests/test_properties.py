@@ -6,6 +6,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+import gemkit.core
 import gemkit.genus
 from gemkit import (
     ColoredGraph,
@@ -280,6 +281,176 @@ def test_census_matches_oracle_at_scale():
 def test_export_matches_reference_writer_at_scale():
     g = _scale_gem()
     assert export_gem(g) == export_reference(g)
+
+
+def _cycle_pairs(order):
+    """Colors a and b that alternate along the cycle `order`, so the
+    {a, b}-residue is that one cycle."""
+    n = len(order)
+    return (
+        [(order[k], order[k + 1]) for k in range(0, n, 2)],
+        [(order[k + 1], order[(k + 2) % n]) for k in range(0, n, 2)],
+    )
+
+
+def _long_cycle_gem(n, seed, matched):
+    """A 4-gem whose {0, 1}- and {2, 3}-residues are each one cycle
+    through all n vertices; the other pairs are random, and color 4 has
+    `matched` random edges."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(2):
+        order = list(range(1, n + 1))
+        rng.shuffle(order)
+        pairs.extend(_cycle_pairs(order))
+    pairs.append(_matching(list(range(1, n + 1)), rng)[:matched])
+    return ColoredGraph(4, n, pairs)
+
+
+def _two_cycle_gem(n, seed, matched):
+    """A 4-gem where colors 1 and 3 repeat colors 0 and 2 on all but a
+    tenth of their edges, so the {0, 1}- and {2, 3}-residues are
+    mostly 2-cycles; color 4 has `matched` random edges."""
+    rng = random.Random(seed)
+    pairs = []
+    for _ in range(2):
+        first = _matching(list(range(1, n + 1)), rng)
+        moved = rng.sample(range(len(first)), len(first) // 10)
+        ends = [v for k in moved for v in first[k]]
+        second = [first[k] for k in range(len(first)) if k not in moved]
+        # the moved ends are matched again at random, which keeps a few
+        # of them as 2-cycles
+        second += _matching(ends, rng)
+        pairs += [first, second]
+    pairs.append(_matching(list(range(1, n + 1)), rng)[:matched])
+    return ColoredGraph(4, n, pairs)
+
+
+def _assert_pair_labels_match_bfs(g):
+    """Each pair's walk against BFS: the same partition, and labels
+    numbered first by path, in the order of each path's smaller end,
+    then by cycle, in the order of each cycle's smallest vertex."""
+    boundary = g.boundary_vertices()
+    for i, j in itertools.combinations(g.colors, 2):
+        ends = boundary if j == g.dimension else ()
+        labels, starts = gemkit.core._pair_labels(
+            g._mates[i], g._mates[j], ends
+        )
+        assert len(labels) == g.vertex_count + 1 and labels[0] == 0
+        comps = bfs_components(g, (i, j))
+        end_set = set(ends)
+        paths = sorted(
+            (min(end_set & comp), comp) for comp in comps if end_set & comp
+        )
+        cycles = sorted(
+            (min(comp), comp) for comp in comps if not end_set & comp
+        )
+        assert starts == [start for start, _ in paths + cycles]
+        for k, (_, comp) in enumerate(paths + cycles, 1):
+            assert {labels[v] for v in comp} == {k}
+
+
+LARGE_GEMS = {
+    "long-cycles-closed": lambda: _long_cycle_gem(2000, 31, 1000),
+    "long-cycles-bounded": lambda: _long_cycle_gem(2000, 32, 700),
+    "two-cycles-closed": lambda: _two_cycle_gem(2400, 33, 1200),
+    "two-cycles-bounded": lambda: _two_cycle_gem(2400, 34, 900),
+    "boundary-paths": lambda: _long_cycle_gem(1600, 35, 120),
+    "random-bounded": lambda: ColoredGraph(
+        4, 3000, [
+            _matching(list(range(1, 3001)), random.Random(36 + c))[
+                : 1500 if c < 4 else 1100
+            ]
+            for c in range(5)
+        ],
+    ),
+}
+
+
+@pytest.mark.parametrize("name", LARGE_GEMS)
+def test_census_matches_oracle_on_large_gems(monkeypatch, name):
+    """Gems with thousands of vertices, where a root's joins read their
+    colors' edges in several pieces, all checked against BFS: the pair
+    walks, every count and the boundary counts."""
+    g = LARGE_GEMS[name]()
+    assert g.is_closed() == name.endswith("closed")
+    reads = []
+    real = gemkit.core._label_edges
+
+    def recorded(labels, edge_list, start=0, stop=None):
+        reads.append((id(labels), id(edge_list), start, stop))
+        return real(labels, edge_list, start, stop)
+
+    monkeypatch.setattr(gemkit.core, "_label_edges", recorded)
+    _assert_census_matches_oracle(g)
+    monkeypatch.undo()
+    pieces = {}
+    for labels, edge_list, start, stop in reads:
+        pieces[labels, edge_list] = pieces.get((labels, edge_list), 0) + 1
+    if name.startswith("two-cycles"):
+        # about n/4 labels per root {0, 1}: its lists are read whole
+        assert 1 in pieces.values()
+    else:
+        assert max(pieces.values()) >= 3
+    _assert_pair_labels_match_bfs(g)
+    if not g.is_closed():
+        _assert_boundary_counts_match_subgraphs(g)
+
+
+def _full_union_find(edges, count):
+    """The map of labels 1..count to their classes under every edge,
+    classes numbered by smallest label, and the class count."""
+    parent = list(range(count + 1))
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    for a, b in edges:
+        parent[find(a)] = find(b)
+    roots = {}
+    renumber = [0] + [
+        roots.setdefault(find(x), len(roots) + 1) for x in range(1, count + 1)
+    ]
+    return renumber, len(roots)
+
+
+@given(
+    st.integers(min_value=2, max_value=30).flatmap(
+        lambda count: st.tuples(
+            st.just(count),
+            st.lists(
+                st.tuples(
+                    st.integers(min_value=1, max_value=count),
+                    st.integers(min_value=1, max_value=count),
+                ),
+                max_size=90,
+            ),
+        )
+    )
+)
+@settings(max_examples=300, deadline=None)
+def test_join_stops_early_with_the_full_partition(case):
+    """`_join` reads its edges only until one label is left, and gives
+    the partition of a union-find over all of them."""
+    count, edges = case
+    consumed = []
+
+    def source():
+        for edge in edges:
+            consumed.append(edge)
+            yield edge
+
+    assert gemkit.core._join(source(), count) == _full_union_find(
+        edges, count
+    )
+    connected = [
+        m for m in range(len(edges) + 1)
+        if _full_union_find(edges[:m], count)[1] == 1
+    ]
+    # stopped at the edge that left one label, or read every edge
+    assert len(consumed) == (connected[0] if connected else len(edges))
 
 
 def _connected_pair_gems():

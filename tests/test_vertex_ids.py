@@ -113,6 +113,54 @@ def test_equality_and_hash_match_the_pair_built_twin(builder):
     assert hash(g) == hash((g.dimension, g.vertex_count, reference))
 
 
+def _entries_are_table_objects(g):
+    table = gemkit.core._ids(0)
+    return all(x is table[x] for mate in g._mates for x in mate)
+
+
+def _build(builder):
+    """A freshly parsed input through one builder; the input of
+    `crystallize_double` is the 266-vertex connector chain."""
+    if builder == "crystallize_double":
+        chain = parse_gem(export_gem(_graphs()["sphere_connector_sum"]))
+        return crystallize_double(chain)
+    parsed = parse_gem(_text(600, 150, 1))
+    if builder == "parse_gem":
+        return parsed
+    if builder == "double":
+        return double(parsed)
+    if builder == "connected_sum":
+        internal = [v for v in parsed.vertices if parsed.mate(v, 4)]
+        return connected_sum(parsed, internal[0], parsed, internal[-1])
+    return boundary_graph(parsed).graph
+
+
+@pytest.mark.parametrize("grown", [False, True], ids=["grows", "grown"])
+@pytest.mark.parametrize(
+    "builder",
+    ["parse_gem", "double", "connected_sum", "boundary_graph",
+     "crystallize_double"],
+)
+def test_entries_are_the_tables_own_objects(monkeypatch, builder, grown):
+    """Every entry of a built graph is the vertex-id table's object, not
+    merely one object per number.  The splice copies its first graph's
+    arrays as they are, so this holds only because every graph's arrays
+    hold the table's objects, and, when the table grew after the input
+    was built (as the double and the sum of a graph with itself make it
+    grow from a table just long enough for the input), because the
+    splice then sends the input's arrays through the new table."""
+    monkeypatch.setattr(gemkit.core, "_ID_TABLE", (0,))
+    if grown:
+        gemkit.core._ids(5000)
+    g = _build(builder)
+    assert g.vertex_count > 256
+    assert _entries_are_table_objects(g)
+    assert len(gemkit.core._ids(0)) == (5000 if grown else {
+        "parse_gem": 601, "boundary_graph": 601, "double": 1201,
+        "connected_sum": 1201, "crystallize_double": 533,
+    }[builder])
+
+
 def test_from_mates_keeps_the_objects_it_is_given():
     parsed = _graphs()["parse_gem"]
     rebuilt = _graphs()["_from_mates"]
