@@ -15,26 +15,25 @@ one C-level scan of the labels, not by a test per vertex.  Every
 further color is joined through its edge list, each edge listed once by
 its smaller end, so a boundary vertex adds none.  A larger color set
 grows from the pair of its two smallest colors: after that pair's walk,
-each further color's edge list is read into distinct label-level edges
-(label, label), and every set over the pair joins those edges, sent
-through its own map of the pair's labels, by a union-find over labels.
-A join stops reading once one label is left, and the pair reads a list
-only as far as its joins need: in pieces that double in length, kept
-and replayed for the next set over the pair, so no edge is read twice.
-So the census reads each vertex at most once per pair and further
-color, never once per larger set.  A residue with color d fails to be
-regular exactly when its label holds a boundary vertex.  The census
-stops at connected residues: more colors only add edges, so once a
-set's residue is one component, every set above it in the lattice is
-one component too, counted as 1 with no join (regular unless the gem
-has boundary, whose vertices that one label holds); an edge list is
-built only for a join that runs, and a labeling stops once one label
-is left.  What depends only on the dimension d is planned once per d
-(`_census_plan`): the frozenset key of each of the 2^(d+1) - 1 color
-sets, shared by every census of that dimension, by its boundary counts
-(under the plan of d - 1), by the genus formulas and by the `verify`
-ledger, and for each pair the sets above it in depth-first order, each
-with the slot of its parent.
+every set over the pair joins one more color by a union-find over
+labels, fed by one lazy stream over that color's edge list, each edge
+read as its ends' pair labels sent through the set's own map of them.
+A join stops reading once one label is left.  Each join reads its own
+stream, at most the whole list once: a join with top color c over the
+pair {i, j} is one of 2^(c - j - 1) such joins, so at d = 4 color 4 is
+read at most 4 times over the pair {0, 1}.  A residue with color d
+fails to be regular exactly when its label holds a boundary vertex.
+The census stops at connected residues: more colors only add edges, so
+once a set's residue is one component, every set above it in the
+lattice is one component too, counted as 1 with no join (regular unless
+the gem has boundary, whose vertices that one label holds); an edge
+list is built only when a join first needs it, and a labeling stops
+once one label is left.  What depends only on the dimension d is
+planned once per d (`_census_plan`): the frozenset key of each of the
+2^(d+1) - 1 color sets, shared by every census of that dimension, by
+its boundary counts (under the plan of d - 1), by the genus formulas
+and by the `verify` ledger, and for each pair the sets above it in
+depth-first order, each with the slot of its parent.
 `residue_components` and the 1-dipole search of `constructions` label
 one color set at a time (`_labels`) with one walk and the same joins;
 the boundary graph's components and `crystallize_double` label their
@@ -618,14 +617,15 @@ def _join(edges, count) -> tuple[list[int], int]:
     """Merge residue labels along the label-level edges of one more color.
 
     The residues of a color set B are labeled 1..count, count >= 2 (a
-    connected B is never joined), and `edges` holds the (label, label)
-    pairs that an edge of a further color c joins; a repeated pair adds
-    nothing.  Union-find runs over these pairs, so it works on labels
-    rather than vertices.  `edges` may be any iterable:
-    it is read only until one label is left, since further edges cannot
-    split a connected residue, so a lazy source reads no more than that
-    join needs.  Returns the map from B's labels to the labels 1..k of
-    the residues of B with c, and k.
+    connected B is never joined), and `edges` yields the (label, label)
+    pair of each edge of a further color c, one edge after another; a
+    repeated pair adds nothing.  Union-find runs over these pairs, so it
+    works on labels rather than vertices.  `edges` is read only until
+    one label is left, since further edges cannot split a connected
+    residue: a lazy stream over the edge list is read up to the edge
+    that connects B with c, and to its end if B with c is split.
+    Returns the map from B's labels to the labels 1..k of the residues
+    of B with c, and k.
     """
     parent = list(range(count + 1))
     left = count
@@ -665,79 +665,19 @@ def _edge_list(mate) -> tuple[list[int], list[int]]:
     return lows, list(map(mate.__getitem__, lows))
 
 
-def _label_edges(
-    labels, edge_list, start=0, stop=None
-) -> set[tuple[int, int]]:
-    """The distinct label-level edges (L(v), L(w)) of the edges
-    start..stop - 1 of an edge list, or of all of them, with no copy,
-    when no stop is given."""
-    lows, highs = edge_list
-    if stop is not None:
-        lows, highs = lows[start:stop], highs[start:stop]
-    return set(zip(map(labels.__getitem__, lows),
-                   map(labels.__getitem__, highs)))
-
-
-# a root's first read of a further color's edge list takes this many
-# edges per residue label of the root, so the lists of a gem whose
-# pairs have many residues are read whole at once
-_FIRST_READ = 4
-
-
-class _LabelEdgeReader:
-    """The distinct label-level edges of one edge list under one root's
-    labels, read only as far as joins need them.
-
-    `edges` gives one join its source: the pairs read so far, then one
-    new read of the list after another, each made only when the join
-    asks for more and giving its pairs not seen before.  The first read
-    takes `size` edges and each later one twice the last.  A join that
-    stops early leaves the rest of the list unread, and the next join
-    over the root replays what was read and resumes where the last read
-    stopped, so no edge is read twice."""
-
-    __slots__ = ("labels", "edge_list", "read", "stop", "size")
-
-    def __init__(self, labels, edge_list, size):
-        self.labels, self.edge_list = labels, edge_list
-        self.read: set[tuple[int, int]] = set()
-        self.stop, self.size = 0, size
-
-    def edges(self, through=None):
-        """The source of one join; with `through`, each pair (a, b) comes
-        as (through[a], through[b])."""
-        reads = self._reads()
-        if through is not None:
-            reads = (
-                {(through[a], through[b]) for a, b in read} for read in reads
-            )
-        return itertools.chain.from_iterable(reads)
-
-    def _reads(self):
-        if self.read:
-            yield self.read
-        total = len(self.edge_list[0])
-        while self.stop < total:
-            start, self.stop = self.stop, min(self.stop + self.size, total)
-            self.size *= 2
-            new = _label_edges(self.labels, self.edge_list, start, self.stop)
-            new -= self.read
-            self.read |= new
-            yield new
-
-
 def _array_labels(arrays, ends=()) -> tuple[list[int], int]:
     """Label the residues spanned by a nonempty list of involution arrays
     with 1..count.
 
     The first two arrays are labeled by a walk (`_pair_labels`), so the
     first pairs every vertex and the second may leave the vertices
-    `ends` unmatched; each further array is added by `_join` over the
-    distinct label-level edges of its edge list (`_edge_list`).  A
-    single array starts from one label per vertex and is joined like a
-    further one.  Index 0 keeps label 0.  Once one label is left the
-    join stops and the remaining arrays are not read: they only add
-    edges, and edges cannot split a connected residue.
+    `ends` unmatched; each further array is added by `_join` over its
+    edge list (`_edge_list`), read lazily as (L(v), L(w)) pairs under
+    the current labels L.  A single array starts from one label per
+    vertex and is joined like a further one.  Index 0 keeps label 0.
+    Once one label is left the join stops reading and the remaining
+    arrays are not read: they only add edges, and edges cannot split a
+    connected residue.
     """
     if len(arrays) == 1:
         labels, count = list(range(len(arrays[0]))), len(arrays[0]) - 1
@@ -748,7 +688,11 @@ def _array_labels(arrays, ends=()) -> tuple[list[int], int]:
     for mate in arrays:
         if count == 1:
             break
-        renumber, count = _join(_label_edges(labels, _edge_list(mate)), count)
+        lows, highs = _edge_list(mate)
+        renumber, count = _join(
+            zip(map(labels.__getitem__, lows), map(labels.__getitem__, highs)),
+            count,
+        )
         labels = list(map(renumber.__getitem__, labels))
     return labels, count
 
@@ -810,28 +754,22 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
     Singletons are counted from the matchings.  Each pair {i, j} is
     labeled by a walk (`_pair_labels`), with the boundary vertices as
     path ends if j = d.  Every larger color set grows from its root, the
-    pair {i, j} of its two smallest colors, so j < d.  Each further
-    color c > j is read at most once per root, from the root's first
-    join with c on: its edge list (`_edge_list`, built once per census,
-    on the first join that needs it) gives the distinct label-level
-    edges (L(v), L(w)), L the root's pair labels.  The first read takes
-    `_FIRST_READ` edges per root label: a list no longer than that is
-    read whole into one set, which every join with c over the root
-    reads.  A longer list is read through one `_LabelEdgeReader` per
-    root and color, in pieces that each double the last, and only while
-    a join still needs edges: a join stops once one label is left, so a
-    connected result leaves the rest of the list unread, and a split
-    one reads it all.  A later join with c over the root replays the
-    pairs read so far and reads on from where the last read stopped.
-    These at most d - j partial passes, and one over the boundary
-    vertices, are the root's only reads of vertices; at d = 4 that is at
-    most 10 passes for at most 16 joins over all roots.  Each set B over
+    pair {i, j} of its two smallest colors, so j < d.  Each set B over
     the root holds a map from the root's labels to its own labels 1..k,
     and B with a further color c above max(B) is joined (`_join`) from
-    the edges of c sent through that map; a triple's map is its join's
-    renumbering.  The sets over each root come in the depth-first order
-    of the dimension's `_census_plan`, which also holds every key, so at
-    most d - 1 such maps are alive at once and no key is built per gem.
+    one lazy stream over the edge list of c (`_edge_list`, built once
+    per census, on the first join that needs it): the pair (L(v), L(w))
+    of each edge, L the root's pair labels, sent through B's map; a
+    triple's map is its join's renumbering.  A join stops once one label
+    is left, so a connected result reads the list only up to the edge
+    that connects it, and a split one reads it all.  Each join reads its
+    own stream, so a list may be read more than once over a root: a join
+    with top color c over the root {i, j} is one of 2^(c - j - 1) such
+    joins, and each reads at most the whole list once; at d = 4 that is
+    at most 4 reads of color 4 over the root {0, 1}.  The sets over each
+    root come in the depth-first order of the dimension's
+    `_census_plan`, which also holds every key, so at most d - 1 such
+    maps are alive at once and no key is built per gem.
     Colors 0..d-1 pair every vertex, so a residue without color d is
     regular; with color d, the components that are not regular are
     exactly the labels holding a boundary vertex, found by sending the
@@ -867,33 +805,24 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
         held = set(map(labels.__getitem__, boundary))
         counts[pair] = count
         regular[pair] = count - len(held) if j == d else count
-        # per further color: its label-level edges as one set if its list
-        # fits in the first read, else a reader that reads on demand
-        edges: dict[int, set | _LabelEdgeReader] = {}
         for key, c, slot in above:
             parent, size = maps[slot - 1] if slot > 1 else (None, count)
             if size == 1:
                 # more colors only add edges: one component stays one
                 to_set, k = parent, 1
             else:
-                if c not in edges:
-                    if c not in edge_lists:
-                        edge_lists[c] = _edge_list(g._mates[c])
-                    edge_list, first = edge_lists[c], _FIRST_READ * count
-                    edges[c] = (
-                        _label_edges(labels, edge_list)
-                        if len(edge_list[0]) <= first
-                        else _LabelEdgeReader(labels, edge_list, first)
-                    )
-                pairs = edges[c]
-                if type(pairs) is not set:
-                    pairs = pairs.edges(parent)
-                elif parent is not None:
-                    pairs = {(parent[a], parent[b]) for a, b in pairs}
+                if c not in edge_lists:
+                    edge_lists[c] = _edge_list(g._mates[c])
+                lows, highs = edge_lists[c]
+                lows = map(labels.__getitem__, lows)
+                highs = map(labels.__getitem__, highs)
                 if parent is None:
-                    to_set, k = _join(pairs, size)
+                    to_set, k = _join(zip(lows, highs), size)
                 else:
-                    renumber, k = _join(pairs, size)
+                    through = parent.__getitem__
+                    renumber, k = _join(
+                        zip(map(through, lows), map(through, highs)), size
+                    )
                     to_set = list(map(renumber.__getitem__, parent))
             counts[key] = k
             if c < d:

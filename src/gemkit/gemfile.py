@@ -32,6 +32,12 @@ def _lines(text: str) -> list[str]:
     return lines
 
 
+def _digits(field: str) -> bool:
+    """Whether `field` is a run of ASCII decimal digits, the only form of
+    an integer field in GEM v1."""
+    return field.isascii() and field.isdigit()
+
+
 def parse_gem(text: str) -> ColoredGraph:
     """Parse GEM v1 content into a ColoredGraph.
 
@@ -44,15 +50,14 @@ def parse_gem(text: str) -> ColoredGraph:
     if len(lines) < 3:
         raise GemError("truncated file: missing 'dim'/'vertices' lines")
     dim_row, vertices_row = lines[1].split(), lines[2].split()
-    if dim_row[0] != "dim" or len(dim_row) != 2:
+    if dim_row[0] != "dim" or len(dim_row) != 2 or not _digits(dim_row[1]):
         raise GemError("malformed header: expected 'dim D'")
-    if vertices_row[0] != "vertices" or len(vertices_row) != 2:
+    if (
+        vertices_row[0] != "vertices" or len(vertices_row) != 2
+        or not _digits(vertices_row[1])
+    ):
         raise GemError("malformed header: expected 'vertices N'")
-    try:
-        d = int(dim_row[1])
-        n = int(vertices_row[1])
-    except ValueError as exc:
-        raise GemError(f"malformed header: {exc}") from None
+    d, n = int(dim_row[1]), int(vertices_row[1])
     body = lines[3:]
     # a stripped line splits into ["end"] exactly when it is "end"
     if len(body) != d + 2 or body[-1] != "end":
@@ -66,6 +71,14 @@ def parse_gem(text: str) -> ColoredGraph:
             or row[1].rstrip(":") != str(expected_color)
         ):
             raise GemError(f"expected 'color {expected_color}:' line")
+        # `int` also reads "+", a "_" between digits and non-ASCII
+        # digits, so a line that may hold one is checked token by token,
+        # in order; a "-" sign is left to the graph's range check
+        if not line.isascii() or "+" in line or "_" in line:
+            for token in row[2:]:
+                a, _, b = token.partition("-")
+                if not (_digits(a) and _digits(b.removeprefix("-"))):
+                    raise GemError(f"malformed pair '{token}'")
         pairs = []
         for token in row[2:]:
             a, sep, b = token.partition("-")

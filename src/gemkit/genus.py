@@ -15,7 +15,9 @@ dimension's shared key table (`core._census_plan`), as in
 three values for every scheme; it builds each scheme's masks once and
 hands them to the three kernels.  Nothing per scheme outlives its row,
 since there are d!/2 schemes.  Like the census, the table is a
-per-graph analysis, computed at most once per graph object.
+per-graph analysis, computed at most once per graph object; the schemes
+it runs over are listed once per dimension d <= 7 (`_schemes`) rather
+than once per gem.
 `regular_genus` and the `verify` ledger read it, and the public
 single-scheme functions build their scheme's masks and call the same
 kernels.
@@ -27,6 +29,7 @@ metadata; the `verify` bounds ledger and `certify_minimal` read it.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from fractions import Fraction
@@ -78,6 +81,14 @@ def enumerate_schemes(d: int) -> list[Scheme]:
     return [
         p + (d,) for p in itertools.permutations(range(d)) if p < p[::-1]
     ]
+
+
+@functools.cache
+def _schemes(d: int) -> tuple[Scheme, ...]:
+    """`enumerate_schemes(d)` as one tuple per dimension, built on first
+    use and shared by the scheme tables of dimension d <= 7 and by the
+    `verify` tables."""
+    return tuple(enumerate_schemes(d))
 
 
 def _check_scheme(g: ColoredGraph, scheme: Scheme) -> None:
@@ -211,7 +222,7 @@ def rho_epsilon_census(g: ColoredGraph, scheme: Scheme) -> Fraction:
 def _scheme_table(
     g: ColoredGraph,
 ) -> tuple[tuple[SchemeProfile, Fraction | None, Fraction | None], ...]:
-    """One row per scheme of `enumerate_schemes`: the `rho_epsilon`
+    """One row per scheme of `_schemes`: the `rho_epsilon`
     profile, then the `rho_epsilon_via_double` and `rho_epsilon_census`
     values, which are None unless g is a 4-dimensional crystallization
     with boundary.
@@ -219,7 +230,11 @@ def _scheme_table(
     Nothing per scheme outlives its row.  The rows are evaluated, never
     compared: the callers compare them.
     """
-    schemes = enumerate_schemes(g.dimension)
+    d = g.dimension
+    # shared up to d = 7 (2 520 schemes, about 0.3 MB); at d = 8 they
+    # would keep 2.4 MB alive, and the table's d!/2 rows of kernel work
+    # dwarf listing them again
+    schemes = _schemes(d) if d <= 7 else enumerate_schemes(d)
     counts = census(g)
     try:
         _require(g, dimension=4, boundary=True, crystallization=True)

@@ -17,8 +17,9 @@ of the color sets that its sides read.  One loop per family reads
 each side from its own census by those keys, so no statement is
 formatted and no key is built per gem; only "component q: " is
 prefixed per boundary component.  The per-scheme tables follow
-`enumerate_schemes(4)`, the order of the rows of the shared scheme
-table `genus._scheme_table` that they are read beside.
+`genus._schemes(4)`, the one scheme tuple of dimension 4, which also
+orders the rows of the shared scheme table `genus._scheme_table` that
+they are read beside.
 
 `verify_bounds` turns each row of `genus._floors`, the one evaluation
 of the bounds that `certify_minimal` reads too, into a `Check` or a
@@ -41,7 +42,7 @@ from .core import (
     validate,
 )
 from .constructions import double
-from .genus import _floors, _scheme_table, enumerate_schemes, rank_upper_bound
+from .genus import _floors, _scheme_table, _schemes, rank_upper_bound
 
 
 class Check(NamedTuple):
@@ -152,7 +153,7 @@ _CLOSED_EMBEDDING_REDUCTION = tuple(
         f"scheme {scheme}: chi_eps == cycle sum - 3p, no holes",
         tuple(_key(scheme[i], scheme[(i + 1) % 5]) for i in range(5)),
     )
-    for scheme in enumerate_schemes(4)
+    for scheme in _schemes(4)
 )
 _INTERIOR_CYCLE_FLOOR = tuple(
     (f"gdot_{a}{b}4 >= h - 1", _key(a, b, 4)) for a, b in _PAIRS
@@ -192,7 +193,7 @@ _TRIPLE_KEYS = tuple(_key(*t) for t in _TRIPLES)
 _DOUBLE_TRIPLE_RELATION = _triple_relation_table("'")
 _GENUS_FORMULA_AGREEMENT = tuple(
     f"scheme {scheme}: embedding == double == census formula"
-    for scheme in enumerate_schemes(4)
+    for scheme in _schemes(4)
 )
 
 

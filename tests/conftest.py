@@ -5,6 +5,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+import gemkit.core
 from gemkit import (
     catalog_get,
     catalog_list,
@@ -12,6 +13,37 @@ from gemkit import (
     interval_product,
     sphere_connector_sum,
 )
+
+
+@pytest.fixture
+def census_work(monkeypatch):
+    """Count the calls of `core._join` and `core._edge_list`, and list
+    per join its label count and the pairs it takes from its stream."""
+    calls = dict.fromkeys(("_join", "_edge_list"), 0)
+    takes = []
+    real_join, real_edge_list = gemkit.core._join, gemkit.core._edge_list
+
+    def join(edges, count):
+        calls["_join"] += 1
+        taken = 0
+
+        def stream():
+            nonlocal taken
+            for pair in edges:
+                taken += 1
+                yield pair
+
+        result = real_join(stream(), count)
+        takes.append((count, taken))
+        return result
+
+    def edge_list(mate):
+        calls["_edge_list"] += 1
+        return real_edge_list(mate)
+
+    monkeypatch.setattr(gemkit.core, "_join", join)
+    monkeypatch.setattr(gemkit.core, "_edge_list", edge_list)
+    return calls, takes
 
 
 @pytest.fixture(scope="session")

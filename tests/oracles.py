@@ -27,6 +27,10 @@ they stood before the constructions began to build involution arrays,
 with the exact-int vertex and list-per-color checks added since,
 against the constructor that now shares its store step with them, and
 `pair_rebuild` rebuilds a construction's output from its edge lists.
+`census_join_takes` lists the census's joins with the edges each one
+takes, from BFS counts and `connecting_prefix`, a BFS labeling grown
+edge by edge by merging sets, against the library's union-find over
+labels.
 `tiny_gems` lists every labeled gem on at most four vertices, the
 ground truth of the exhaustive sweeps.
 `export_reference` writes GEM text from the sorted edge lists that
@@ -191,6 +195,63 @@ def bfs_components(g: ColoredGraph, colors) -> list[set[int]]:
 
 def bfs_component_count(g: ColoredGraph, colors) -> int:
     return len(bfs_components(g, colors))
+
+
+def connecting_prefix(g: ColoredGraph, colors, c) -> int | None:
+    """The length of the shortest prefix of `g.edges(c)` that makes the
+    residue on `colors` connected once added to it, or None if the whole
+    list leaves it split.  Components come from BFS, and each edge of
+    the prefix merges the smaller of its ends' components into the
+    larger."""
+    comps = [set(comp) for comp in bfs_components(g, colors)]
+    left = len(comps)
+    if left == 1:
+        return 0
+    comp_of = {v: comp for comp in comps for v in comp}
+    for length, (a, b) in enumerate(g.edges(c), 1):
+        big, small = comp_of[a], comp_of[b]
+        if big is small:
+            continue
+        if len(big) < len(small):
+            big, small = small, big
+        big |= small
+        for v in small:
+            comp_of[v] = big
+        left -= 1
+        if left == 1:
+            return length
+    return None
+
+
+def census_join_takes(g: ColoredGraph) -> list[tuple[tuple, int, int]]:
+    """The joins that the residue census makes, in its order, as
+    (colors, label count, edges taken), from BFS counts and
+    `connecting_prefix` alone.
+
+    A set of three or more colors is joined, from its parent (the set
+    without its top color c) and the edge list of c, exactly when the
+    parent is split; the label count is the parent's component count.
+    The join takes the edges of c in `g.edges(c)` order up to the first
+    one that connects the parent, or all of them if the set is split.
+    The pairs (i, j) come in ascending order, and over each pair its sets
+    come in lexicographic order of their further colors, the census's
+    depth-first order."""
+    d = g.dimension
+    joins = []
+    for i, j in itertools.combinations(g.colors, 2):
+        above = sorted(
+            further
+            for size in range(1, d - j + 1)
+            for further in itertools.combinations(range(j + 1, d + 1), size)
+        )
+        for further in above:
+            parent, c = (i, j, *further[:-1]), further[-1]
+            count = bfs_component_count(g, parent)
+            if count > 1:
+                length = connecting_prefix(g, parent, c)
+                taken = len(g.edges(c)) if length is None else length
+                joins.append(((*parent, c), count, taken))
+    return joins
 
 
 def bfs_regular_component_count(g: ColoredGraph, colors) -> int:

@@ -31,6 +31,7 @@ from oracles import (
     bfs_components,
     bfs_is_bipartite,
     bfs_regular_component_count,
+    census_join_takes,
     oracle_euler_characteristic,
     oracle_face_vector,
 )
@@ -304,52 +305,18 @@ class TestCensusStopsAtConnectedResidues:
     """More colors only add edges, so once a color set's residue is one
     component, so is every larger set over it.  The census joins no
     color above such a set, builds a color's edge list only for a join
-    that runs, and reads a root's label-level edges of a color only as
-    far as its joins need them; the boundary graph's labeling stops at
+    that runs, and each join takes the color's edges only up to the one
+    that connects its residue; the boundary graph's labeling stops at
     one label."""
-
-    @staticmethod
-    def _count_calls(monkeypatch):
-        """Count `_join` and `_edge_list` calls, and list every read of
-        `_label_edges` as (labels, edge list, start, stop)."""
-        calls = dict.fromkeys(("_join", "_edge_list"), 0)
-        for name in calls:
-
-            def counted(*args, real=getattr(gemkit.core, name), name=name):
-                calls[name] += 1
-                return real(*args)
-
-            monkeypatch.setattr(gemkit.core, name, counted)
-        reads = []
-
-        def read(labels, edge_list, start=0, stop=None):
-            # a list that fits in the first read is read whole by default
-            end = len(edge_list[0]) if stop is None else stop
-            reads.append((labels, edge_list, start, end))
-            return real_read(labels, edge_list, start, stop)
-
-        real_read = gemkit.core._label_edges
-        monkeypatch.setattr(gemkit.core, "_label_edges", read)
-        return calls, reads
-
-    @staticmethod
-    def _reads_by_root_and_color(reads):
-        """The (start, stop) ranges of each (labels, edge list) pair, in
-        the order of each pair's first read."""
-        groups = {}
-        for labels, edge_list, start, stop in reads:
-            key = id(labels), id(edge_list)
-            groups.setdefault(key, (edge_list, []))[1].append((start, stop))
-        return list(groups.values())
 
     @pytest.mark.parametrize(
         "last", [[(1, 2)], []], ids=["closed", "bounded"]
     )
-    def test_two_vertex_gem_makes_no_join(self, monkeypatch, last):
+    def test_two_vertex_gem_makes_no_join(self, census_work, last):
         g = ColoredGraph(4, 2, [[(1, 2)]] * 4 + [last])
-        calls, reads = self._count_calls(monkeypatch)
+        calls, takes = census_work
         counts = census(g)
-        assert calls == {"_join": 0, "_edge_list": 0} and reads == []
+        assert calls == {"_join": 0, "_edge_list": 0} and takes == []
         for key, count in counts.g.items():
             expected = 1 if len(key) > 1 else bfs_component_count(g, key)
             assert count == expected
@@ -364,101 +331,27 @@ class TestCensusStopsAtConnectedResidues:
             pairs[4] = pairs[4][: n // 4]
         return ColoredGraph(4, n, pairs)
 
-    def test_split_pairs_still_read_each_further_color(self, monkeypatch):
+    def test_split_pairs_still_read_each_further_color(self, census_work):
         g = self._random_gem(40, 27, bounded=False)
         assert all(
             bfs_component_count(g, pair) > 1
             for pair in itertools.combinations(g.colors, 2)
         )
-        calls, reads = self._count_calls(monkeypatch)
+        predicted = census_join_takes(g)
+        calls, takes = census_work
         census(g)
-        # each root {i, j} with j < 4 reads each further color above j
-        assert len(self._reads_by_root_and_color(reads)) == 10
+        # each root {i, j} with j < 4 joins each further color above j
+        assert {(colors[:2], colors[-1]) for colors, _, _ in predicted} == {
+            ((i, j), c) for i, j, c in itertools.combinations(g.colors, 3)
+        }
+        assert takes == [(count, taken) for _, count, taken in predicted]
         assert calls["_edge_list"] == 3
 
-    @staticmethod
-    def _connected_with_prefix(g, colors, c, prefix):
-        """Whether the residue on `colors` plus the first `prefix` edges
-        of color c, in the order of `g.edges(c)`, is connected."""
-        parent = list(range(g.vertex_count + 1))
-
-        def find(x):
-            while parent[x] != x:
-                x = parent[x]
-            return x
-
-        edges = [e for k in colors for e in g.edges(k)]
-        for a, b in edges + g.edges(c)[:prefix]:
-            parent[find(a)] = find(b)
-        return len({find(v) for v in g.vertices}) == 1
-
-    @staticmethod
-    def _piece_ends(total, first):
-        """0 and the end of each piece of a list of `total` edges: the
-        first piece `first` edges long, each later one twice the last,
-        the last one cut at the list's end."""
-        ends, piece = [0], first
-        while ends[-1] < total:
-            ends.append(min(ends[-1] + piece, total))
-            piece *= 2
-        return ends
-
-    def _predicted_reads(self, g):
-        """The census's reads of label-level edges, derived from BFS and
-        prefix connectivity alone: per (root, color), in the order of
-        their first read, the edge list's ends and the ranges read.
-
-        A root {i, j} with several residues joins color c for each set
-        over it with top color c whose parent is split.  Its reads of c
-        run from the start of the edge list in pieces (`_piece_ends`),
-        the first of `_FIRST_READ` edges per root label.  A join whose
-        result is connected needs the pieces up to the first whose end
-        makes the parent plus that prefix of c connected; a split result
-        needs the whole list.  The reads cover what the most demanding
-        join needs, and no piece is read twice."""
-        d = g.dimension
-        predicted = []
-        for i, j in itertools.combinations(g.colors, 2):
-            count = bfs_component_count(g, (i, j))
-            if count == 1:
-                continue
-            first = gemkit.core._FIRST_READ * count
-            # the sets over the root in depth-first order; `needs` keeps
-            # each color in the order of its first join, which reads it
-            above = sorted(
-                colors for size in range(1, d - j + 1)
-                for colors in itertools.combinations(range(j + 1, d + 1),
-                                                     size)
-            )
-            needs = {}
-            for *below, c in above:
-                parent = (i, j, *below)
-                if bfs_component_count(g, parent) == 1:
-                    continue
-                ends = self._piece_ends(len(g.edges(c)), first)
-                if bfs_component_count(g, (*parent, c)) > 1:
-                    need = len(ends) - 1
-                else:
-                    need = next(
-                        t for t, end in enumerate(ends)
-                        if self._connected_with_prefix(g, parent, c, end)
-                    )
-                needs[c] = max(needs.get(c, 0), need)
-            for c, need in needs.items():
-                ends = self._piece_ends(len(g.edges(c)), first)
-                if need:
-                    predicted.append((
-                        [a for a, _ in g.edges(c)],
-                        [b for _, b in g.edges(c)],
-                        list(zip(ends, ends[1:need + 1])),
-                    ))
-        return predicted
-
-    def _assert_work_follows_the_oracle(self, monkeypatch, g):
+    def _assert_work_follows_the_oracle(self, census_work, g):
         """Expected calls from BFS counts: a join for each set of 3 or
         more colors whose parent, the set without its top color, is
-        split; an edge list for each color above a split pair; and the
-        reads of `_predicted_reads`."""
+        split, taking the edges of `census_join_takes`; and an edge list
+        for each color above a split pair."""
         split = {
             pair
             for pair in itertools.combinations(g.colors, 2)
@@ -470,14 +363,11 @@ class TestCensusStopsAtConnectedResidues:
             for colors in itertools.combinations(g.colors, size)
         )
         lists = len({c for _, j in split for c in range(j + 1, 5)})
-        predicted = self._predicted_reads(g)
-        calls, reads = self._count_calls(monkeypatch)
+        predicted = census_join_takes(g)
+        calls, takes = census_work
         gemkit.core._residue_counts(g)
         assert calls == {"_join": joins, "_edge_list": lists}
-        assert [
-            (list(lows), list(highs), ranges)
-            for (lows, highs), ranges in self._reads_by_root_and_color(reads)
-        ] == predicted
+        assert takes == [(count, taken) for _, count, taken in predicted]
 
     @pytest.mark.parametrize(
         "bounded", [False, True], ids=["closed", "bounded"]
@@ -487,34 +377,40 @@ class TestCensusStopsAtConnectedResidues:
         [(4, 1), (6, 2), (8, 3), (12, 4), (40, 27), (120, 5), (400, 6)],
     )
     def test_work_follows_the_oracle_counts(
-        self, monkeypatch, n, seed, bounded
+        self, census_work, n, seed, bounded
     ):
         g = self._random_gem(n, seed, bounded)
-        self._assert_work_follows_the_oracle(monkeypatch, g)
+        self._assert_work_follows_the_oracle(census_work, g)
 
     @pytest.mark.parametrize("n, seed", [(12, 4), (60, 8), (200, 9)])
     def test_work_follows_the_oracle_counts_on_doubles(
-        self, monkeypatch, n, seed
+        self, census_work, n, seed
     ):
         """Each triple without color 4 of a double is split in two
         copies, so color 4 is joined twice over a root, by the triple
-        with it and by the set of four: the second join replays what
-        the first read and reads on from there."""
+        with it and by the set of four, each join on its own stream."""
         g = double(self._random_gem(n, seed, bounded=True))
-        self._assert_work_follows_the_oracle(monkeypatch, g)
+        self._assert_work_follows_the_oracle(census_work, g)
+        root_colors = [
+            (colors[:2], colors[-1]) for colors, _, _ in census_join_takes(g)
+        ]
+        assert len(set(root_colors)) < len(root_colors)
 
-    def test_connected_joins_leave_the_rest_unread(self, monkeypatch):
-        """On a 400-vertex bounded gem some root stops reading a color
-        before the end of its edge list, some reads a color in several
-        pieces and some reads a whole list, and the counts match BFS."""
+    def test_connected_joins_leave_the_rest_unread(self, census_work):
+        """On a 400-vertex bounded gem some join stops before the end of
+        its color's edge list and some takes a whole list, and the
+        counts match BFS."""
         g = self._random_gem(400, 6, bounded=True)
-        _, reads = self._count_calls(monkeypatch)
+        predicted = census_join_takes(g)
+        _, takes = census_work
         counts = gemkit.core._residue_counts(g)[0]
-        groups = self._reads_by_root_and_color(reads)
-        stops = [(ranges[-1][1], len(lows)) for (lows, _), ranges in groups]
-        assert any(stop < total for stop, total in stops)
-        assert any(stop == total for stop, total in stops)
-        assert any(len(ranges) >= 3 for _, ranges in groups)
+        assert takes == [(count, taken) for _, count, taken in predicted]
+        ends = [
+            (taken, len(g.edges(colors[-1])))
+            for colors, _, taken in predicted
+        ]
+        assert any(taken < total for taken, total in ends)
+        assert any(taken == total for taken, total in ends)
         assert counts == {
             key: bfs_component_count(g, key) for key in counts
         }

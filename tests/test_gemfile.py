@@ -90,6 +90,21 @@ def test_file_round_trip(tmp_path, fig4):
          "^expected 'color 1:' line$"),
         ("gem-format 1\ndim 1\nvertices 2\ncolor 0: 1-x\ncolor 1:\nend\n",
          "^malformed pair '1-x'$"),
+        # integer fields are ASCII decimal digits, though `int` reads
+        # "+", a "_" between digits and other scripts' digits; the first
+        # malformed pair of a line is named
+        ("gem-format 1\ndim 1\nvertices +2\ncolor 0: 1-2\ncolor 1:\nend\n",
+         "^malformed header: expected 'vertices N'$"),
+        ("gem-format 1\ndim \u0661\nvertices 2\ncolor 0: 1-2\ncolor 1:\nend\n",
+         "^malformed header: expected 'dim D'$"),
+        ("gem-format 1\ndim 1\nvertices 2\ncolor 0: 1_0-2\ncolor 1:\nend\n",
+         "^malformed pair '1_0-2'$"),
+        ("gem-format 1\ndim 1\nvertices 2\ncolor 0: 1--2\ncolor 1:\nend\n",
+         "^color 0: vertex out of range in pair 1--2$"),
+        ("gem-format 1\ndim 1\nvertices 4\ncolor 0: 1x-2 3_0-4\ncolor 1:\nend\n",
+         "^malformed pair '1x-2'$"),
+        ("gem-format 1\ndim 1\nvertices 4\ncolor 0: 1-2 3-\u0664\ncolor 1:\nend\n",
+         "^malformed pair '3-\u0664'$"),
     ],
 )
 def test_parse_errors(text, message):

@@ -86,6 +86,37 @@ class TestSchemes:
             with pytest.raises(GemError, match="not a color cycle"):
                 rho_epsilon(fig2, scheme)
 
+    def test_scheme_tables_of_one_dimension_share_one_scheme_tuple(
+        self, monkeypatch
+    ):
+        """The schemes of a dimension are listed once, not once per gem,
+        and `enumerate_schemes` still returns a fresh list."""
+        calls = []
+        real = gemkit.genus.enumerate_schemes
+
+        def counted(d):
+            calls.append(d)
+            return real(d)
+
+        monkeypatch.setattr(gemkit.genus, "enumerate_schemes", counted)
+        gemkit.genus._schemes.cache_clear()
+        gems = [
+            parse_gem(export_gem(catalog_get(name).graph))
+            for name in ("fig2_s3xI", "fig4_boundary16")
+        ]
+        tables = [gemkit.genus._scheme_table(g) for g in gems]
+        assert calls == [4]
+        shared = gemkit.genus._schemes(4)
+        for table in tables:
+            assert all(
+                row[0].scheme is scheme for row, scheme in zip(table, shared)
+            )
+        monkeypatch.undo()
+        fresh = enumerate_schemes(4)
+        assert fresh == list(shared) and fresh is not enumerate_schemes(4)
+        fresh.clear()
+        assert len(gemkit.genus._schemes(4)) == 12
+
     def test_dimension_over_the_scheme_cap_rejected(self):
         assert MAX_SCHEME_DIMENSION == 9
         with pytest.raises(
