@@ -300,7 +300,10 @@ def connected_sum(
 ) -> ColoredGraph:
     """Graph connected sum: delete v1, v2 and splice edges color by color.
 
-    Both vertices must be internal.
+    Both vertices must be internal.  The result is the graph sum only:
+    with two bounded summands it need not represent M1 # M2.  For
+    instance `connected_sum(fig2_s3xI, 4, fig2_s3xI, 4)` has h = 3 and
+    chi = -1, where S^3 x I # S^3 x I has h = 4 and chi = -2.
     """
     if g1.dimension != g2.dimension:
         raise GemError("connected sum requires equal dimensions")
@@ -324,7 +327,12 @@ def sphere_connector_sum(
 
     Both inputs must have dimension 4, the connector's, and the two
     summing vertices must be internal.  The result has
-    |V(g1)| + |V(g2)| + 6 vertices.
+    |V(g1)| + |V(g2)| + 6 vertices.  Each of its two graph sums has the
+    closed connector on one side.  That it represents M1 # M2 for two
+    bounded summands is measured, not proved: on `fig2_s3xI` summed with
+    itself at vertex 4 it has the h = 4 and chi = -2 of
+    S^3 x I # S^3 x I, where the plain `connected_sum` has h = 3 and
+    chi = -1.
     """
     from .catalog import catalog_get
 

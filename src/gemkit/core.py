@@ -50,9 +50,10 @@ with the table the arrays of every graph point at one object per
 vertex number.
 
 Graphs are immutable, so each per-graph analysis (`census`,
-`boundary_graph`, `face_vector`, `validate`, `constructions.double`
-and the scheme-genus table `genus._scheme_table`) is computed at most
-once per graph object and the result is shared by every later caller.
+`boundary_graph`, `face_vector`, `validate`, `constructions.double`,
+the scheme-genus table `genus._scheme_table` and `genus.regular_genus`)
+is computed at most once per graph object and the result is shared by
+every later caller.
 Shared results are read-only: the census mappings are
 `MappingProxyType` views and every other result is a tuple or a
 `typing.NamedTuple` record.
@@ -338,6 +339,7 @@ class ColoredGraph:
 
     def is_bipartite(self) -> bool:
         """Two-colorability, checked by BFS over every edge."""
+        mates = self._mates
         side = [0] * (self.vertex_count + 1)
         for start in self.vertices:
             if side[start]:
@@ -346,14 +348,16 @@ class ColoredGraph:
             queue = [start]
             while queue:
                 v = queue.pop()
-                for c in self.colors:
-                    w = self._mates[c][v]
+                here = side[v]
+                for mate in mates:
+                    w = mate[v]
                     if not w:
                         continue
-                    if not side[w]:
-                        side[w] = -side[v]
+                    there = side[w]
+                    if not there:
+                        side[w] = -here
                         queue.append(w)
-                    elif side[w] == side[v]:
+                    elif there == here:
                         return False
         return True
 

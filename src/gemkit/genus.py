@@ -2,7 +2,12 @@
 
 Genus values are exact rationals with denominator 1 or 2.  They are
 reported verbatim; a non-integral value on a well-formed gem is
-surfaced as a diagnostic rather than rounded away.
+surfaced as a diagnostic rather than rounded away.  Inside this module
+each formula computes twice the genus as an exact int, and the genus
+values are compared and minimized as those ints.  A value leaves the
+module only as a `Fraction`, built by `_half`, which keeps one shared
+`Fraction` per value: every profile, public single-scheme result and
+ledger side of one value is the same object.
 
 Each scheme genus has three formulas: the embedding surface
 (`rho_epsilon`), the double's census (`rho_epsilon_via_double`) and the
@@ -12,15 +17,18 @@ census sets.  A kernel takes the bit masks 1 << c of the scheme's
 colors (`_masks`) and reads each count by one dict lookup on the
 dimension's shared key table (`core._census_plan`), as in
 `g[key[b0 | b2 | b4]]`.  The scheme table `_scheme_table` holds all
-three values for every scheme; it builds each scheme's masks once and
-hands them to the three kernels.  Nothing per scheme outlives its row,
-since there are d!/2 schemes.  Like the census, the table is a
-per-graph analysis, computed at most once per graph object; the schemes
-it runs over are listed once per dimension d <= 7 (`_schemes`) rather
-than once per gem.
+three values for every scheme, as twice-genus ints beside the embedding
+profile; it builds each scheme's masks once and hands them to the three
+kernels.  Nothing per scheme outlives its row, since there are d!/2
+schemes.  Like the census, the table is a per-graph analysis, computed
+at most once per graph object; the schemes it runs over are listed once
+per dimension d <= 7 (`_schemes`) rather than once per gem.
 `regular_genus` and the `verify` ledger read it, and the public
 single-scheme functions build their scheme's masks and call the same
-kernels.
+kernels.  `regular_genus` is a per-graph analysis too: it checks and
+minimizes the table once per graph, and every later caller, such as
+`_floors`, reads the stored profile.  A "genus formulas disagree"
+error is not stored, so each call raises it again.
 
 Likewise `_floors` is the one evaluation of the paper's lower bounds,
 each an attained value read from the gem against a bound read from its
@@ -32,6 +40,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -132,9 +141,18 @@ def _masks(scheme: Scheme) -> list[int]:
     return [1 << c for c in scheme]
 
 
-def _embedding(counts, scheme: Scheme, bits: list[int]) -> SchemeProfile:
+@functools.cache
+def _half(twice: int) -> Fraction:
+    """The genus value twice/2, as one shared `Fraction` per value: every
+    reported genus is built here, so equal values are one object."""
+    return Fraction(twice, 2)
+
+
+def _embedding(
+    counts, scheme: Scheme, bits: list[int]
+) -> tuple[SchemeProfile, int]:
     """`rho_epsilon` of a gem with census `counts`, for `scheme` with bit
-    masks `bits`."""
+    masks `bits`, and twice its genus."""
     d = counts.dimension
     key = _census_plan(d).keys
     g_dot = counts.g_dot
@@ -147,14 +165,15 @@ def _embedding(counts, scheme: Scheme, bits: list[int]) -> SchemeProfile:
     p_bar = tally.p_bar
     chi = cycle_sum + (1 - d) * tally.p_dot + (2 - d) * p_bar
     holes = counts.boundary_g.get(key[bits[0] | bits[-2]], 0) if p_bar else 0
-    return SchemeProfile(scheme, chi, holes, Fraction(2 - chi - holes, 2))
+    twice = 2 - chi - holes
+    return SchemeProfile(scheme, chi, holes, _half(twice)), twice
 
 
 def _via_double(
     doubled_counts, counts, h: int, chi: int, bits: list[int]
-) -> Fraction:
-    """`rho_epsilon_via_double` of a bounded 4-crystallization with h
-    boundary components, Euler characteristic chi and census `counts`,
+) -> int:
+    """Twice `rho_epsilon_via_double` of a bounded 4-crystallization with
+    h boundary components, Euler characteristic chi and census `counts`,
     whose double has census `doubled_counts`, for the scheme with bit
     masks `bits`."""
     key = _census_plan(4).keys
@@ -167,17 +186,17 @@ def _via_double(
         + g[key[b0 | b2 | b3]] + g[key[b1 | b3 | b4]]
     )
     holes = counts.boundary_g.get(key[b0 | b3], 0)
-    return Fraction(2 * (-1 - 4 * h + 2 * chi) + triple_sum - holes, 2)
+    return 2 * (-1 - 4 * h + 2 * chi) + triple_sum - holes
 
 
-def _via_census(counts, h: int, chi: int, bits: list[int]) -> Fraction:
-    """`rho_epsilon_census` of a bounded 4-crystallization with h
+def _via_census(counts, h: int, chi: int, bits: list[int]) -> int:
+    """Twice `rho_epsilon_census` of a bounded 4-crystallization with h
     boundary components, Euler characteristic chi and census `counts`,
     for the scheme with bit masks `bits`."""
     key = _census_plan(4).keys
     b0, b1, b2, b3, b4 = bits
     g, g_dot = counts.g, counts.g_dot
-    return Fraction(
+    return 2 * (
         -1 - 4 * h + 2 * chi
         + g[key[b0 | b1 | b3]] + g[key[b0 | b2 | b3]] + g[key[b1 | b3 | b4]]
         + g_dot[key[b0 | b2 | b4]] + g_dot[key[b1 | b2 | b4]]
@@ -193,7 +212,7 @@ def rho_epsilon(g: ColoredGraph, scheme: Scheme) -> SchemeProfile:
     (first color, color before last).
     """
     _check_scheme(g, scheme)
-    return _embedding(census(g), scheme, _masks(scheme))
+    return _embedding(census(g), scheme, _masks(scheme))[0]
 
 
 def rho_epsilon_via_double(g: ColoredGraph, scheme: Scheme) -> Fraction:
@@ -206,7 +225,9 @@ def rho_epsilon_via_double(g: ColoredGraph, scheme: Scheme) -> Fraction:
     _require(g, dimension=4, boundary=True, crystallization=True)
     _check_scheme(g, scheme)
     h, chi = validate(g).h, face_vector(g).euler_characteristic
-    return _via_double(census(double(g)), census(g), h, chi, _masks(scheme))
+    return _half(
+        _via_double(census(double(g)), census(g), h, chi, _masks(scheme))
+    )
 
 
 def rho_epsilon_census(g: ColoredGraph, scheme: Scheme) -> Fraction:
@@ -215,17 +236,17 @@ def rho_epsilon_census(g: ColoredGraph, scheme: Scheme) -> Fraction:
     _require(g, dimension=4, boundary=True, crystallization=True)
     _check_scheme(g, scheme)
     h, chi = validate(g).h, face_vector(g).euler_characteristic
-    return _via_census(census(g), h, chi, _masks(scheme))
+    return _half(_via_census(census(g), h, chi, _masks(scheme)))
 
 
 @_per_graph
 def _scheme_table(
     g: ColoredGraph,
-) -> tuple[tuple[SchemeProfile, Fraction | None, Fraction | None], ...]:
-    """One row per scheme of `_schemes`: the `rho_epsilon`
-    profile, then the `rho_epsilon_via_double` and `rho_epsilon_census`
-    values, which are None unless g is a 4-dimensional crystallization
-    with boundary.
+) -> tuple[tuple[SchemeProfile, int, int | None, int | None], ...]:
+    """One row per scheme of `_schemes`: the `rho_epsilon` profile and
+    twice its genus, then twice the `rho_epsilon_via_double` and
+    `rho_epsilon_census` values, which are None unless g is a
+    4-dimensional crystallization with boundary.
 
     Nothing per scheme outlives its row.  The rows are evaluated, never
     compared: the callers compare them.
@@ -240,7 +261,7 @@ def _scheme_table(
         _require(g, dimension=4, boundary=True, crystallization=True)
     except GemError:
         return tuple(
-            (_embedding(counts, scheme, _masks(scheme)), None, None)
+            (*_embedding(counts, scheme, _masks(scheme)), None, None)
             for scheme in schemes
         )
     h, chi = validate(g).h, face_vector(g).euler_characteristic
@@ -249,13 +270,14 @@ def _scheme_table(
     for scheme in schemes:
         bits = _masks(scheme)
         rows.append((
-            _embedding(counts, scheme, bits),
+            *_embedding(counts, scheme, bits),
             _via_double(doubled_counts, counts, h, chi, bits),
             _via_census(counts, h, chi, bits),
         ))
     return tuple(rows)
 
 
+@_per_graph
 def regular_genus(g: ColoredGraph) -> GenusProfile:
     """Minimum scheme genus over all schemes.
 
@@ -265,25 +287,25 @@ def regular_genus(g: ColoredGraph) -> GenusProfile:
     raises instead of being ignored.
     """
     table = _scheme_table(g)
-    for entry, via_double, via_census in table:
-        if via_double is not None and not (
-            entry.rho == via_double == via_census
-        ):
-            raise GemError(
-                f"genus formulas disagree at scheme {entry.scheme}: "
-                f"{entry.rho} (embedding) vs {via_double} (double) "
-                f"vs {via_census} (census)"
-            )
-    entries = tuple(entry for entry, _, _ in table)
-    best = min(entries, key=lambda e: (e.rho, e.scheme))
+    # every row has the two cross-checks, or none has
+    if table[0][2] is not None:
+        for entry, twice, via_double, via_census in table:
+            if not twice == via_double == via_census:
+                raise GemError(
+                    f"genus formulas disagree at scheme {entry.scheme}: "
+                    f"{entry.rho} (embedding) vs {_half(via_double)} "
+                    f"(double) vs {_half(via_census)} (census)"
+                )
+    # the schemes ascend, so the first minimum breaks ties by scheme
+    best = min(table, key=operator.itemgetter(1))[0]
     return GenusProfile(
-        entries=entries,
+        entries=tuple([row[0] for row in table]),
         rho=best.rho,
         argmin=best.scheme,
         diagnostics=tuple(
             f"non-integral genus {entry.rho} at scheme {entry.scheme}"
-            for entry in entries
-            if entry.rho.denominator != 1
+            for entry, twice, _, _ in table
+            if twice & 1
         ),
     )
 

@@ -19,7 +19,9 @@ formatted and no key is built per gem; only "component q: " is
 prefixed per boundary component.  The per-scheme tables follow
 `genus._schemes(4)`, the one scheme tuple of dimension 4, which also
 orders the rows of the shared scheme table `genus._scheme_table` that
-they are read beside.
+they are read beside.  The table holds twice each genus as an int; the
+genus-formula-agreement sides are the shared `Fraction`s of
+`genus._half`, so two equal sides are one object.
 
 `verify_bounds` turns each row of `genus._floors`, the one evaluation
 of the bounds that `certify_minimal` reads too, into a `Check` or a
@@ -42,7 +44,7 @@ from .core import (
     validate,
 )
 from .constructions import double
-from .genus import _floors, _scheme_table, _schemes, rank_upper_bound
+from .genus import _floors, _half, _scheme_table, _schemes, rank_upper_bound
 
 
 class Check(NamedTuple):
@@ -228,7 +230,7 @@ def verify_identities(g: ColoredGraph) -> IdentityReport:
         checks = _triple_relations(g_counts, g.vertex_count, _TRIPLE_RELATION)
         # with no boundary the embedding formula loses its hole term
         p = tally.p
-        for (statement, (k0, k1, k2, k3, k4)), (profile, _, _) in zip(
+        for (statement, (k0, k1, k2, k3, k4)), (profile, _, _, _) in zip(
             _CLOSED_EMBEDDING_REDUCTION, _scheme_table(g)
         ):
             checks.append(
@@ -340,8 +342,9 @@ def verify_identities(g: ColoredGraph) -> IdentityReport:
             doubled_g, doubled.vertex_count, _DOUBLE_TRIPLE_RELATION
         )
         # the embedding and census formulas read census(g), the double
-        # formula census(double(g))
-        for statement, (profile, via_double, via_census) in zip(
+        # formula census(double(g)); each side is the shared `_half` of
+        # its formula's value, so equal sides are one object
+        for statement, (profile, _, via_double, via_census) in zip(
             _GENUS_FORMULA_AGREEMENT, _scheme_table(g)
         ):
             checks.append(
@@ -349,7 +352,7 @@ def verify_identities(g: ColoredGraph) -> IdentityReport:
                     "genus-formula-agreement",
                     statement,
                     (profile.rho, profile.rho),
-                    (via_double, via_census),
+                    (_half(via_double), _half(via_census)),
                 )
             )
     return IdentityReport(checks=tuple(checks), skipped=skipped)

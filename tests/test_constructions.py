@@ -325,6 +325,24 @@ class TestConnectedSum:
         assert report.h == 2
         assert face_vector(out).euler_characteristic == -2
 
+    def test_plain_sum_of_two_bounded_gems_is_not_the_manifold_sum(
+        self, fig2
+    ):
+        """A characterization, not a contract: S^3 x I # S^3 x I has
+        h = 4 and chi = 0 + 0 - 2, and the plain graph sum of two
+        bounded gems misses both, while the sum through the closed
+        connector reads them."""
+        meta = catalog_get("fig2_s3xI").meta
+        want = (2 * meta.h, 2 * meta.chi - 2)
+        assert want == (4, -2)
+        plain = connected_sum(fig2, 4, fig2, 4)
+        routed = sphere_connector_sum(fig2, 4, fig2, 4)
+        for out, expected in ((plain, (3, -1)), (routed, want)):
+            assert validate(out).is_crystallization
+            assert (
+                validate(out).h, face_vector(out).euler_characteristic
+            ) == expected
+
 
 class TestIntervalProduct:
     def test_product_shape(self, product_s2xs1, s2xs1):

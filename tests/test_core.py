@@ -3,6 +3,8 @@
 import itertools
 import random
 import tracemalloc
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -19,9 +21,14 @@ from gemkit import (
     double,
     export_gem,
     face_vector,
+    load_gem,
     parse_gem,
     regular_genus,
     residue_components,
+    rho_epsilon,
+    rho_epsilon_census,
+    rho_epsilon_via_double,
+    sphere_connector_sum,
     validate,
     verify_bounds,
     verify_identities,
@@ -196,6 +203,40 @@ class TestResiduesAgainstOracle:
     def test_bipartiteness_matches_bfs(self, all_entries):
         for entry in all_entries:
             assert entry.graph.is_bipartite() == bfs_is_bipartite(entry.graph)
+
+    def test_bipartiteness_matches_bfs_on_a_large_double(self):
+        """The double of the h = 64 sphere-connector chain of fig3_d3xs1
+        is bipartite, so the search visits all of its 2 036 vertices
+        before it answers."""
+        fig3 = chain = catalog_get("fig3_d3xs1").graph
+        for _ in range(63):
+            internal = next(v for v in chain.vertices if chain.mate(v, 4))
+            chain = sphere_connector_sum(chain, internal, fig3, 1)
+        doubled = double(chain)
+        assert doubled.vertex_count == 2036
+        assert doubled.is_bipartite() and bfs_is_bipartite(doubled)
+
+    @pytest.mark.parametrize("seed", range(40))
+    def test_bipartiteness_matches_bfs_on_random_gems(self, seed):
+        """Seeded random 4-gems, half of them with every color matching
+        odd vertices to even ones (bipartite) and half with free
+        matchings (rarely bipartite), with a random part of color 4."""
+        rng = random.Random(seed)
+        n = rng.choice((2, 4, 6, 10, 16, 30))
+        vertices = list(range(1, n + 1))
+        pairs = []
+        for _ in range(5):
+            if seed % 2:
+                evens = vertices[1::2]
+                rng.shuffle(evens)
+                pairs.append(list(zip(vertices[0::2], evens)))
+            else:
+                pairs.append(_matching(vertices, rng))
+        pairs[4] = pairs[4][: rng.randint(0, n // 2)]
+        g = ColoredGraph(4, n, pairs)
+        assert g.is_bipartite() == bfs_is_bipartite(g)
+        if seed % 2:
+            assert g.is_bipartite()
 
     def test_empty_color_set_rejected(self, fig2):
         with pytest.raises(GemError):
@@ -532,3 +573,63 @@ class TestPerGraphMemo:
         assert kernel_calls == {
             "_embedding": 12, "_via_double": 12, "_via_census": 12
         }
+
+    def test_regular_genus_runs_once_per_graph(self, monkeypatch):
+        """The bounds ledger, `certify_minimal` and `_floors` read the
+        stored genus profile and build no further `GenusProfile`."""
+        g = _fresh("fig4_boundary16")
+        profile = regular_genus(g)
+        assert regular_genus(g) is profile
+        built = []
+        real = gemkit.genus.GenusProfile
+
+        def counting(*args, **kwargs):
+            built.append(kwargs)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(gemkit.genus, "GenusProfile", counting)
+        meta = catalog_get("fig4_boundary16").meta
+        verify_bounds(g, meta)
+        certify_minimal(g, meta)
+        gemkit.genus._floors(g, meta)
+        assert built == []
+        assert regular_genus(g) is profile
+        # a graph with nothing stored builds one
+        regular_genus(_fresh("fig4_boundary16"))
+        assert len(built) == 1
+
+    def test_genus_disagreement_is_raised_on_every_call(self):
+        """Exceptions are not stored: a second call on the same graph
+        raises the same "disagree" error again."""
+        g = load_gem(Path(__file__).parent / "data" / "random-033.gem")
+        messages = []
+        for _ in range(2):
+            with pytest.raises(GemError, match="genus formulas disagree") as e:
+                regular_genus(g)
+            messages.append(str(e.value))
+        assert messages[0] == messages[1]
+
+    def test_genus_values_are_shared_fractions(self):
+        """The public formulas and the ledger report `Fraction`s, one
+        shared object per value, so equal sides are one object."""
+        g = _fresh("fig4_boundary16")
+        scheme = (0, 1, 2, 3, 4)
+        values = (
+            rho_epsilon(g, scheme).rho,
+            rho_epsilon_via_double(g, scheme),
+            rho_epsilon_census(g, scheme),
+        )
+        assert all(type(value) is Fraction for value in values)
+        assert values[0] is values[1] is values[2]
+        profile = regular_genus(g)
+        assert type(profile.rho) is Fraction
+        assert profile.rho is min(e.rho for e in profile.entries)
+        rows = [
+            c for c in verify_identities(g).checks
+            if c.name == "genus-formula-agreement"
+        ]
+        assert len(rows) == 12
+        for check in rows:
+            assert all(type(side) is Fraction
+                       for side in (*check.left, *check.right))
+            assert check.left[0] is check.right[0] is check.right[1]

@@ -703,16 +703,18 @@ def test_scheme_table_matches_per_scheme_formulas(g):
 
 @pytest.mark.parametrize("kernel", ["_embedding", "_via_double", "_via_census"])
 def test_each_genus_formula_is_cross_checked(monkeypatch, kernel):
-    """Shifting any one formula kernel by 1 makes `regular_genus` raise
-    and fails every genus-formula-agreement row: no two sides of the
-    comparison come from one evaluation."""
+    """Shifting any one formula's genus by 1 (its kernel's twice the
+    genus by 2) makes `regular_genus` raise and fails every
+    genus-formula-agreement row: no two sides of the comparison come
+    from one evaluation."""
     original = getattr(gemkit.genus, kernel)
 
     def shifted(*args):
         value = original(*args)
         if kernel == "_embedding":
-            return value._replace(rho=value.rho + 1)
-        return value + 1
+            profile, twice = value
+            return profile._replace(rho=profile.rho + 1), twice + 2
+        return value + 2
 
     monkeypatch.setattr(gemkit.genus, kernel, shifted)
     g = parse_gem(export_gem(catalog_get("fig3_d3xs1").graph))
