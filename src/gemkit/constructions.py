@@ -68,21 +68,15 @@ def _disjoint_union(first: ColoredGraph, second: ColoredGraph) -> list:
     graph's n vertices; an unmatched vertex keeps mate 0.  Every vertex
     number is the vertex-id table's object.
 
-    Every graph's arrays already hold the table's objects, so the first
-    graph's arrays are copied as they are and only the second graph's
-    shifted ids are looked up.  A graph built before the table last grew
-    holds the older table's objects (vertex n shows which); its arrays
-    are sent through the table instead, so that the result shares the
-    current table's objects only."""
+    Every graph's arrays hold the table's objects, and the table only
+    grows by appending, so the first graph's arrays are copied as they
+    are and only the second graph's shifted ids are looked up."""
     n, size = first.vertex_count, second.vertex_count + 1
     ids = _ids(n + size)
     # shifted[w] is the id n + w, and shifted[0] stays 0
     shifted = (0, *itertools.islice(ids, n + 1, n + size))
-    color0 = first._mates[0]
-    current = color0[color0[n]] is ids[n]
     return [
-        [*(mate if current else map(ids.__getitem__, mate)),
-         *map(shifted.__getitem__, other[1:])]
+        [*mate, *map(shifted.__getitem__, other[1:])]
         for mate, other in zip(first._mates, second._mates)
     ]
 
@@ -122,12 +116,10 @@ class Dipole(NamedTuple):
             and _is_index(self.color, 0, g.dimension)
         ):
             return False
-        if self.u == self.v or g.mate(self.u, self.color) != self.v:
+        # no vertex is its own mate, and an edge of another color between
+        # u and v puts them in one residue, so this decides the rest
+        if g.mate(self.u, self.color) != self.v:
             return False
-        # a 1-dipole is joined by exactly one edge
-        for c in g.colors:
-            if c != self.color and g.mate(self.u, c) == self.v:
-                return False
         labels, _ = _labels(g, set(g.colors) - {self.color})
         return labels[self.u] != labels[self.v]
 

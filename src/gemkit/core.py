@@ -47,7 +47,9 @@ written into an involution array is read from one shared vertex-id
 table (`_ids`), whose entry v is the int v.  Fresh ints would cost a
 28-byte object per (color, vertex) entry next to its 8-byte pointer;
 with the table the arrays of every graph point at one object per
-vertex number.
+vertex number.  The table only grows by appending, so an entry, once
+handed out, stays the table's object for that number and every graph
+keeps holding the table's own objects.
 
 Graphs are immutable, so each per-graph analysis (`census`,
 `boundary_graph`, `face_vector`, `validate`, `constructions.double`,
@@ -141,15 +143,18 @@ def _ids(size: int) -> tuple[int, ...]:
     """The vertex-id table, at least `size` entries long: entry v is the
     int v, the one object that every involution array holds for v.
 
-    A longer request replaces the table with `tuple(range(size))`, so it
-    grows to the largest graph seen.  It needs no lock: a replaced table
-    is still correct, and threads that grow it at once each get a table
-    long enough for their request.
+    The table is append-only: a longer request appends the numbers
+    `len(table)..size - 1` and keeps every entry it has handed out, so
+    it grows to the largest graph seen and a graph built before it grew
+    still holds its objects.  It needs no lock: two threads that grow it
+    at once may each append their own objects for the same new numbers,
+    and the later write wins, but every entry's value stays exact and
+    each thread gets a table long enough for its request.
     """
     global _ID_TABLE
     table = _ID_TABLE
     if len(table) < size:
-        table = _ID_TABLE = tuple(range(size))
+        table = _ID_TABLE = table + tuple(range(len(table), size))
     return table
 
 

@@ -99,6 +99,12 @@ class TestDipoles:
         b = doubled.mate(1, 0)
         with pytest.raises(GemError):
             remove_one_dipole(doubled, Dipole(u=a, v=b, color=1))
+        # two vertices joined by several colors lie in one residue on
+        # every color but any one of them
+        for name in ("s4_order2", "d4_order2"):
+            g = catalog_get(name).graph
+            for c in g.colors:
+                assert not Dipole(1, 2, c).verify(g)
 
     def test_endpoints_not_joined_by_the_color_are_no_dipole(self, fig3):
         doubled = double(fig3)

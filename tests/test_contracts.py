@@ -189,6 +189,10 @@ BAD_ARGUMENTS = {
         lambda g, d: ColoredGraph(4, 2.0, [[(1, 2)]] * 5),
         "vertex count must be an int, got 2.0",
     ),
+    "ColoredGraph(4, 0, ...)": (
+        lambda g, d: ColoredGraph(4, 0, [[]] * 5),
+        "vertex count must be positive",
+    ),
     "ColoredGraph(4.0, 2, ...)": (
         lambda g, d: ColoredGraph(4.0, 2, [[(1, 2)]] * 5),
         "dimension must be a positive integer",

@@ -105,6 +105,12 @@ def test_file_round_trip(tmp_path, fig4):
          "^malformed pair '1x-2'$"),
         ("gem-format 1\ndim 1\nvertices 4\ncolor 0: 1-2 3-\u0664\ncolor 1:\nend\n",
          "^malformed pair '3-\u0664'$"),
+        ("gem-format 1\ndim 1\nvertices 0\ncolor 0:\ncolor 1:\nend\n",
+         "^vertex count must be positive$"),
+        # a token with no "-" on an ASCII line, which the token-by-token
+        # check does not read
+        ("gem-format 1\ndim 1\nvertices 2\ncolor 0: 12\ncolor 1:\nend\n",
+         "^malformed pair '12'$"),
     ],
 )
 def test_parse_errors(text, message):

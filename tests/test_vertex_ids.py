@@ -145,10 +145,9 @@ def test_entries_are_the_tables_own_objects(monkeypatch, builder, grown):
     """Every entry of a built graph is the vertex-id table's object, not
     merely one object per number.  The splice copies its first graph's
     arrays as they are, so this holds only because every graph's arrays
-    hold the table's objects, and, when the table grew after the input
-    was built (as the double and the sum of a graph with itself make it
-    grow from a table just long enough for the input), because the
-    splice then sends the input's arrays through the new table."""
+    hold the table's objects and the table keeps them when it grows, as
+    the double and the sum of a graph with itself make it grow from a
+    table just long enough for the input."""
     monkeypatch.setattr(gemkit.core, "_ID_TABLE", (0,))
     if grown:
         gemkit.core._ids(5000)
@@ -159,6 +158,13 @@ def test_entries_are_the_tables_own_objects(monkeypatch, builder, grown):
         "parse_gem": 601, "boundary_graph": 601, "double": 1201,
         "connected_sum": 1201, "crystallize_double": 533,
     }[builder])
+
+
+def test_growing_the_table_keeps_the_objects_it_handed_out(monkeypatch):
+    monkeypatch.setattr(gemkit.core, "_ID_TABLE", (0,))
+    parsed = parse_gem(_text(600, 150, 1))
+    gemkit.core._ids(5000)
+    assert _entries_are_table_objects(parsed)
 
 
 def test_from_mates_keeps_the_objects_it_is_given():
