@@ -54,6 +54,7 @@ from .core import (
     boundary_graph,
     census,
     face_vector,
+    residue_components,
     validate,
 )
 from .gemfile import export_gem, load_gem
@@ -328,7 +329,30 @@ def _first_internal_vertex(g: ColoredGraph) -> int:
     raise GemError("gem has no internal vertex to sum at")
 
 
+def _bounded_weld_color(g1, v1, g2, v2) -> int | None:
+    """The smallest color c < d for which the residues of all colors but
+    c through v1 in g1 and through v2 in g2 both hold boundary vertices,
+    or None.  These color sets hold color d, so a component of
+    `residue_components` is not regular exactly when it holds a
+    boundary vertex."""
+    for c in range(g1.dimension):
+        others = [x for x in g1.colors if x != c]
+        if all(
+            not next(
+                comp for comp in residue_components(g, others)
+                if v in comp.vertices
+            ).regular
+            for g, v in ((g1, v1), (g2, v2))
+        ):
+            return c
+    return None
+
+
 def _cmd_connect(args) -> int:
+    """The graph connected sum, or the sum through the sphere connector
+    with --via-sphere.  Without it, a sum that welds two residues with
+    boundary vertices (`_bounded_weld_color`) is refused, since such a
+    graph sum need not represent M1 # M2."""
     g1 = _load_input(args.input)
     g2 = _load_input(args.other)
     v1 = args.at[0] if args.at else _first_internal_vertex(g1)
@@ -336,7 +360,18 @@ def _cmd_connect(args) -> int:
     if args.via_sphere:
         out = constructions.sphere_connector_sum(g1, v1, g2, v2)
     else:
+        # the sum checks the dimensions and the summing vertices first
         out = constructions.connected_sum(g1, v1, g2, v2)
+        c = _bounded_weld_color(g1, v1, g2, v2)
+        if c is not None:
+            others = ",".join(str(x) for x in g1.colors if x != c)
+            raise GemError(
+                f"color {c}: the residue of colors {{{others}}} through "
+                f"vertex {v1} of {args.input} and the one through vertex "
+                f"{v2} of {args.other} both hold boundary vertices; such a "
+                f"graph sum need not represent M1 # M2 (measured: fig2_s3xI "
+                f"with itself reads h = 3, not 4); use --via-sphere"
+            )
     _write_graph(out, args.output)
     return 0
 

@@ -76,7 +76,7 @@ def _disjoint_union(first: ColoredGraph, second: ColoredGraph) -> list:
     # shifted[w] is the id n + w, and shifted[0] stays 0
     shifted = (0, *itertools.islice(ids, n + 1, n + size))
     return [
-        [*mate, *map(shifted.__getitem__, other[1:])]
+        [*mate, *[shifted[w] for w in other[1:]]]
         for mate, other in zip(first._mates, second._mates)
     ]
 
@@ -295,7 +295,10 @@ def connected_sum(
     Both vertices must be internal.  The result is the graph sum only:
     with two bounded summands it need not represent M1 # M2.  For
     instance `connected_sum(fig2_s3xI, 4, fig2_s3xI, 4)` has h = 3 and
-    chi = -1, where S^3 x I # S^3 x I has h = 4 and chi = -2.
+    chi = -1, where S^3 x I # S^3 x I has h = 4 and chi = -2.  The CLI
+    `connect` refuses a sum whose residues of all colors but some
+    c < d through both summing vertices hold boundary vertices; this
+    function raises nothing for it.
     """
     if g1.dimension != g2.dimension:
         raise GemError("connected sum requires equal dimensions")
@@ -381,9 +384,9 @@ def interval_product(g3: ColoredGraph) -> ColoredGraph:
         # copied entry is a vertex
         shifted = ids[offset : offset + n + 1]
         for original_color, target_color in zip(kept_original, own_colors):
-            mates[target_color][offset + 1 : offset + n + 1] = map(
-                shifted.__getitem__, g3._mates[original_color][1:]
-            )
+            mates[target_color][offset + 1 : offset + n + 1] = [
+                shifted[w] for w in g3._mates[original_color][1:]
+            ]
     for c in range(4):
         lo, hi = c * n, (c + 1) * n
         mates[c][lo + 1 : hi + 1] = ids[hi + 1 : hi + n + 1]

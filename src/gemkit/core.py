@@ -16,13 +16,14 @@ further color is joined through its edge list, each edge listed once by
 its smaller end, so a boundary vertex adds none.  A larger color set
 grows from the pair of its two smallest colors: after that pair's walk,
 every set over the pair joins one more color by a union-find over
-labels, fed by one lazy stream over that color's edge list, each edge
-read as its ends' pair labels sent through the set's own map of them.
-A join stops reading once one label is left.  Each join reads its own
-stream, at most the whole list once: a join with top color c over the
-pair {i, j} is one of 2^(c - j - 1) such joins, so at d = 4 color 4 is
-read at most 4 times over the pair {0, 1}.  A residue with color d
-fails to be regular exactly when its label holds a boundary vertex.
+labels, which walks that color's two end lists in step and subscripts
+each end inline: its pair label, sent through the set's own map of
+those labels.  A join stops reading once one label is left.  Each join
+reads the lists from the start, at most once to their end: a join with
+top color c over the pair {i, j} is one of 2^(c - j - 1) such joins,
+so at d = 4 color 4 is read at most 4 times over the pair {0, 1}.  A
+residue with color d fails to be regular exactly when its label holds
+a boundary vertex.
 The census stops at connected residues: more colors only add edges, so
 once a set's residue is one component, every set above it in the
 lattice is one component too, counted as 1 with no join (regular unless
@@ -490,7 +491,7 @@ def _renumbered(dimension, mates, keep) -> ColoredGraph:
     return ColoredGraph._from_mates(
         dimension,
         [
-            (0, *map(renumber.__getitem__, map(mate.__getitem__, keep)))
+            (0, *[renumber[mate[v]] for v in keep])
             for mate in mates
         ],
     )
@@ -622,23 +623,34 @@ def _pair_labels(first, second, ends) -> tuple[list[int], list[int]]:
     return labels, starts
 
 
-def _join(edges, count) -> tuple[list[int], int]:
-    """Merge residue labels along the label-level edges of one more color.
+def _join(
+    lows, highs, labels, count: int, through=None
+) -> tuple[list[int], int]:
+    """Merge residue labels along the edges of one more color.
 
     The residues of a color set B are labeled 1..count, count >= 2 (a
-    connected B is never joined), and `edges` yields the (label, label)
-    pair of each edge of a further color c, one edge after another; a
-    repeated pair adds nothing.  Union-find runs over these pairs, so it
-    works on labels rather than vertices.  `edges` is read only until
-    one label is left, since further edges cannot split a connected
-    residue: a lazy stream over the edge list is read up to the edge
-    that connects B with c, and to its end if B with c is split.
+    connected B is never joined).  `lows` and `highs` are the two end
+    lists of a further color c (`_edge_list`), read in step, and
+    `labels` labels their vertices; for a set above its root, `labels`
+    holds the root's labels and `through` maps them to B's.  Each end is
+    subscripted inline, `through[labels[v]]`, with the identity standing
+    in for a missing `through`: a subscript in the loop is faster than
+    reading the arrays through `map`.  Union-find runs over the label
+    pairs, so it works on labels rather than vertices, and a repeated
+    pair adds nothing.  The ends are read only until one label is left,
+    since further edges cannot split a connected residue: up to the
+    edge that connects B with c, and to the end of the lists if B with
+    c is split.
     Returns the map from B's labels to the labels 1..k of the residues
     of B with c, and k.
     """
     parent = list(range(count + 1))
+    if through is None:
+        through = parent[:]
     left = count
-    for a, b in edges:
+    for v, w in zip(lows, highs):
+        a = through[labels[v]]
+        b = through[labels[w]]
         while parent[a] != a:
             parent[a] = a = parent[parent[a]]
         while parent[b] != b:
@@ -669,9 +681,10 @@ def _join(edges, count) -> tuple[list[int], int]:
 def _edge_list(mate) -> tuple[list[int], list[int]]:
     """The edges of one involution array as two lists of ends, each edge
     listed once by its smaller end (`v < mate[v]`), so a fixed point or
-    an unmatched vertex lists no edge."""
+    an unmatched vertex lists no edge.  The larger ends are subscripted
+    inline, one comprehension over the smaller ones."""
     lows = [v for v, w in enumerate(mate) if v < w]
-    return lows, list(map(mate.__getitem__, lows))
+    return lows, [mate[v] for v in lows]
 
 
 def _array_labels(arrays, ends=()) -> tuple[list[int], int]:
@@ -681,8 +694,9 @@ def _array_labels(arrays, ends=()) -> tuple[list[int], int]:
     The first two arrays are labeled by a walk (`_pair_labels`), so the
     first pairs every vertex and the second may leave the vertices
     `ends` unmatched; each further array is added by `_join` over its
-    edge list (`_edge_list`), read lazily as (L(v), L(w)) pairs under
-    the current labels L.  A single array starts from one label per
+    edge list (`_edge_list`), whose ends it subscripts inline in the
+    current labels L, and L is then relabeled by one comprehension over
+    the join's renumbering.  A single array starts from one label per
     vertex and is joined like a further one.  Index 0 keeps label 0.
     Once one label is left the join stops reading and the remaining
     arrays are not read: they only add edges, and edges cannot split a
@@ -697,12 +711,8 @@ def _array_labels(arrays, ends=()) -> tuple[list[int], int]:
     for mate in arrays:
         if count == 1:
             break
-        lows, highs = _edge_list(mate)
-        renumber, count = _join(
-            zip(map(labels.__getitem__, lows), map(labels.__getitem__, highs)),
-            count,
-        )
-        labels = list(map(renumber.__getitem__, labels))
+        renumber, count = _join(*_edge_list(mate), labels, count)
+        labels = [renumber[x] for x in labels]
     return labels, count
 
 
@@ -765,14 +775,16 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
     path ends if j = d.  Every larger color set grows from its root, the
     pair {i, j} of its two smallest colors, so j < d.  Each set B over
     the root holds a map from the root's labels to its own labels 1..k,
-    and B with a further color c above max(B) is joined (`_join`) from
-    one lazy stream over the edge list of c (`_edge_list`, built once
-    per census, on the first join that needs it): the pair (L(v), L(w))
-    of each edge, L the root's pair labels, sent through B's map; a
-    triple's map is its join's renumbering.  A join stops once one label
-    is left, so a connected result reads the list only up to the edge
-    that connects it, and a split one reads it all.  Each join reads its
-    own stream, so a list may be read more than once over a root: a join
+    and B with a further color c above max(B) is joined (`_join`) over
+    the two end lists of c (`_edge_list`, built once per census, on the
+    first join that needs it): each end v is subscripted inline as
+    M(L(v)), L the root's pair labels and M B's map; a triple's map is
+    its join's renumbering, and a larger set's map is its join's
+    renumbering read through its parent's map, one comprehension.  A
+    join stops once one label is left, so a connected result reads the
+    lists only up to the edge that connects it, and a split one reads
+    them all.  Each join reads the lists from the start, so a list may
+    be read more than once over a root: a join
     with top color c over the root {i, j} is one of 2^(c - j - 1) such
     joins, and each reads at most the whole list once; at d = 4 that is
     at most 4 reads of color 4 over the root {0, 1}.  The sets over each
@@ -781,8 +793,8 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
     maps are alive at once and no key is built per gem.
     Colors 0..d-1 pair every vertex, so a residue without color d is
     regular; with color d, the components that are not regular are
-    exactly the labels holding a boundary vertex, found by sending the
-    root's labels of boundary vertices through the map.  Boundary
+    exactly the labels holding a boundary vertex, found by subscripting
+    the map with the root's labels of boundary vertices.  Boundary
     vertices have no color-d edge, so they add no label-level edge.
     A set whose parent (the root, or the set at slot - 1) has one
     component has one component too, since a further color only adds
@@ -811,7 +823,7 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
             g._mates[i], g._mates[j], boundary if j == d else ()
         )
         count = len(starts)
-        held = set(map(labels.__getitem__, boundary))
+        held = {labels[v] for v in boundary}
         counts[pair] = count
         regular[pair] = count - len(held) if j == d else count
         for key, c, slot in above:
@@ -822,17 +834,11 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
             else:
                 if c not in edge_lists:
                     edge_lists[c] = _edge_list(g._mates[c])
-                lows, highs = edge_lists[c]
-                lows = map(labels.__getitem__, lows)
-                highs = map(labels.__getitem__, highs)
-                if parent is None:
-                    to_set, k = _join(zip(lows, highs), size)
-                else:
-                    through = parent.__getitem__
-                    renumber, k = _join(
-                        zip(map(through, lows), map(through, highs)), size
-                    )
-                    to_set = list(map(renumber.__getitem__, parent))
+                renumber, k = _join(*edge_lists[c], labels, size, parent)
+                to_set = (
+                    renumber if parent is None
+                    else [renumber[x] for x in parent]
+                )
             counts[key] = k
             if c < d:
                 regular[key] = k
@@ -841,7 +847,7 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
                 # the one label holds every boundary vertex
                 regular[key] = 0 if boundary else 1
             else:
-                regular[key] = k - len(set(map(to_set.__getitem__, held)))
+                regular[key] = k - len({to_set[x] for x in held})
     return counts, regular
 
 

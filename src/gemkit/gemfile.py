@@ -93,7 +93,12 @@ def parse_gem(text: str) -> ColoredGraph:
 
 
 def export_gem(g: ColoredGraph) -> str:
-    """Serialize a graph canonically in GEM v1."""
+    """Serialize a graph canonically in GEM v1.
+
+    The decimal text of each vertex number 0..n is made once per call,
+    in one list that every edge of every color reads, rather than once
+    per edge end; the list is dropped when the call returns."""
+    names = list(map(str, range(g.vertex_count + 1)))
     lines = [
         "gem-format 1",
         f"dim {g.dimension}",
@@ -101,7 +106,7 @@ def export_gem(g: ColoredGraph) -> str:
     ]
     for c, mate in enumerate(g._mates):
         # each edge once, from its smaller end, in vertex order
-        pairs = [f"{v}-{w}" for v, w in enumerate(mate) if v < w]
+        pairs = [f"{names[v]}-{names[w]}" for v, w in enumerate(mate) if v < w]
         lines.append(" ".join([f"color {c}:", *pairs]))
     lines.append("end")
     return "\n".join(lines) + "\n"

@@ -18,22 +18,23 @@ from gemkit import (
 @pytest.fixture
 def census_work(monkeypatch):
     """Count the calls of `core._join` and `core._edge_list`, and list
-    per join its label count and the pairs it takes from its stream."""
+    per join its label count and the pairs it takes: the ends it pulls
+    from its `lows` list, read in step with `highs`."""
     calls = dict.fromkeys(("_join", "_edge_list"), 0)
     takes = []
     real_join, real_edge_list = gemkit.core._join, gemkit.core._edge_list
 
-    def join(edges, count):
+    def join(lows, highs, labels, count, through=None):
         calls["_join"] += 1
         taken = 0
 
-        def stream():
+        def pulled():
             nonlocal taken
-            for pair in edges:
+            for v in lows:
                 taken += 1
-                yield pair
+                yield v
 
-        result = real_join(stream(), count)
+        result = real_join(pulled(), highs, labels, count, through)
         takes.append((count, taken))
         return result
 

@@ -326,6 +326,34 @@ class TestConstructionsCli:
         assert code == 0
         assert load_gem(out_path).vertex_count == 18
 
+    def test_connect_refuses_a_weld_of_two_bounded_residues(
+        self, capsys, tmp_path
+    ):
+        """Every residue of all colors but 0 in a bounded crystallization
+        holds boundary vertices, so the plain sum of two is refused,
+        names color 0 and both residues, and writes nothing."""
+        out_path = tmp_path / "sum.gem"
+        code, out, err = run(capsys, "connect", "fig2_s3xI", "fig3_d3xs1",
+                             "--at", "4", "1", "-o", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == (
+            "error: color 0: the residue of colors {1,2,3,4} through "
+            "vertex 4 of fig2_s3xI and the one through vertex 1 of "
+            "fig3_d3xs1 both hold boundary vertices; such a graph sum "
+            "need not represent M1 # M2 (measured: fig2_s3xI with itself "
+            "reads h = 3, not 4); use --via-sphere\n"
+        )
+        assert not out_path.exists()
+        code, _, _ = run(capsys, "connect", "fig2_s3xI", "fig3_d3xs1",
+                         "--at", "4", "1", "--via-sphere",
+                         "-o", str(out_path))
+        assert code == 0 and load_gem(out_path).vertex_count == 26
+
+    def test_connect_keeps_a_sum_with_a_closed_summand(self, capsys):
+        code, out, _ = run(capsys, "connect", "fig2_s3xI", "fig1_s4")
+        assert code == 0
+        assert parse_gem(out).vertex_count == 18
+
     def test_boundary_export(self, capsys, tmp_path):
         prefix = tmp_path / "bd"
         code, _, _ = run(capsys, "boundary", "fig2_s3xI", "-o", str(prefix))

@@ -1,10 +1,16 @@
 """GEM v1 serialization: canonical export, parsing, error reporting."""
 
+import importlib.util
+import random
+from pathlib import Path
+
 import pytest
 
 from gemkit import (
+    ColoredGraph,
     GemError,
     boundary_graph,
+    connected_sum,
     double,
     export_gem,
     load_gem,
@@ -12,6 +18,8 @@ from gemkit import (
     save_gem,
 )
 from oracles import export_reference
+
+BENCH_ORACLE = Path(__file__).parent.parent / "bench" / "oracle.py"
 
 
 def test_round_trip_byte_stable_on_catalog(all_entries):
@@ -37,6 +45,28 @@ def test_export_matches_reference_writer(
         gems += [double(bounded), bg.graph, bg.component_subgraph(0)]
     for g in gems:
         assert export_gem(g) == export_reference(g)
+
+
+def _benchmark_gem() -> ColoredGraph:
+    """The benchmark's seeded 6000-vertex bounded 4-gem, built by the
+    generator of `bench/oracle.py`, which imports nothing from gemkit."""
+    spec = importlib.util.spec_from_file_location("bench_oracle", BENCH_ORACLE)
+    oracle = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(oracle)
+    return ColoredGraph(*oracle.random_gem(6000, 2400, random.Random(1)))
+
+
+def test_export_matches_reference_writer_on_thousands_of_vertices():
+    """Each edge is written from a per-call decimal table; the text must
+    equal the reference writer's and parse back to the graph, on the
+    6000-vertex gem, its double and its sum with itself."""
+    g = _benchmark_gem()
+    internal = [v for v in g.vertices if g.mate(v, g.dimension)]
+    summed = connected_sum(g, internal[0], g, internal[-1])
+    for graph in (g, double(g), summed):
+        text = export_gem(graph)
+        assert text == export_reference(graph)
+        assert parse_gem(text) == graph
 
 
 def test_comments_and_blank_lines_ignored(fig3):

@@ -428,18 +428,21 @@ def _full_union_find(edges, count):
 @settings(max_examples=300, deadline=None)
 def test_join_stops_early_with_the_full_partition(case):
     """`_join` reads its edges only until one label is left, and gives
-    the partition of a union-find over all of them."""
+    the partition of a union-find over all of them.  The label pairs are
+    passed as two end lists over an identity label array."""
     count, edges = case
     consumed = []
 
     def source():
-        for edge in edges:
-            consumed.append(edge)
-            yield edge
+        for a, _ in edges:
+            consumed.append(a)
+            yield a
 
-    assert gemkit.core._join(source(), count) == _full_union_find(
-        edges, count
-    )
+    highs = [b for _, b in edges]
+    identity = list(range(count + 1))
+    assert gemkit.core._join(
+        source(), highs, identity, count
+    ) == _full_union_find(edges, count)
     connected = [
         m for m in range(len(edges) + 1)
         if _full_union_find(edges[:m], count)[1] == 1
