@@ -24,9 +24,10 @@ from typing import NamedTuple
 from .core import (
     ColoredGraph,
     GemError,
-    _array_labels,
+    _array_forest,
     _boundary,
     _census_plan,
+    _find,
     _ids,
     _is_index,
     _labels,
@@ -175,31 +176,26 @@ def _contract(g: ColoredGraph) -> ColoredGraph:
     full = len(keys) - 1  # the mask of all colors
     size = g.vertex_count + 1
     mates = [list(mate) for mate in g._mates]
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = x = parent[parent[x]]
-        return x
-
     for color in g.colors:
         others = [c for c in g.colors if c != color]
         steps = counts[keys[full ^ 1 << color]] - 1
         if not steps:
             continue
-        labels, count = _array_labels([mates[c] for c in others])
-        parent = list(range(count + 1))
+        labels, forest, _ = _array_forest([mates[c] for c in others])
         mate = mates[color]
         u = 1
         for _ in range(steps):
             # a 1-dipole never reappears once gone, so one scan finds all
             while u < size:
                 v = mate[u]
-                if u < v and find(labels[u]) != find(labels[v]):
+                if u < v and (
+                    _find(forest, labels[u]) != _find(forest, labels[v])
+                ):
                     break
                 u += 1
             else:
                 raise GemError(f"no 1-dipole of color {color} available")
-            parent[find(labels[v])] = find(labels[u])
+            forest[_find(forest, labels[v])] = _find(forest, labels[u])
             _weld(mates, u, v)
     return _compact(g.dimension, mates)
 
@@ -216,9 +212,11 @@ def crystallize_double(g: ColoredGraph) -> ColoredGraph:
     The cancellations run on mutable copies of the double's involution
     arrays, with a deleted vertex left as a fixed point of every color,
     and the result is compacted once at the end.  For each color c the
-    residues on the other colors (the c-hat residues) are labeled once;
-    a color-c edge is a 1-dipole iff its endpoints carry different
-    labels, and cancelling it merges their two labels by union-find.
+    residues on the other colors (the c-hat residues) are labeled once,
+    as walk labels and a union-find forest over them whose trees are the
+    residues (`_array_forest`); a color-c edge is a 1-dipole iff its
+    endpoints' labels lie in different trees, and cancelling it links
+    the two trees in that same forest.
     The cancellation is the dipole move of Ferri, Gagliardi and
     Grasselli ("A graph-theoretical representation of PL-manifolds",
     Aequationes Math. 31, 1986), which keeps the represented manifold.

@@ -15,31 +15,35 @@ one C-level scan of the labels, not by a test per vertex.  Every
 further color is joined through its edge list, each edge listed once by
 its smaller end, so a boundary vertex adds none.  A larger color set
 grows from the pair of its two smallest colors: after that pair's walk,
-every set over the pair joins one more color by a union-find over
-labels, which walks that color's two end lists in step and subscripts
-each end inline: its pair label, sent through the set's own map of
-those labels.  A join stops reading once one label is left.  Each join
-reads the lists from the start, at most once to their end: a join with
-top color c over the pair {i, j} is one of 2^(c - j - 1) such joins,
-so at d = 4 color 4 is read at most 4 times over the pair {0, 1}.  A
-residue with color d fails to be regular exactly when its label holds
-a boundary vertex.
+every set over the pair holds one union-find forest over the pair's
+walk labels, whose trees are its residues, and joins one more color by
+merging in place in a copy of its parent's forest; the join walks that
+color's two end lists in step and subscripts each end's walk label
+inline.  Every link points at a smaller label, so each tree is rooted
+at its smallest label, and no join renumbers labels.  A join stops
+reading once one tree is left.  Each join reads the lists from the
+start, at most once to their end: a join with top color c over the
+pair {i, j} is one of 2^(c - j - 1) such joins, so at d = 4 color 4 is
+read at most 4 times over the pair {0, 1}.  A residue with color d
+fails to be regular exactly when its tree holds a boundary vertex.
 The census stops at connected residues: more colors only add edges, so
 once a set's residue is one component, every set above it in the
 lattice is one component too, counted as 1 with no join (regular unless
-the gem has boundary, whose vertices that one label holds); an edge
+the gem has boundary, whose vertices that one tree holds); an edge
 list is built only when a join first needs it, and a labeling stops
-once one label is left.  What depends only on the dimension d is
+once one tree is left.  What depends only on the dimension d is
 planned once per d (`_census_plan`): the frozenset key of each of the
 2^(d+1) - 1 color sets, shared by every census of that dimension, by
 its boundary counts (under the plan of d - 1), by the genus formulas
 and by the `verify` ledger, and for each pair the sets above it in
 depth-first order, each with the slot of its parent.
 `residue_components` and the 1-dipole search of `constructions` label
-one color set at a time (`_labels`) with one walk and the same joins;
-the boundary graph's components and `crystallize_double` label their
-own arrays likewise (`_array_labels`), and the latter then only merges
-labels.  No other component algorithm runs on vertices.
+one color set at a time (`_labels`) with one walk and the same joins
+into one forest, then label each vertex by its tree's root; the
+boundary graph's components do likewise (`_array_labels`), and the
+contraction behind `crystallize_double` keeps the walk labels and the
+forest (`_array_forest`) and then only merges trees.  No other
+component algorithm runs on vertices.
 
 Files and the catalog build graphs from pairs; constructions and the
 boundary graph build them from involution arrays (`_from_mates`),
@@ -623,59 +627,46 @@ def _pair_labels(first, second, ends) -> tuple[list[int], list[int]]:
     return labels, starts
 
 
-def _join(
-    lows, highs, labels, count: int, through=None
-) -> tuple[list[int], int]:
-    """Merge residue labels along the edges of one more color.
+def _join(lows, highs, labels, forest, left: int) -> int:
+    """Merge residue labels along the edges of one more color, in place.
 
-    The residues of a color set B are labeled 1..count, count >= 2 (a
-    connected B is never joined).  `lows` and `highs` are the two end
-    lists of a further color c (`_edge_list`), read in step, and
-    `labels` labels their vertices; for a set above its root, `labels`
-    holds the root's labels and `through` maps them to B's.  Each end is
-    subscripted inline, `through[labels[v]]`, with the identity standing
-    in for a missing `through`: a subscript in the loop is faster than
-    reading the arrays through `map`.  Union-find runs over the label
-    pairs, so it works on labels rather than vertices, and a repeated
-    pair adds nothing.  The ends are read only until one label is left,
-    since further edges cannot split a connected residue: up to the
-    edge that connects B with c, and to the end of the lists if B with
-    c is split.
-    Returns the map from B's labels to the labels 1..k of the residues
-    of B with c, and k.
+    `forest` is a union-find forest over the labels that `labels` gives
+    the vertices, holding the residues of a color set B as `left` >= 2
+    trees (a connected B is never joined).  `lows` and `highs` are the
+    two end lists of a further color c (`_edge_list`), read in step, and
+    each end is subscripted inline, `labels[v]`.  Finds halve their
+    paths and a link puts the larger root under the smaller, so every
+    pointer points at a smaller label and each root is its tree's
+    smallest label.  A repeated label pair adds nothing.  The ends are
+    read only until one tree is left, since further edges cannot split a
+    connected residue: up to the edge that connects B with c, and to the
+    end of the lists if B with c is split.
+    Returns the number of trees left, the residue count of B with c.
     """
-    parent = list(range(count + 1))
-    if through is None:
-        through = parent[:]
-    left = count
     for v, w in zip(lows, highs):
-        a = through[labels[v]]
-        b = through[labels[w]]
-        while parent[a] != a:
-            parent[a] = a = parent[parent[a]]
-        while parent[b] != b:
-            parent[b] = b = parent[parent[b]]
+        a = labels[v]
+        b = labels[w]
+        while forest[a] != a:
+            forest[a] = a = forest[forest[a]]
+        while forest[b] != b:
+            forest[b] = b = forest[forest[b]]
         if a == b:
             continue
         if a < b:
-            parent[b] = a
+            forest[b] = a
         else:
-            parent[a] = b
+            forest[a] = b
         left -= 1
         if left == 1:
             break
-    # links and path halving only ever point a label at a smaller one,
-    # so each label's parent is renumbered before the label itself
-    renumber = [0] * (count + 1)
-    k = 0
-    for x in range(1, count + 1):
-        up = parent[x]
-        if up == x:
-            k += 1
-            renumber[x] = k
-        else:
-            renumber[x] = renumber[up]
-    return renumber, k
+    return left
+
+
+def _find(forest, x: int) -> int:
+    """The root of `x` in a union-find forest, halving its path."""
+    while forest[x] != x:
+        forest[x] = x = forest[forest[x]]
+    return x
 
 
 def _edge_list(mate) -> tuple[list[int], list[int]]:
@@ -687,20 +678,18 @@ def _edge_list(mate) -> tuple[list[int], list[int]]:
     return lows, [mate[v] for v in lows]
 
 
-def _array_labels(arrays, ends=()) -> tuple[list[int], int]:
-    """Label the residues spanned by a nonempty list of involution arrays
-    with 1..count.
+def _array_forest(arrays, ends=()) -> tuple[list[int], list[int], int]:
+    """The residues spanned by a nonempty list of involution arrays, as
+    walk labels, one union-find forest over them, and the residue count.
 
     The first two arrays are labeled by a walk (`_pair_labels`), so the
     first pairs every vertex and the second may leave the vertices
-    `ends` unmatched; each further array is added by `_join` over its
-    edge list (`_edge_list`), whose ends it subscripts inline in the
-    current labels L, and L is then relabeled by one comprehension over
-    the join's renumbering.  A single array starts from one label per
-    vertex and is joined like a further one.  Index 0 keeps label 0.
-    Once one label is left the join stops reading and the remaining
-    arrays are not read: they only add edges, and edges cannot split a
-    connected residue.
+    `ends` unmatched; a single array starts from one label per vertex,
+    the vertex itself.  Every further array is joined (`_join`) into the
+    one forest over its edge list (`_edge_list`), with no relabeling
+    between arrays.  Once one tree is left the join stops reading and
+    the remaining arrays are not read: they only add edges, and edges
+    cannot split a connected residue.  Index 0 keeps label 0.
     """
     if len(arrays) == 1:
         labels, count = list(range(len(arrays[0]))), len(arrays[0]) - 1
@@ -708,19 +697,34 @@ def _array_labels(arrays, ends=()) -> tuple[list[int], int]:
         labels, starts = _pair_labels(arrays[0], arrays[1], ends)
         count = len(starts)
         arrays = arrays[2:]
+    forest = list(range(count + 1))
     for mate in arrays:
         if count == 1:
             break
-        renumber, count = _join(*_edge_list(mate), labels, count)
-        labels = [renumber[x] for x in labels]
-    return labels, count
+        count = _join(*_edge_list(mate), labels, forest, count)
+    return labels, forest, count
+
+
+def _array_labels(arrays, ends=()) -> tuple[list[int], int]:
+    """Label the residues spanned by a nonempty list of involution arrays
+    (`_array_forest`), each vertex by the root of its walk label, and
+    count them.  Every link points at a smaller label, so one ascending
+    pass flattens the forest, each label's parent being a root by the
+    time the label is reached, and the labels are then rewritten once.
+    The labels are root labels, not 1..count: the residues are told
+    apart by label, not numbered.  Index 0 keeps label 0.
+    """
+    labels, forest, count = _array_forest(arrays, ends)
+    for x in range(len(forest)):
+        forest[x] = forest[forest[x]]
+    return [forest[x] for x in labels], count
 
 
 def _labels(g: ColoredGraph, colors) -> tuple[list[int], int]:
-    """Label the residues of one nonempty color set with 1..count, by
-    `_array_labels` over the colors in ascending order.  Only a pair
-    {i, d} walks the boundary vertices as path ends; in a larger set
-    color d is joined through its edge list."""
+    """Label the residues of one nonempty color set by root labels, and
+    count them, by `_array_labels` over the colors in ascending order.
+    Only a pair {i, d} walks the boundary vertices as path ends; in a
+    larger set color d is joined through its edge list."""
     ordered = sorted(colors)
     pair_with_last = len(ordered) == 2 and ordered[1] == g.dimension
     return _array_labels(
@@ -774,32 +778,32 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
     labeled by a walk (`_pair_labels`), with the boundary vertices as
     path ends if j = d.  Every larger color set grows from its root, the
     pair {i, j} of its two smallest colors, so j < d.  Each set B over
-    the root holds a map from the root's labels to its own labels 1..k,
-    and B with a further color c above max(B) is joined (`_join`) over
-    the two end lists of c (`_edge_list`, built once per census, on the
-    first join that needs it): each end v is subscripted inline as
-    M(L(v)), L the root's pair labels and M B's map; a triple's map is
-    its join's renumbering, and a larger set's map is its join's
-    renumbering read through its parent's map, one comprehension.  A
-    join stops once one label is left, so a connected result reads the
-    lists only up to the edge that connects it, and a split one reads
-    them all.  Each join reads the lists from the start, so a list may
-    be read more than once over a root: a join
-    with top color c over the root {i, j} is one of 2^(c - j - 1) such
-    joins, and each reads at most the whole list once; at d = 4 that is
-    at most 4 reads of color 4 over the root {0, 1}.  The sets over each
-    root come in the depth-first order of the dimension's
-    `_census_plan`, which also holds every key, so at most d - 1 such
-    maps are alive at once and no key is built per gem.
+    the root holds a union-find forest over the root's labels 1..R,
+    whose trees are B's residues, and B with a further color c above
+    max(B) is joined (`_join`) in a copy of that forest over the two end
+    lists of c (`_edge_list`, built once per census, on the first join
+    that needs it): each end v is subscripted inline as L(v), L the
+    root's pair labels.  A triple starts from the identity forest over
+    1..R, and a larger set from a copy of its parent's, so the parent's
+    other children still see the parent's own.  A join stops once one
+    tree is left, so a connected result reads the lists only up to the
+    edge that connects it, and a split one reads them all.  Each join
+    reads the lists from the start, so a list may be read more than once
+    over a root: a join with top color c over the root {i, j} is one of
+    2^(c - j - 1) such joins, and each reads at most the whole list
+    once; at d = 4 that is at most 4 reads of color 4 over the root
+    {0, 1}.  The sets over each root come in the depth-first order of
+    the dimension's `_census_plan`, which also holds every key, so at
+    most d - 1 forests are alive at once and no key is built per gem.
     Colors 0..d-1 pair every vertex, so a residue without color d is
     regular; with color d, the components that are not regular are
-    exactly the labels holding a boundary vertex, found by subscripting
-    the map with the root's labels of boundary vertices.  Boundary
-    vertices have no color-d edge, so they add no label-level edge.
+    exactly the trees holding a boundary vertex, counted as the distinct
+    roots of the root's labels of boundary vertices.  Boundary vertices
+    have no color-d edge, so they add no label-level edge.
     A set whose parent (the root, or the set at slot - 1) has one
     component has one component too, since a further color only adds
     edges: it is counted as 1 with no join, and with color d as regular
-    1, or 0 if the gem has boundary, since that label holds every
+    1, or 0 if the gem has boundary, since that tree holds every
     boundary vertex.  So a root with one residue reads no further color,
     and a color that no split root reads gets no edge list.
     """
@@ -815,9 +819,9 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
     regular[keys[1 << d]] = last_edges
     # built on a join's first need, for colors above 1 only
     edge_lists: dict[int, tuple[list[int], list[int]]] = {}
-    # maps[slot]: the map from the root's labels to those of the last set
-    # counted at that slot, and its label count
-    maps = [None] * d
+    # forests[slot]: the forest over the root's labels of the last set
+    # counted at that slot, and its tree count
+    forests = [None] * d
     for i, j, pair, above in roots:
         labels, starts = _pair_labels(
             g._mates[i], g._mates[j], boundary if j == d else ()
@@ -827,27 +831,26 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
         counts[pair] = count
         regular[pair] = count - len(held) if j == d else count
         for key, c, slot in above:
-            parent, size = maps[slot - 1] if slot > 1 else (None, count)
+            parent, size = forests[slot - 1] if slot > 1 else (None, count)
             if size == 1:
                 # more colors only add edges: one component stays one
-                to_set, k = parent, 1
+                forest, k = parent, 1
             else:
                 if c not in edge_lists:
                     edge_lists[c] = _edge_list(g._mates[c])
-                renumber, k = _join(*edge_lists[c], labels, size, parent)
-                to_set = (
-                    renumber if parent is None
-                    else [renumber[x] for x in parent]
+                forest = (
+                    list(range(count + 1)) if parent is None else parent[:]
                 )
+                k = _join(*edge_lists[c], labels, forest, size)
             counts[key] = k
             if c < d:
                 regular[key] = k
-                maps[slot] = to_set, k
+                forests[slot] = forest, k
             elif k == 1:
-                # the one label holds every boundary vertex
+                # the one tree holds every boundary vertex
                 regular[key] = 0 if boundary else 1
             else:
-                regular[key] = k - len({to_set[x] for x in held})
+                regular[key] = k - len({_find(forest, x) for x in held})
     return counts, regular
 
 

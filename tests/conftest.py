@@ -18,13 +18,13 @@ from gemkit import (
 @pytest.fixture
 def census_work(monkeypatch):
     """Count the calls of `core._join` and `core._edge_list`, and list
-    per join its label count and the pairs it takes: the ends it pulls
-    from its `lows` list, read in step with `highs`."""
+    per join its tree count on entry (`left`) and the pairs it takes:
+    the ends it pulls from its `lows` list, read in step with `highs`."""
     calls = dict.fromkeys(("_join", "_edge_list"), 0)
     takes = []
     real_join, real_edge_list = gemkit.core._join, gemkit.core._edge_list
 
-    def join(lows, highs, labels, count, through=None):
+    def join(lows, highs, labels, forest, left):
         calls["_join"] += 1
         taken = 0
 
@@ -34,8 +34,8 @@ def census_work(monkeypatch):
                 taken += 1
                 yield v
 
-        result = real_join(pulled(), highs, labels, count, through)
-        takes.append((count, taken))
+        result = real_join(pulled(), highs, labels, forest, left)
+        takes.append((left, taken))
         return result
 
     def edge_list(mate):

@@ -1,5 +1,6 @@
 """Command-line interface: subcommands, exit codes, JSON determinism."""
 
+import itertools
 import json
 import os
 import subprocess
@@ -12,7 +13,15 @@ import pytest
 
 import gemkit
 import gemkit.cli
-from gemkit import export_gem, load_gem, parse_gem, save_gem
+from gemkit import (
+    connected_sum,
+    export_gem,
+    face_vector,
+    load_gem,
+    parse_gem,
+    save_gem,
+    validate,
+)
 from gemkit.cli import main
 
 
@@ -353,6 +362,34 @@ class TestConstructionsCli:
         code, out, _ = run(capsys, "connect", "fig2_s3xI", "fig1_s4")
         assert code == 0
         assert parse_gem(out).vertex_count == 18
+
+    def test_connect_guard_over_every_catalog_sum(self, all_entries):
+        """Every ordered pair of catalog 4-gems at every pair of internal
+        vertices: the guard refuses exactly the 256 sums of two bounded
+        summands and accepts the other 528, and every accepted sum has
+        h = h1 + h2 and chi = chi1 + chi2 - 2."""
+        gems = [
+            entry.graph for entry in all_entries if entry.graph.dimension == 4
+        ]
+        refused = accepted = 0
+        for g1, g2 in itertools.product(gems, repeat=2):
+            h1, h2 = validate(g1).h, validate(g2).h
+            chi1 = face_vector(g1).euler_characteristic
+            chi2 = face_vector(g2).euler_characteristic
+            for v1, v2 in itertools.product(
+                [v for v in g1.vertices if g1.mate(v, 4)],
+                [v for v in g2.vertices if g2.mate(v, 4)],
+            ):
+                if gemkit.cli._bounded_weld_color(g1, v1, g2, v2) is not None:
+                    assert h1 and h2
+                    refused += 1
+                    continue
+                assert not (h1 and h2)
+                accepted += 1
+                out = connected_sum(g1, v1, g2, v2)
+                assert validate(out).h == h1 + h2
+                assert face_vector(out).euler_characteristic == chi1 + chi2 - 2
+        assert (refused, accepted) == (256, 528)
 
     def test_boundary_export(self, capsys, tmp_path):
         prefix = tmp_path / "bd"

@@ -427,9 +427,11 @@ def _full_union_find(edges, count):
 )
 @settings(max_examples=300, deadline=None)
 def test_join_stops_early_with_the_full_partition(case):
-    """`_join` reads its edges only until one label is left, and gives
-    the partition of a union-find over all of them.  The label pairs are
-    passed as two end lists over an identity label array."""
+    """`_join` reads its edges only until one tree is left, and leaves
+    the partition of a union-find over all of them in its forest, each
+    label pointing at a smaller one and each tree rooted at its smallest
+    label; it returns the tree count.  The label pairs are passed as two
+    end lists over an identity label array."""
     count, edges = case
     consumed = []
 
@@ -440,15 +442,95 @@ def test_join_stops_early_with_the_full_partition(case):
 
     highs = [b for _, b in edges]
     identity = list(range(count + 1))
-    assert gemkit.core._join(
-        source(), highs, identity, count
-    ) == _full_union_find(edges, count)
+    forest = list(range(count + 1))
+    left = gemkit.core._join(source(), highs, identity, forest, count)
+    classes, total = _full_union_find(edges, count)
+    assert left == total
+    assert all(forest[x] <= x for x in range(count + 1))
+    smallest = {}
+    for x in range(1, count + 1):
+        smallest.setdefault(classes[x], x)
+    assert [gemkit.core._find(forest, x) for x in range(1, count + 1)] == [
+        smallest[classes[x]] for x in range(1, count + 1)
+    ]
     connected = [
         m for m in range(len(edges) + 1)
         if _full_union_find(edges[:m], count)[1] == 1
     ]
     # stopped at the edge that left one label, or read every edge
     assert len(consumed) == (connected[0] if connected else len(edges))
+
+
+def _involution(pairs, n):
+    """The involution array of `pairs` on 1..n, 0 where unmatched."""
+    mate = [0] * (n + 1)
+    for a, b in pairs:
+        mate[a], mate[b] = b, a
+    return mate
+
+
+def _array_components(arrays, n):
+    """The components of the edges of every array, by BFS."""
+    seen, comps = set(), []
+    for start in range(1, n + 1):
+        if start in seen:
+            continue
+        seen.add(start)
+        comp, queue = {start}, [start]
+        while queue:
+            v = queue.pop()
+            for mate in arrays:
+                w = mate[v]
+                if w and w not in seen:
+                    seen.add(w)
+                    comp.add(w)
+                    queue.append(w)
+        comps.append(comp)
+    return comps
+
+
+@pytest.mark.parametrize(
+    "size, with_ends",
+    [(1, False), (2, False), (2, True), (3, False), (3, True), (5, False),
+     (5, True)],
+)
+@given(
+    p=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=40, deadline=None)
+def test_array_labels_match_bfs(size, with_ends, p, seed):
+    """`_array_labels` on random involution arrays: the first pairs every
+    vertex, the second leaves the path `ends` unmatched when there are
+    any, and every further one is a partial matching.  Its labels induce
+    BFS's partition, its count is BFS's, and each label is the root of
+    its class in the forest of `_array_forest`: the smallest walk label
+    in the class, a vertex itself for a single array."""
+    n = 2 * p
+    rng = random.Random(seed)
+    vertices = list(range(1, n + 1))
+    arrays = [_involution(_matching(vertices, rng), n)]
+    for k in range(1, size):
+        pairs = _matching(vertices, rng)
+        if k > 1 or with_ends:
+            pairs = pairs[: rng.randint(0, p)]
+        arrays.append(_involution(pairs, n))
+    ends = (
+        [v for v in vertices if not arrays[1][v]] if size > 1 and with_ends
+        else ()
+    )
+    labels, count = gemkit.core._array_labels(arrays, ends)
+    walk, forest, forest_count = gemkit.core._array_forest(arrays, ends)
+    assert len(labels) == n + 1 and labels[0] == 0
+    comps = _array_components(arrays, n)
+    assert count == forest_count == len(comps)
+    assert sorted(sorted(comp) for comp in comps) == sorted(
+        gemkit.core._groups(labels, n).values()
+    )
+    for comp in comps:
+        root = min(walk[v] for v in comp)
+        assert forest[root] == root
+        assert {labels[v] for v in comp} == {root}
 
 
 def _connected_pair_gems():
