@@ -121,13 +121,13 @@ class Dipole(NamedTuple):
         # u and v puts them in one residue, so this decides the rest
         if g.mate(self.u, self.color) != self.v:
             return False
-        labels, _ = _labels(g, set(g.colors) - {self.color})
+        labels = _labels(g, set(g.colors) - {self.color})
         return labels[self.u] != labels[self.v]
 
 
 def find_one_dipoles(g: ColoredGraph, color: int) -> list[Dipole]:
     """All 1-dipoles of one color, ordered by smaller endpoint."""
-    labels, _ = _labels(g, set(g.colors) - {g._color(color)})
+    labels = _labels(g, set(g.colors) - {g._color(color)})
     # endpoints in different residues share no edge of another color
     return [
         Dipole(u=a, v=b, color=color)
@@ -181,7 +181,7 @@ def _contract(g: ColoredGraph) -> ColoredGraph:
         steps = counts[keys[full ^ 1 << color]] - 1
         if not steps:
             continue
-        labels, forest, _ = _array_forest([mates[c] for c in others])
+        labels, forest = _array_forest([mates[c] for c in others])
         mate = mates[color]
         u = 1
         for _ in range(steps):
@@ -214,9 +214,10 @@ def crystallize_double(g: ColoredGraph) -> ColoredGraph:
     and the result is compacted once at the end.  For each color c the
     residues on the other colors (the c-hat residues) are labeled once,
     as walk labels and a union-find forest over them whose trees are the
-    residues (`_array_forest`); a color-c edge is a 1-dipole iff its
-    endpoints' labels lie in different trees, and cancelling it links
-    the two trees in that same forest.
+    residues (`_array_forest`), with no residue count: the number of
+    cancellations comes from the census.  A color-c edge is a 1-dipole
+    iff its endpoints' labels lie in different trees, and cancelling it
+    links the two trees in that same forest.
     The cancellation is the dipole move of Ferri, Gagliardi and
     Grasselli ("A graph-theoretical representation of PL-manifolds",
     Aequationes Math. 31, 1986), which keeps the represented manifold.

@@ -37,13 +37,14 @@ planned once per d (`_census_plan`): the frozenset key of each of the
 its boundary counts (under the plan of d - 1), by the genus formulas
 and by the `verify` ledger, and for each pair the sets above it in
 depth-first order, each with the slot of its parent.
-`residue_components` and the 1-dipole search of `constructions` label
-one color set at a time (`_labels`) with one walk and the same joins
-into one forest, then label each vertex by its tree's root; the
-boundary graph's components do likewise (`_array_labels`), and the
-contraction behind `crystallize_double` keeps the walk labels and the
-forest (`_array_forest`) and then only merges trees.  No other
-component algorithm runs on vertices.
+One call labels the residues of one color set (`_labels`): one walk
+and the same joins into one forest, then each vertex labeled by its
+tree's root, and it returns only those root labels.
+`residue_components`, the boundary graph's components and the 1-dipole
+search of `constructions` read it; the contraction behind
+`crystallize_double` keeps the walk labels and the forest
+(`_array_forest`) and then only merges trees.  No other component
+algorithm runs on vertices.
 
 Files and the catalog build graphs from pairs; constructions and the
 boundary graph build them from involution arrays (`_from_mates`),
@@ -443,7 +444,7 @@ def residue_components(g: ColoredGraph, colors) -> list[ResidueComponent]:
             colorset, key=lambda c: (0, c) if type(c) is int else (1, repr(c))
         )
         raise GemError(f"colors {shown} out of range 0..{g.dimension}")
-    labels, _ = _labels(g, colorset)
+    labels = _labels(g, colorset)
     held = set()
     if g.dimension in colorset:
         held = {labels[v] for v in _boundary(g)}
@@ -505,10 +506,10 @@ def _renumbered(dimension, mates, keep) -> ColoredGraph:
 def boundary_graph(g: ColoredGraph) -> BoundaryGraph:
     """Extract the boundary graph; empty result for closed gems.
 
-    Its components are labeled by one `_array_labels` call over its own
-    arrays, which stops once one label is left: more colors only add
-    edges, so a connected residue of some of its colors is a connected
-    graph."""
+    Its components are labeled by one `_labels` call over all its
+    colors; it is closed, so no path ends are walked, and the joins stop
+    once one tree is left: more colors only add edges, so a connected
+    residue of some of its colors is a connected graph."""
     boundary = _boundary(g)
     if not boundary:
         return BoundaryGraph(graph=None, parent_vertices=(), components=())
@@ -530,7 +531,7 @@ def boundary_graph(g: ColoredGraph) -> BoundaryGraph:
                 far[v], far[cur] = cur, v
         mates.append(far)
     bg = _renumbered(d - 1, mates, boundary)
-    labels, _ = _array_labels(bg._mates)
+    labels = _labels(bg, bg.colors)
     comps = tuple(map(tuple, _groups(labels, bg.vertex_count).values()))
     return BoundaryGraph(
         graph=bg, parent_vertices=boundary, components=comps
@@ -678,18 +679,20 @@ def _edge_list(mate) -> tuple[list[int], list[int]]:
     return lows, [mate[v] for v in lows]
 
 
-def _array_forest(arrays, ends=()) -> tuple[list[int], list[int], int]:
+def _array_forest(arrays, ends=()) -> tuple[list[int], list[int]]:
     """The residues spanned by a nonempty list of involution arrays, as
-    walk labels, one union-find forest over them, and the residue count.
+    walk labels and one union-find forest over them whose trees are the
+    residues.
 
     The first two arrays are labeled by a walk (`_pair_labels`), so the
     first pairs every vertex and the second may leave the vertices
     `ends` unmatched; a single array starts from one label per vertex,
     the vertex itself.  Every further array is joined (`_join`) into the
     one forest over its edge list (`_edge_list`), with no relabeling
-    between arrays.  Once one tree is left the join stops reading and
-    the remaining arrays are not read: they only add edges, and edges
-    cannot split a connected residue.  Index 0 keeps label 0.
+    between arrays.  The joins count the trees left, and once one is
+    left the join stops reading and the remaining arrays are not read:
+    they only add edges, and edges cannot split a connected residue.
+    Index 0 keeps label 0.
     """
     if len(arrays) == 1:
         labels, count = list(range(len(arrays[0]))), len(arrays[0]) - 1
@@ -702,35 +705,29 @@ def _array_forest(arrays, ends=()) -> tuple[list[int], list[int], int]:
         if count == 1:
             break
         count = _join(*_edge_list(mate), labels, forest, count)
-    return labels, forest, count
+    return labels, forest
 
 
-def _array_labels(arrays, ends=()) -> tuple[list[int], int]:
-    """Label the residues spanned by a nonempty list of involution arrays
-    (`_array_forest`), each vertex by the root of its walk label, and
-    count them.  Every link points at a smaller label, so one ascending
+def _labels(g: ColoredGraph, colors) -> list[int]:
+    """Label the residues of one nonempty color set, each vertex by the
+    root of its walk label in the forest of `_array_forest` over the
+    colors in ascending order.  Only a pair {i, d} walks the boundary
+    vertices as path ends; in a larger set color d is joined through its
+    edge list.  Every link points at a smaller label, so one ascending
     pass flattens the forest, each label's parent being a root by the
     time the label is reached, and the labels are then rewritten once.
     The labels are root labels, not 1..count: the residues are told
     apart by label, not numbered.  Index 0 keeps label 0.
     """
-    labels, forest, count = _array_forest(arrays, ends)
-    for x in range(len(forest)):
-        forest[x] = forest[forest[x]]
-    return [forest[x] for x in labels], count
-
-
-def _labels(g: ColoredGraph, colors) -> tuple[list[int], int]:
-    """Label the residues of one nonempty color set by root labels, and
-    count them, by `_array_labels` over the colors in ascending order.
-    Only a pair {i, d} walks the boundary vertices as path ends; in a
-    larger set color d is joined through its edge list."""
     ordered = sorted(colors)
     pair_with_last = len(ordered) == 2 and ordered[1] == g.dimension
-    return _array_labels(
+    labels, forest = _array_forest(
         [g._mates[c] for c in ordered],
         _boundary(g) if pair_with_last else (),
     )
+    for x in range(len(forest)):
+        forest[x] = forest[forest[x]]
+    return [forest[x] for x in labels]
 
 
 class _CensusPlan(NamedTuple):

@@ -5,6 +5,8 @@ import random
 
 import pytest
 
+import gemkit.constructions
+import gemkit.genus
 from gemkit import (
     ColoredGraph,
     Dipole,
@@ -178,6 +180,26 @@ class TestCrystallizeDouble:
         message = "^input is closed; needs a gem with nonempty boundary$"
         with pytest.raises(GemError, match=message):
             crystallize_double(fig1)
+
+    def test_a_contraction_left_uncrystallized_is_caught(
+        self, monkeypatch, fig3
+    ):
+        monkeypatch.setattr(gemkit.constructions, "_contract", lambda g: g)
+        message = ("^dipole cancellation did not yield a closed "
+                   "crystallization$")
+        with pytest.raises(GemError, match=message):
+            crystallize_double(fig3)
+
+    def test_a_contraction_with_the_wrong_census_is_caught(
+        self, monkeypatch, fig3
+    ):
+        # a closed crystallization, but not the contracted double
+        s4 = catalog_get("s4_order2").graph
+        monkeypatch.setattr(gemkit.constructions, "_contract", lambda g: s4)
+        message = ("^census check failed: g_012 of the contracted double "
+                   "is not the doubled count minus h$")
+        with pytest.raises(GemError, match=message):
+            crystallize_double(fig3)
 
 
 def _internal(g):
@@ -401,6 +423,19 @@ class TestIntervalProduct:
             GemError, match="^input has dimension 4; needs dimension 3$"
         ):
             interval_product(fig3)
+
+    def test_a_wrong_genus_realization_is_caught(self, monkeypatch, s2xs1):
+        original = gemkit.genus.rho_epsilon
+
+        def off_by_one(g, scheme):
+            profile = original(g, scheme)
+            return profile._replace(rho=profile.rho + 1)
+
+        monkeypatch.setattr(gemkit.genus, "rho_epsilon", off_by_one)
+        message = (r"^interval product genus check failed: rho at scheme "
+                   r"\(2,0,3,1,4\) is 5, expected 4$")
+        with pytest.raises(GemError, match=message):
+            interval_product(s2xs1)
 
     def test_non_crystallization_rejected(self):
         # two disjoint order-2 spheres: closed but disconnected

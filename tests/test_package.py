@@ -110,6 +110,35 @@ def test_star_import_binds_every_public_name():
     assert all(namespace[name] is getattr(gemkit, name) for name in namespace)
 
 
+# lists dir(gemkit) in a fresh interpreter, and the layers still unrun
+DIR = """
+import json, sys
+import gemkit
+names = dir(gemkit)
+unrun = sorted(name for name, module in sys.modules.items()
+               if name.startswith("gemkit.") and type(module) is gemkit._Layer)
+print(json.dumps([names, unrun]))
+"""
+
+
+def test_dir_lists_every_public_name_and_layer_without_running_one():
+    layers = ["catalog", "constructions", "core", "gemfile", "genus",
+              "verify"]
+    assert set(gemkit.__all__) | set(layers) <= set(dir(gemkit))
+    # a fresh interpreter, where no layer has run yet
+    src = str(Path(gemkit.__file__).resolve().parent.parent)
+    child = subprocess.run(
+        [sys.executable, "-W", "error", "-c", DIR],
+        capture_output=True, text=True,
+        env=dict(os.environ, PYTHONPATH=src), timeout=120,
+    )
+    assert (child.returncode, child.stderr) == (0, "")
+    names, unrun = json.loads(child.stdout)
+    assert names == sorted(names)
+    assert set(gemkit.__all__) | set(layers) <= set(names)
+    assert unrun == [f"gemkit.{layer}" for layer in layers]
+
+
 def test_unknown_name_raises_attribute_error_naming_it():
     with pytest.raises(AttributeError, match="no_such_name"):
         gemkit.no_such_name

@@ -500,12 +500,13 @@ def _array_components(arrays, n):
 )
 @settings(max_examples=40, deadline=None)
 def test_array_labels_match_bfs(size, with_ends, p, seed):
-    """`_array_labels` on random involution arrays: the first pairs every
-    vertex, the second leaves the path `ends` unmatched when there are
-    any, and every further one is a partial matching.  Its labels induce
-    BFS's partition, its count is BFS's, and each label is the root of
-    its class in the forest of `_array_forest`: the smallest walk label
-    in the class, a vertex itself for a single array."""
+    """The labeling of `_array_forest` on random involution arrays: the
+    first pairs every vertex, the second leaves the path `ends` unmatched
+    when there are any, and every further one is a partial matching.
+    Grouping the vertices by the root (`_find`) of their walk labels
+    gives BFS's partition, the number of distinct roots is BFS's count,
+    and each class's root is its smallest walk label, a root of the
+    forest: a vertex itself for a single array."""
     n = 2 * p
     rng = random.Random(seed)
     vertices = list(range(1, n + 1))
@@ -519,18 +520,45 @@ def test_array_labels_match_bfs(size, with_ends, p, seed):
         [v for v in vertices if not arrays[1][v]] if size > 1 and with_ends
         else ()
     )
-    labels, count = gemkit.core._array_labels(arrays, ends)
-    walk, forest, forest_count = gemkit.core._array_forest(arrays, ends)
-    assert len(labels) == n + 1 and labels[0] == 0
+    walk, forest = gemkit.core._array_forest(arrays, ends)
+    assert len(walk) == n + 1 and walk[0] == 0
+    roots = [0] + [gemkit.core._find(forest, walk[v]) for v in vertices]
     comps = _array_components(arrays, n)
-    assert count == forest_count == len(comps)
+    assert len(set(roots[1:])) == len(comps)
     assert sorted(sorted(comp) for comp in comps) == sorted(
-        gemkit.core._groups(labels, n).values()
+        gemkit.core._groups(roots, n).values()
     )
     for comp in comps:
         root = min(walk[v] for v in comp)
         assert forest[root] == root
-        assert {labels[v] for v in comp} == {root}
+        assert {roots[v] for v in comp} == {root}
+
+
+def test_labels_are_forest_roots_on_real_gems(
+    all_entries, bounded_construction_outputs
+):
+    """On every catalog gem, every bounded construction output and their
+    boundary graphs, `_labels` gives each vertex, for every color set,
+    the root of its walk label in the forest of `_array_forest` over the
+    set's colors in ascending order, with the boundary vertices as path
+    ends only for a pair {i, d}."""
+    gems = [e.graph for e in all_entries]
+    gems.extend(bounded_construction_outputs.values())
+    gems.extend([boundary_graph(g).graph for g in gems if not g.is_closed()])
+    for g in gems:
+        d = g.dimension
+        for size in range(1, d + 2):
+            for colors in itertools.combinations(g.colors, size):
+                ends = (
+                    gemkit.core._boundary(g) if colors[1:] == (d,) else ()
+                )
+                walk, forest = gemkit.core._array_forest(
+                    [g._mates[c] for c in colors], ends
+                )
+                labels = gemkit.core._labels(g, colors)
+                assert labels == [0] + [
+                    gemkit.core._find(forest, walk[v]) for v in g.vertices
+                ], colors
 
 
 def _connected_pair_gems():
