@@ -57,7 +57,7 @@ from .core import (
     residue_components,
     validate,
 )
-from .gemfile import export_gem, load_gem
+from .gemfile import export_gem, load_gem, save_gem
 
 
 def _load_input(token: str) -> ColoredGraph:
@@ -177,11 +177,10 @@ def _assignments(mapping) -> str:
 
 
 def _write_graph(g: ColoredGraph, out: str | None) -> None:
-    text = export_gem(g)
     if out:
-        Path(out).write_text(text)
+        save_gem(g, out)
     else:
-        sys.stdout.write(text)
+        sys.stdout.write(export_gem(g))
 
 
 def _meta_from_args(g: ColoredGraph, args) -> ManifoldMeta:
@@ -383,8 +382,7 @@ def _cmd_boundary(args) -> int:
     for q in range(bg.component_count()):
         sub = bg.component_subgraph(q)
         if args.output:
-            path = Path(f"{args.output}.{q + 1}.gem")
-            path.write_text(export_gem(sub))
+            save_gem(sub, f"{args.output}.{q + 1}.gem")
         else:
             print(f"# boundary component {q + 1} of {bg.component_count()}")
             sys.stdout.write(export_gem(sub))

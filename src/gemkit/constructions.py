@@ -352,20 +352,12 @@ def interval_product(g3: ColoredGraph) -> ColoredGraph:
     carry the two boundary components.
     """
     _require(g3, dimension=3, boundary=False, crystallization=True)
-    c3 = census(g3)
+    g_of = census(g3).g_of
     n = g3.vertex_count
-    pair_counts = {
-        (i, j): c3.g_of(i, j) for i, j in itertools.combinations(range(4), 2)
-    }
-    sphere_sum = (
-        pair_counts[(0, 1)] + pair_counts[(0, 2)] + pair_counts[(0, 3)]
-    )
-    complements = [
-        (pair_counts[(0, 1)], pair_counts[(2, 3)]),
-        (pair_counts[(0, 2)], pair_counts[(1, 3)]),
-        (pair_counts[(0, 3)], pair_counts[(1, 2)]),
-    ]
-    if sphere_sum != 2 + n // 2 or any(a != b for a, b in complements):
+    g01, g02, g03 = g_of(0, 1), g_of(0, 2), g_of(0, 3)
+    if g01 + g02 + g03 != 2 + n // 2 or (g01, g02, g03) != (
+        g_of(2, 3), g_of(1, 3), g_of(1, 2)
+    ):
         raise GemError(
             "input fails the closed 3-manifold census conditions "
             "(complementary pair counts equal and summing to 2 + n/2)"
@@ -395,7 +387,7 @@ def interval_product(g3: ColoredGraph) -> ColoredGraph:
     # two complementary pair counts minus four; check it
     from .genus import rho_epsilon
 
-    expected = 2 * (pair_counts[(0, 1)] + pair_counts[(0, 3)]) - 4
+    expected = 2 * (g01 + g03) - 4
     profile = rho_epsilon(product, (2, 0, 3, 1, 4))
     if profile.rho != expected:
         raise GemError(

@@ -780,18 +780,20 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
     max(B) is joined (`_join`) in a copy of that forest over the two end
     lists of c (`_edge_list`, built once per census, on the first join
     that needs it): each end v is subscripted inline as L(v), L the
-    root's pair labels.  A triple starts from the identity forest over
-    1..R, and a larger set from a copy of its parent's, so the parent's
-    other children still see the parent's own.  A join stops once one
-    tree is left, so a connected result reads the lists only up to the
-    edge that connects it, and a split one reads them all.  Each join
-    reads the lists from the start, so a list may be read more than once
-    over a root: a join with top color c over the root {i, j} is one of
-    2^(c - j - 1) such joins, and each reads at most the whole list
-    once; at d = 4 that is at most 4 reads of color 4 over the root
-    {0, 1}.  The sets over each root come in the depth-first order of
-    the dimension's `_census_plan`, which also holds every key, so at
-    most d - 1 forests are alive at once and no key is built per gem.
+    root's pair labels.  Every set starts from a copy of the forest at
+    slot - 1, its parent's, where slot 0 holds the root's identity forest
+    over 1..R, so the parent's other children still see the parent's own.
+    The identity forest is a range, so a root whose forest no join
+    copies builds no list.  A join stops once one tree is left, so a
+    connected result reads the lists only up to the edge that connects
+    it, and a split one reads them all.  Each join reads the lists from
+    the start, so a list may be read more than once over a root: a join
+    with top color c over the root {i, j} is one of 2^(c - j - 1) such
+    joins, and each reads at most the whole list once; at d = 4 that is
+    at most 4 reads of color 4 over the root {0, 1}.  The sets over each
+    root come in the depth-first order of the dimension's
+    `_census_plan`, which also holds every key, so at most d - 1 forest
+    lists are alive at once and no key is built per gem.
     Colors 0..d-1 pair every vertex, so a residue without color d is
     regular; with color d, the components that are not regular are
     exactly the trees holding a boundary vertex, counted as the distinct
@@ -817,7 +819,8 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
     # built on a join's first need, for colors above 1 only
     edge_lists: dict[int, tuple[list[int], list[int]]] = {}
     # forests[slot]: the forest over the root's labels of the last set
-    # counted at that slot, and its tree count
+    # counted at that slot, and its tree count; slot 0 is the root's
+    # identity forest, a range that only copies turn into lists
     forests = [None] * d
     for i, j, pair, above in roots:
         labels, starts = _pair_labels(
@@ -827,17 +830,16 @@ def _residue_counts(g: ColoredGraph) -> tuple[dict, dict]:
         held = {labels[v] for v in boundary}
         counts[pair] = count
         regular[pair] = count - len(held) if j == d else count
+        forests[0] = range(count + 1), count
         for key, c, slot in above:
-            parent, size = forests[slot - 1] if slot > 1 else (None, count)
+            parent, size = forests[slot - 1]
             if size == 1:
                 # more colors only add edges: one component stays one
                 forest, k = parent, 1
             else:
                 if c not in edge_lists:
                     edge_lists[c] = _edge_list(g._mates[c])
-                forest = (
-                    list(range(count + 1)) if parent is None else parent[:]
-                )
+                forest = list(parent)
                 k = _join(*edge_lists[c], labels, forest, size)
             counts[key] = k
             if c < d:

@@ -44,8 +44,6 @@ import operator
 from fractions import Fraction
 from typing import NamedTuple
 
-# `ManifoldMeta` is defined in `core`, so that the catalog needs no
-# layer but `core`; it stays importable from here
 from .core import (
     ColoredGraph,
     GemError,

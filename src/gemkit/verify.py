@@ -81,11 +81,9 @@ def _check(name, statement, left, right, relation="=="):
     if relation == "==":
         ok = left == right
         sharp = None
-    elif relation == ">=":
+    else:
         ok = left >= right
         sharp = left == right
-    else:
-        raise ValueError(relation)
     # positional, as a keyword call takes twice as long
     return Check(name, statement, left, right, relation, ok, sharp)
 

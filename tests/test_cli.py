@@ -399,6 +399,39 @@ class TestConstructionsCli:
         comp2 = load_gem(tmp_path / "bd.2.gem")
         assert comp1.vertex_count == comp2.vertex_count == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("double", "fig3_d3xs1"),
+            ("crystallize-double", "fig3_d3xs1"),
+            ("product", "s2xs1_8"),
+            ("connect", "fig3_d3xs1", "fig3_d3xs1", "--via-sphere",
+             "--at", "1", "1"),
+            ("catalog", "export", "fig1_s4"),
+        ],
+    )
+    def test_output_file_holds_the_stdout_bytes(self, capsys, tmp_path, argv):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        out_path = tmp_path / "out.gem"
+        assert run(capsys, *argv, "-o", str(out_path)) == (0, "", "")
+        assert out_path.read_bytes() == out.encode("ascii")
+
+    def test_boundary_files_hold_the_stdout_blocks(self, capsys, tmp_path):
+        code, out, _ = run(capsys, "boundary", "fig2_s3xI")
+        assert code == 0
+        prefix = tmp_path / "bd"
+        assert run(capsys, "boundary", "fig2_s3xI", "-o", str(prefix)) == (
+            0, "", ""
+        )
+        blocks = out.split("# boundary component ")[1:]
+        assert [block.split("\n", 1)[0] for block in blocks] == [
+            "1 of 2", "2 of 2"
+        ]
+        for q, block in enumerate(blocks, 1):
+            written = (tmp_path / f"bd.{q}.gem").read_bytes()
+            assert written == block.split("\n", 1)[1].encode("ascii")
+
     def test_boundary_of_closed_exits_2(self, capsys):
         code, _, err = run(capsys, "boundary", "fig1_s4")
         assert code == 2

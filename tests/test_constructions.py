@@ -437,6 +437,39 @@ class TestIntervalProduct:
         with pytest.raises(GemError, match=message):
             interval_product(s2xs1)
 
+    @pytest.mark.parametrize(
+        "n, edges, sum_fails, complements_fail",
+        [
+            (4, [[(1, 2), (3, 4)], [(1, 2), (3, 4)], [(1, 3), (2, 4)],
+                 [(1, 4), (2, 3)]], False, True),
+            (4, [[(1, 2), (3, 4)], [(1, 3), (2, 4)], [(1, 3), (2, 4)],
+                 [(1, 4), (2, 3)]], True, True),
+            (6, [[(1, 2), (3, 4), (5, 6)], [(1, 2), (3, 5), (4, 6)],
+                 [(1, 3), (2, 6), (4, 5)], [(1, 6), (2, 3), (4, 5)]],
+             True, False),
+        ],
+        ids=["complements", "both", "sum"],
+    )
+    def test_census_conditions_rejected(
+        self, n, edges, sum_fails, complements_fail
+    ):
+        """Closed 3-crystallizations that break the sum clause, the
+        complement clause or both."""
+        g = ColoredGraph(3, n, edges)
+        report = validate(g)
+        assert (report.closed, report.is_crystallization) == (True, True)
+        g_of = census(g).g_of
+        low = (g_of(0, 1), g_of(0, 2), g_of(0, 3))
+        assert (sum(low) != 2 + n // 2) == sum_fails
+        assert (low != (g_of(2, 3), g_of(1, 3), g_of(1, 2))) == complements_fail
+        message = (
+            "input fails the closed 3-manifold census conditions "
+            "(complementary pair counts equal and summing to 2 + n/2)"
+        )
+        with pytest.raises(GemError) as exc:
+            interval_product(g)
+        assert str(exc.value) == message
+
     def test_non_crystallization_rejected(self):
         # two disjoint order-2 spheres: closed but disconnected
         g = ColoredGraph(

@@ -47,12 +47,18 @@ def test_export_matches_reference_writer(
         assert export_gem(g) == export_reference(g)
 
 
-def _benchmark_gem() -> ColoredGraph:
-    """The benchmark's seeded 6000-vertex bounded 4-gem, built by the
-    generator of `bench/oracle.py`, which imports nothing from gemkit."""
+def load_bench_oracle():
+    """`bench/oracle.py`, loaded by path; it imports nothing from gemkit."""
     spec = importlib.util.spec_from_file_location("bench_oracle", BENCH_ORACLE)
     oracle = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(oracle)
+    return oracle
+
+
+def _benchmark_gem() -> ColoredGraph:
+    """The benchmark's seeded 6000-vertex bounded 4-gem, built by the
+    generator of `bench/oracle.py`."""
+    oracle = load_bench_oracle()
     return ColoredGraph(*oracle.random_gem(6000, 2400, random.Random(1)))
 
 

@@ -1,16 +1,18 @@
 """Ground truth from small gems.
 
-Two 8-vertex bounded 4-crystallizations that the benchmark draws as
-`random-033` and `random-108`, on which `regular_genus` reports that
-its genus formulas disagree although neither is a manifold gem (ROADMAP
-item 1), and every 4-crystallization with at most 4 vertices, one per
-class up to relabeling the vertices with the colors fixed (item 14).
+Three bounded 4-crystallizations that the benchmark's `cli-corpus`
+draws as `random-033`, `random-108` (8 vertices each) and `random-039`
+(10 vertices), on which `regular_genus` reports that its genus formulas
+disagree although none is a manifold gem (ROADMAP item 1), and every
+4-crystallization with at most 4 vertices, one per class up to
+relabeling the vertices with the colors fixed (item 14).
 The disagreement error is the one that, by its docstring, signals an
 encoding bug; the tests that ask for none of it are strict expected
 failures until item 1's manifold gate lands.
 """
 
 import itertools
+import random
 from pathlib import Path
 
 import pytest
@@ -21,6 +23,7 @@ from gemkit import (
     census,
     crystallize_double,
     double,
+    export_gem,
     load_gem,
     regular_genus,
     validate,
@@ -34,10 +37,11 @@ from oracles import (
     is_crystallization_reference,
     tiny_gems,
 )
+from test_gemfile import load_bench_oracle
 from test_verify import assert_ledger_matches_reference
 
 DATA = Path(__file__).parent / "data"
-FIXTURES = ["random-033", "random-108"]
+FIXTURES = ["random-033", "random-108", "random-039"]
 
 
 def _formulas_disagree(g) -> bool:
@@ -75,13 +79,31 @@ def test_fixture_is_a_bounded_crystallization_with_one_boundary_component(
 
 def test_fixture_double_crystallizes_as_its_reference(fixture_gem):
     out = crystallize_double(fixture_gem)
-    assert out.vertex_count == 14
+    assert out.vertex_count == 2 * fixture_gem.vertex_count - 2
     assert out == crystallize_double_reference(fixture_gem)
 
 
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 1")
 def test_fixture_genus_formulas_agree(fixture_gem):
     assert not _formulas_disagree(fixture_gem)
+
+
+@pytest.mark.parametrize(
+    "name, seed",
+    [("random-033", 310), ("random-108", 1208), ("random-039", 3805)],
+)
+def test_fixture_is_the_benchmark_corpus_item_of_its_seed(name, seed):
+    """Item i of `cli-corpus` has 2p vertices, p = 1 + i % 5, and
+    (i // 5) % (p + 1) last-color edges, drawn in order from one
+    Random(seed) by the generator of `bench/oracle.py`."""
+    oracle = load_bench_oracle()
+    rng = random.Random(seed)
+    for i in range(int(name.removeprefix("random-")) + 1):
+        p = 1 + i % 5
+        drawn = oracle.random_gem(2 * p, (i // 5) % (p + 1), rng)
+    text = (DATA / f"{name}.gem").read_text(encoding="utf-8")
+    assert oracle.write_gem(*drawn) == text
+    assert export_gem(load_gem(DATA / f"{name}.gem")) == text
 
 
 def _least_relabeling(g):
